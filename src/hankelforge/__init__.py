@@ -6,7 +6,6 @@ arbitrary-precision arithmetic, evaluates Hankel determinants with three
 independent engines, and machine-verifies a registry of divisibility,
 parity, congruence, and positivity claims about them.
 """
-from ._backend import BACKEND
 from .exact import InexactDivisionError, exact_div
 from .hankel import (
     DetResult,
@@ -57,7 +56,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CLAIM_IDS",
     "CongruenceClaim",
     "DetResult",

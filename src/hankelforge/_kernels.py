@@ -1,11 +1,10 @@
-"""Pure-Python determinant kernels.
+"""Exact determinant kernels.
 
-The compiled extension ``hankelforge._core`` implements the same functions
-with identical signatures, results and instrumentation; ``_backend`` picks
-whichever is importable.  Matrices are row-major lists of Python ints and
-are never mutated (kernels work on copies).
+Matrices are row-major lists of Python ints and are never mutated (kernels
+work on copies).  Every interior division is exact by construction and
+checked: a remainder raises :class:`InexactDivisionError`.
 
-Instrumentation conventions shared by both backends:
+Instrumentation conventions:
 
 * ``steps``    counts interior entry updates (Bareiss), 2x2 condensation
   minors (Dodgson).
@@ -27,11 +26,13 @@ def _input_bits(rows) -> int:
     return b
 
 
-def bareiss_det(rows):
-    """Fraction-free elimination.  Returns ``(det, steps, max_bits)``.
+def _bareiss(rows):
+    """Fraction-free elimination (Bareiss 1968) with a row swap at each zero
+    pivot.  Returns ``(det, minors, steps, max_bits)``.
 
-    Interior divisions are exact by construction; a remainder raises
-    :class:`InexactDivisionError`.
+    Before any swap, diagonal entry ``k`` of the partly eliminated matrix is
+    the leading principal minor of order ``k + 1``.  ``minors`` collects them
+    up to and including the first zero one, which forces the first swap.
     """
     n = len(rows)
     m = [list(r) for r in rows]
@@ -39,6 +40,7 @@ def bareiss_det(rows):
     steps = 0
     sign = 1
     prev = 1
+    minors = [m[0][0]]
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -47,7 +49,7 @@ def bareiss_det(rows):
                     sign = -sign
                     break
             else:
-                return 0, steps, max_bits
+                return 0, minors, steps, max_bits
         piv = m[k][k]
         rk = m[k]
         for i in range(k + 1, n):
@@ -65,43 +67,27 @@ def bareiss_det(rows):
                 steps += 1
             ri[k] = 0
         prev = piv
-    return sign * m[n - 1][n - 1], steps, max_bits
+        if minors[-1]:
+            minors.append(m[k + 1][k + 1])
+    return sign * m[n - 1][n - 1], minors, steps, max_bits
+
+
+def bareiss_det(rows):
+    """Fraction-free elimination.  Returns ``(det, steps, max_bits)``."""
+    det, _, steps, max_bits = _bareiss(rows)
+    return det, steps, max_bits
 
 
 def bareiss_leading_minors(rows):
-    """All leading principal minors via one fraction-free sweep, no pivoting.
+    """Leading principal minors from one fraction-free elimination.
 
-    Returns ``(minors, steps, max_bits, completed)``.  The sweep stops at a
-    zero pivot (``completed`` False); minors collected so far remain exact.
+    Returns ``(minors, steps, max_bits, completed)``.  ``minors`` ends at
+    the first zero minor (``completed`` False); the minors of higher order
+    are then left to the caller, and ``steps``/``max_bits`` cover the whole
+    elimination.
     """
-    n = len(rows)
-    m = [list(r) for r in rows]
-    max_bits = _input_bits(m)
-    steps = 0
-    minors = [m[0][0]]
-    prev = 1
-    for k in range(n - 1):
-        piv = m[k][k]
-        if piv == 0:
-            return minors, steps, max_bits, False
-        rk = m[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            mik = ri[k]
-            for j in range(k + 1, n):
-                t = ri[j] * piv - mik * rk[j]
-                q, rem = divmod(t, prev)
-                if rem:
-                    raise InexactDivisionError("bareiss interior division left a remainder")
-                tb = t.bit_length() if t >= 0 else (-t).bit_length()
-                if tb > max_bits:
-                    max_bits = tb
-                ri[j] = q
-                steps += 1
-            ri[k] = 0
-        prev = piv
-        minors.append(m[k + 1][k + 1])
-    return minors, steps, max_bits, True
+    _, minors, steps, max_bits = _bareiss(rows)
+    return minors, steps, max_bits, len(minors) == len(rows)
 
 
 def dodgson_det(rows):

@@ -20,7 +20,6 @@ import time
 from typing import Sequence
 
 from . import verify
-from ._backend import BACKEND
 from .hankel import build_hankel, det_bareiss, det_dodgson, det_laplace, quotient_check
 from .reports import VerificationReport
 from .sequences import Family, SequenceId, prefix
@@ -237,7 +236,6 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise _UsageError("--repeat must be at least 1")
     matrix = build_hankel(prefix(seq_id, 2 * args.n), args.n)
-    _write(f"backend {BACKEND}\n")
     _write(f"matrix {seq_id.label()} order {args.n + 1}\n")
     for engine in args.engines:
         times = []

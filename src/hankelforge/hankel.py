@@ -4,13 +4,16 @@ Three independent engines return the same exact value on any integer matrix:
 
 * ``LAPLACE``  minor expansion with memoization, the small-order oracle
   (capped, factorial/2^n cost);
-* ``BAREISS``  fraction-free elimination, the default workhorse;
+* ``BAREISS``  fraction-free elimination, the default workhorse; the same
+  sweep reads off the leading principal minors up to the first zero one;
 * ``DODGSON``  condensation by 2x2 minors, the cross-check engine, which
   falls back to Bareiss on the whole matrix when a zero interior pivot
   blocks condensation (the result is tagged ``fallback=True``).
 
-Matrices are immutable after construction, so everything here is safe for
-concurrent use.
+Bareiss and Dodgson run on the kernels in ``_kernels``; Laplace is written
+out here, apart from them, so that it stays an independent check.  Matrices
+are immutable after construction, so everything here is safe for concurrent
+use.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from ._backend import kernels
+from . import _kernels as kernels
 from .sequences import SequenceTerms
 
 LAPLACE_ORDER_CAP = 10

@@ -33,7 +33,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.witnesses
+        """True when at least one check ran and none failed."""
+        return bool(self.entries) and not self.witnesses
 
     def totals(self) -> tuple[int, int]:
         """(pass count, fail count)."""

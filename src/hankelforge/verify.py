@@ -344,6 +344,8 @@ def _run_theorem_1_3(n_max, primes):
 
 def _run_calkin(n_max, primes):
     hi = CALKIN_N_MAX if n_max is None else n_max
+    if hi < 1:
+        raise ValueError(f"range n=1..{hi} is empty for calkin-divisibility")
     rep = ReportBuilder("calkin-divisibility", f"r=1..6, n=1..{hi}")
     for r in range(1, 7):
         terms = prefix(franel(r), hi).terms
@@ -370,6 +372,8 @@ def _run_parity_matrix(n_max, primes):
 
 def _run_domb_mod8(n_max, primes):
     hi = MOD8_N_MAX if n_max is None else n_max
+    if hi < 1:
+        raise ValueError(f"range n=1..{hi} is empty for domb-mod8")
     rep = ReportBuilder("domb-mod8", f"m=1..3, n=1..{hi}")
     for m in (1, 2, 3):
         terms = prefix(domb(m), hi).terms

@@ -85,6 +85,14 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "seq", "--family", "franel", "--r", "0", "--n", "3")[0] == 2
 
 
+def test_verify_empty_range_exits_2(capsys):
+    for claim_id in ("calkin-divisibility", "domb-mod8"):
+        code, out, err = run_cli(capsys, "verify", "--claim", claim_id, "--n-max", "0")
+        assert code == 2
+        assert "PASS" not in out
+        assert f"is empty for {claim_id}" in err
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hankelforge import prefix
+from hankelforge import _kernels, prefix
 from hankelforge.hankel import (
     IntegerMatrix,
     all_minors_nonneg,
@@ -121,7 +122,34 @@ def test_leading_principal_minors():
     minors = leading_principal_minors(matrix)
     assert len(minors) == 7
     for size in range(1, 8):
-        assert minors[size - 1] == det_bareiss(matrix.leading_block(size)).value
+        assert minors[size - 1] == det_fractions(matrix.leading_block(size).rows())
+
+
+# Mostly 0 and +-1 entries, so zero pivots, row swaps and singular matrices
+# are common rather than rare.
+_sparse_matrices = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -3, 7)), min_size=n * n, max_size=n * n
+    ).map(lambda xs: [xs[i : i + n] for i in range(0, n * n, n)])
+)
+_oracle_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_oracle_settings
+@given(_sparse_matrices)
+def test_engines_match_fraction_oracle(rows):
+    expected = det_fractions(rows)
+    matrix = _m(rows)
+    assert det_laplace(matrix).value == expected
+    assert det_bareiss(matrix).value == expected
+    assert det_dodgson(matrix).value == expected
+
+
+@_oracle_settings
+@given(_sparse_matrices)
+def test_leading_principal_minors_match_fraction_oracle(rows):
+    expected = [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, len(rows) + 1)]
+    assert leading_principal_minors(_m(rows)) == expected
 
 
 def test_leading_principal_minors_zero_pivot_path():
@@ -190,3 +218,23 @@ def test_instrumentation_is_populated():
     result = det_bareiss(matrix)
     assert result.steps > 0
     assert result.max_bits >= result.value.bit_length()
+
+
+def test_kernels_on_spec_values():
+    f = prefix(franel(3), 4).terms
+    rows = [[f[i + j] for j in range(3)] for i in range(3)]
+    assert _kernels.bareiss_det(rows)[0] == 180
+    det, _, _, ok = _kernels.dodgson_det(rows)
+    assert (det, ok) == (180, True)
+    minors, _, _, completed = _kernels.bareiss_leading_minors(rows)
+    assert completed and minors == [1, 6, 180]
+
+
+def test_kernels_do_not_mutate_input():
+    cases = ([[1, 2], [3, 4]], [[0, 1, 2], [1, 0, 3], [2, 3, 0]], [[1, 2, 3], [4, 0, 6], [7, 8, 9]])
+    for rows in cases:
+        snapshot = [r[:] for r in rows]
+        _kernels.bareiss_det(rows)
+        _kernels.bareiss_leading_minors(rows)
+        _kernels.dodgson_det(rows)
+        assert rows == snapshot

@@ -1,6 +1,7 @@
 import pytest
 
 from hankelforge import verify
+from hankelforge.reports import VerificationReport
 from hankelforge.sequences import Family
 from hankelforge.verify import (
     CONGRUENCES,
@@ -108,6 +109,19 @@ def test_congruence_entry_count_matches_range():
 def test_congruence_empty_range_rejected():
     with pytest.raises(ValueError):
         verify_congruence("apery-a-transform-mod24", 2)
+
+
+@pytest.mark.parametrize("claim_id", verify.CLAIM_IDS)
+def test_claim_at_n_max_zero_is_rejected_or_checks_something(claim_id):
+    try:
+        report = run_claim(claim_id, n_max=0)
+    except ValueError:
+        return
+    assert report.entries
+
+
+def test_empty_report_does_not_pass():
+    assert not VerificationReport("empty", "n=1..0", (), ()).passed
 
 
 def test_congruence_claim_validation():
