@@ -1,60 +1,37 @@
-"""Shared Pascal-triangle row cache.
+"""Pascal-triangle rows, built on demand.
 
-Every sequence generator and transform draws its binomial coefficients from
-one process-wide table of exact integer rows.  ``HF_BINOM_CACHE_MAX`` caps
-the largest row index kept in memory (default 1024, roughly tens of MB when
-fully populated); rows above the cap are computed on demand and discarded.
-
-The table grows under a lock and stores immutable tuples, so concurrent
-readers always observe complete rows.
+Nothing is cached.  Callers that need consecutive rows walk them with
+:func:`rows`, which builds each row from the one before by addition; a single
+row comes from :func:`row` and a single coefficient from :func:`binom`.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
-
-DEFAULT_CACHE_MAX = 1024
-
-_CACHE_MAX = int(os.environ.get("HF_BINOM_CACHE_MAX", DEFAULT_CACHE_MAX))
-_rows: list[tuple[int, ...]] = [(1,)]
-_lock = threading.Lock()
+from operator import add
+from typing import Iterator
 
 
-def cache_limit() -> int:
-    """Largest row index the shared table will retain."""
-    return _CACHE_MAX
+def rows(count: int) -> Iterator[tuple[int, ...]]:
+    """Pascal rows ``0..count-1`` in order, each built from the previous one."""
+    cur: tuple[int, ...] = (1,)
+    for _ in range(count):
+        yield cur
+        cur = (1, *map(add, cur, cur[1:]), 1)
 
 
 def row(n: int) -> tuple[int, ...]:
     """Pascal row ``n``: the tuple ``(C(n,0), ..., C(n,n))``."""
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    if n > _CACHE_MAX:
-        return _direct_row(n)
-    if n >= len(_rows):
-        with _lock:
-            while len(_rows) <= n:
-                prev = _rows[-1]
-                _rows.append(
-                    (1, *(prev[i] + prev[i + 1] for i in range(len(prev) - 1)), 1)
-                )
-    return _rows[n]
+    out = [1] * (n + 1)
+    for k in range(1, n // 2 + 1):
+        out[k] = out[k - 1] * (n - k + 1) // k
+        out[n - k] = out[k]
+    return tuple(out)
 
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); zero outside ``0 <= k <= n``."""
     if k < 0 or k > n or n < 0:
         return 0
-    if n <= _CACHE_MAX:
-        return row(n)[k]
     return math.comb(n, k)
-
-
-def _direct_row(n: int) -> tuple[int, ...]:
-    # One-off multiplicative build for rows too large to cache.
-    out = [1] * (n + 1)
-    for k in range(1, n // 2 + 1):
-        out[k] = out[k - 1] * (n - k + 1) // k
-        out[n - k] = out[k]
-    return tuple(out)

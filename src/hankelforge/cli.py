@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import verify
 from .hankel import build_hankel, det_bareiss, det_dodgson, det_laplace, quotient_check
-from .reports import VerificationReport
+from .reports import VerificationReport, decimal_str
 from .sequences import Family, SequenceId, prefix
 
 _ENGINES = {"laplace": det_laplace, "bareiss": det_bareiss, "dodgson": det_dodgson}
@@ -172,20 +172,20 @@ def _cmd_seq(args) -> int:
     seq_id = _sequence_id(args)
     terms = prefix(seq_id, args.n).terms
     if args.format == "text":
-        _write(" ".join(str(t) for t in terms) + "\n")
+        _write(" ".join(decimal_str(t) for t in terms) + "\n")
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["index", "value"])
         for i, t in enumerate(terms):
-            writer.writerow([i, t])
+            writer.writerow([i, decimal_str(t)])
         _write(buf.getvalue())
     else:
         obj = {
             "family": seq_id.family.value,
             "param": seq_id.param if seq_id.family in (Family.FRANEL_R, Family.DOMB_M) else None,
             "n_max": args.n,
-            "terms": [str(t) for t in terms],
+            "terms": [decimal_str(t) for t in terms],
         }
         _write(json.dumps(obj, separators=(",", ":")) + "\n")
     return 0
@@ -195,7 +195,7 @@ def _cmd_hankel(args) -> int:
     seq_id = _sequence_id(args)
     matrix = build_hankel(prefix(seq_id, 2 * args.n), args.n)
     result = _ENGINES[args.engine](matrix)
-    _write(f"det {result.value}\n")
+    _write(f"det {decimal_str(result.value)}\n")
     _write(f"engine {result.algorithm}{' (bareiss fallback)' if result.fallback else ''}\n")
     _write(f"steps {result.steps}\n")
     _write(f"max_bits {result.max_bits}\n")
@@ -204,9 +204,9 @@ def _cmd_hankel(args) -> int:
         q = quotient_check(result.value, args.base, exponent)
         if q.is_integer:
             flags = f"odd={'yes' if q.is_odd else 'no'} positive={'yes' if q.is_positive else 'no'}"
-            _write(f"quotient {q.quotient} ({flags})\n")
+            _write(f"quotient {decimal_str(q.quotient)} ({flags})\n")
         else:
-            _write(f"quotient none ({result.value} not divisible by {args.base}^{exponent})\n")
+            _write(f"quotient none ({decimal_str(result.value)} not divisible by {args.base}^{exponent})\n")
     elif args.exp is not None:
         raise _UsageError("--exp requires --base")
     return 0

@@ -8,6 +8,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# Integers of up to 600 digits go straight through ``str``: 600 is under the
+# smallest digit limit an interpreter can be configured with (640).
+_STR_BOUND = 10**600
+
+
+def decimal_str(value: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    ``str`` refuses integers above the interpreter's digit limit (4300 by
+    default); larger ones are split by a power of ten and rendered piecewise,
+    leaving process-wide settings alone.
+    """
+    if value < 0:
+        return "-" + decimal_str(-value)
+    if value < _STR_BOUND:
+        return str(value)
+    # about half the digit count (log10 2 > 3/10), so both pieces are nonzero
+    half = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10**half)
+    return decimal_str(high) + decimal_str(low).zfill(half)
+
 
 @dataclass(frozen=True)
 class ReportEntry:
@@ -53,7 +74,7 @@ class ReportBuilder:
     _witnesses: list[Witness] = field(default_factory=list)
 
     def check(self, index: str, value: object, ok: bool, expected: str) -> bool:
-        value_s = str(value)
+        value_s = decimal_str(value) if isinstance(value, int) else str(value)
         self._entries.append(ReportEntry(index, value_s, "pass" if ok else "fail"))
         if not ok:
             self._witnesses.append(Witness(index, value_s, expected))

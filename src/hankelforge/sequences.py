@@ -14,19 +14,25 @@ The classical Franel numbers are ``FRANEL_R`` with r=3 and the Domb numbers
 are ``DOMB_M`` with m=2.  The CLF (Catalan-Larcombe-French) summand division
 is provably integral, so it is performed with a checked exact division.
 
-``DOMB_M`` (m=2) and ``APERY_B`` also satisfy three-term recurrences, exposed
-through :func:`term_by_recurrence` as an independent route to the same values:
+:func:`term` evaluates the defining sum and is the reference route.
+:func:`prefix` generates every sequence that has one from its recurrence in
+:data:`RECURRENCES`, each of the form
 
-    n^3 d(n) = 2(2n-1)(5n^2-5n+2) d(n-1) - 64(n-1)^3 d(n-2)
-    n^2 b(n) = (11n^2-11n+3) b(n-1) + (n-1)^2 b(n-2)
+    (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1)
 
-All functions here are pure; the only shared state is the binomial row cache,
-which is internally locked.
+seeded with the summation values at n = 0, 1, with every division checked
+exact.  That covers f(1..4), d(1), d(2), CLF, b, a, g and the central
+binomials.  Only f(r >= 5) and d(m >= 3) are summed; their prefixes walk
+the Pascal rows one from the next and keep a running column of C(2k,k).
+:func:`term_by_recurrence` reads the same table for DOMB_M (m=2) and APERY_B.
+
+All functions here are pure and keep no state between calls.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from . import binomial
 from .exact import exact_div
@@ -125,36 +131,89 @@ def term(seq: SequenceId, n: int) -> int:
     raise ValueError(f"unknown family {fam!r}")
 
 
+# (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1), as (e, P, Q).
+Recurrence = tuple[int, Callable[[int], int], Callable[[int], int]]
+
+_CENTRAL_RECURRENCE: Recurrence = (1, lambda n: 2 * (2 * n + 1), lambda n: 0)
+
+RECURRENCES: dict[SequenceId, Recurrence] = {
+    franel(1): (0, lambda n: 2, lambda n: 0),
+    franel(2): _CENTRAL_RECURRENCE,
+    CENTRAL_BINOM: _CENTRAL_RECURRENCE,
+    # Franel (1894)
+    franel(3): (2, lambda n: 7 * n * n + 7 * n + 2, lambda n: 8 * n * n),
+    franel(4): (3, lambda n: 2 * (2 * n + 1) * (3 * n * n + 3 * n + 1),
+                lambda n: 4 * n * (4 * n - 1) * (4 * n + 1)),
+    domb(1): (2, lambda n: 4 * (3 * n * n + 3 * n + 1), lambda n: -32 * n * n),
+    domb(2): (3, lambda n: 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2), lambda n: -64 * n**3),
+    # CLF is 2^n d(1)
+    CLF: (2, lambda n: 8 * (3 * n * n + 3 * n + 1), lambda n: -128 * n * n),
+    # Apery (1979)
+    APERY_B: (2, lambda n: 11 * n * n + 11 * n + 3, lambda n: n * n),
+    APERY_A: (3, lambda n: 34 * n**3 + 51 * n * n + 27 * n + 5, lambda n: -(n**3)),
+    # Zagier's sporadic list, (a, b, c) = (10, 3, 9)
+    G_SUM: (2, lambda n: 10 * n * n + 10 * n + 3, lambda n: -9 * n * n),
+}
+
+
 def prefix(seq: SequenceId, n_max: int) -> SequenceTerms:
-    """Terms ``0..n_max`` in one pass over the shared binomial tables."""
+    """Terms ``0..n_max``, by recurrence where one is known, else by summation."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return SequenceTerms(seq, tuple(term(seq, i) for i in range(n_max + 1)))
+    if seq in RECURRENCES:
+        terms = _recur(seq, n_max)
+    elif seq.family is Family.FRANEL_R:
+        terms = _franel_sums(seq.param, n_max)
+    else:  # every unparametrised family has a recurrence
+        terms = _domb_sums(seq.param, n_max)
+    return SequenceTerms(seq, tuple(terms))
+
+
+def _recur(seq: SequenceId, n_max: int) -> list[int]:
+    e, p, q = RECURRENCES[seq]
+    context = f"{seq.label()} recurrence"
+    out = [term(seq, n) for n in range(min(n_max, 1) + 1)]
+    for n in range(1, n_max):
+        num = p(n) * out[n] + q(n) * out[n - 1]
+        out.append(exact_div(num, (n + 1) ** e, context))
+    return out
+
+
+def _franel_sums(r: int, n_max: int) -> list[int]:
+    return [
+        _symmetric_sum(lambda k: row[k] ** r, n)
+        for n, row in enumerate(binomial.rows(n_max + 1))
+    ]
+
+
+def _domb_sums(m: int, n_max: int) -> list[int]:
+    central = [1]
+    for k in range(1, n_max + 1):
+        central.append(exact_div(central[-1] * 2 * (2 * k - 1), k, "C(2k,k) column"))
+    return [
+        _symmetric_sum(lambda k: row[k] ** m * central[k] * central[n - k], n)
+        for n, row in enumerate(binomial.rows(n_max + 1))
+    ]
+
+
+def _symmetric_sum(summand: Callable[[int], int], n: int) -> int:
+    # sum over k = 0..n of a summand unchanged by k -> n-k: the first half
+    # twice, plus the middle term when n is even
+    total = 2 * sum(map(summand, range((n + 1) // 2)))
+    return total + summand(n // 2) if n % 2 == 0 else total
+
+
+_BY_RECURRENCE = {Family.DOMB_M: domb(2), Family.APERY_B: APERY_B}
 
 
 def term_by_recurrence(family: Family, n: int) -> int:
     """Value at ``n`` via the three-term recurrence (DOMB_M and APERY_B only).
 
-    Seeded with the n=0,1 summation values; every division by the leading
-    coefficient is checked exact.
+    Reads the same table as :func:`prefix`: seeded with the n=0,1 summation
+    values, every division by the leading coefficient checked exact.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if family is Family.DOMB_M:
-        seq = domb(2)
-        if n <= 1:
-            return term(seq, n)
-        prev, cur = term(seq, 0), term(seq, 1)
-        for m in range(2, n + 1):
-            num = 2 * (2 * m - 1) * (5 * m * m - 5 * m + 2) * cur - 64 * (m - 1) ** 3 * prev
-            prev, cur = cur, exact_div(num, m**3, "Domb recurrence")
-        return cur
-    if family is Family.APERY_B:
-        if n <= 1:
-            return term(APERY_B, n)
-        prev, cur = term(APERY_B, 0), term(APERY_B, 1)
-        for k in range(2, n + 1):
-            num = (11 * k * k - 11 * k + 3) * cur + (k - 1) ** 2 * prev
-            prev, cur = cur, exact_div(num, k * k, "b recurrence")
-        return cur
-    raise ValueError("recurrence is available for DOMB_M and APERY_B only")
+    if family not in _BY_RECURRENCE:
+        raise ValueError("recurrence is available for DOMB_M and APERY_B only")
+    return _recur(_BY_RECURRENCE[family], n)[n]

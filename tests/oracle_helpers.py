@@ -2,8 +2,8 @@
 
 Everything here is computed straight from defining formulas with
 ``math.comb`` and ``fractions.Fraction``, independent of the package's
-binomial cache and elimination kernels, so the tests check the library
-against a second route rather than against itself.
+Pascal rows, recurrences and elimination kernels, so the tests check the
+library against a second route rather than against itself.
 """
 from fractions import Fraction
 from itertools import permutations

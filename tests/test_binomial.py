@@ -25,12 +25,20 @@ def test_binom_matches_comb_spot_checks():
         assert binomial.binom(n, k) == comb(n, k)
 
 
-def test_direct_row_beyond_cache():
-    n = binomial.cache_limit() + 7
+def test_row_above_old_cap():
+    # 1024 was the largest row the removed process-wide cache kept.
+    n = 1031
     row = binomial.row(n)
     assert row[0] == row[-1] == 1
     assert row[3] == comb(n, 3)
+    assert row[n // 2] == comb(n, n // 2)
     assert len(row) == n + 1
+
+
+def test_rows_walk_matches_row():
+    walked = list(binomial.rows(70))
+    assert walked == [binomial.row(n) for n in range(70)]
+    assert list(binomial.rows(0)) == []
 
 
 def test_negative_row_rejected():
@@ -38,27 +46,18 @@ def test_negative_row_rejected():
         binomial.row(-1)
 
 
-def test_cache_limit_is_documented_default_or_env():
-    assert binomial.cache_limit() >= 1
-
-
-def test_cache_max_env_override():
-    env = dict(os.environ, HF_BINOM_CACHE_MAX="16")
+def test_cache_env_value_is_ignored():
+    # The row cache and its size knob are gone; a stale or malformed value
+    # left in the environment must not break the import.
+    env = dict(os.environ, HF_BINOM_CACHE_MAX="abc")
     out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from hankelforge import binomial; "
-            "print(binomial.cache_limit()); print(binomial.binom(100, 3))",
-        ],
+        [sys.executable, "-c", "from hankelforge import binomial; print(binomial.binom(100, 3))"],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    limit, big = out.stdout.split()
-    assert limit == "16"
-    assert int(big) == comb(100, 3)  # above the cap still exact
+    assert int(out.stdout) == comb(100, 3)
 
 
 def test_concurrent_readers_see_consistent_rows():

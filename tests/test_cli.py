@@ -68,6 +68,23 @@ def test_hankel_non_divisible_quotient(capsys):
     assert "quotient none (6 not divisible by 7^2)" in out
 
 
+def test_hankel_prints_values_above_str_digit_limit(capsys):
+    # entries near 20^2000 give a det of about 4,760 digits
+    from hankelforge.reports import decimal_str
+
+    from oracle_helpers import brute_prefix, det_fractions, hankel_rows
+
+    expected = det_fractions(hankel_rows(brute_prefix(franel(2000), 6), 3))
+    code, out, err = run_cli(
+        capsys, "hankel", "--family", "franel", "--r", "2000", "--n", "3", "--base", "2", "--exp", "3"
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == f"det {decimal_str(expected)}"
+    assert len(lines[0]) > 4300
+    assert lines[4].startswith(f"quotient {decimal_str(expected // 8)} (odd=")
+
+
 def test_hankel_exp_requires_base(capsys):
     code, _, err = run_cli(capsys, "hankel", "--family", "franel", "--n", "1", "--exp", "2")
     assert code == 2
@@ -91,6 +108,17 @@ def test_verify_empty_range_exits_2(capsys):
         assert code == 2
         assert "PASS" not in out
         assert f"is empty for {claim_id}" in err
+
+
+def test_verify_parity_hypothesis_failure_exits_1(capsys, monkeypatch):
+    from hankelforge.sequences import APERY_B
+
+    monkeypatch.setattr(verify, "PARITY_CASES", ((APERY_B, 1),))
+    code, out, err = run_cli(capsys, "verify", "--claim", "parity-matrix-unimodular", "--n-max", "4")
+    assert code == 1
+    assert "error" not in err
+    assert "[FAIL] parity-matrix-unimodular" in out
+    assert "FAIL at apery-b i=1" in out
 
 
 def test_help_exits_zero(capsys):

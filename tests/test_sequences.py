@@ -1,9 +1,9 @@
 import pytest
 
 from hankelforge import Family, SequenceId, domb, franel, prefix, term, term_by_recurrence
-from hankelforge.sequences import APERY_A, APERY_B, CENTRAL_BINOM, CLF, G_SUM
+from hankelforge.sequences import APERY_A, APERY_B, CENTRAL_BINOM, CLF, G_SUM, RECURRENCES
 
-from oracle_helpers import CATALOG, brute_prefix
+from oracle_helpers import CATALOG, brute_prefix, brute_term
 
 # Frozen by brute-force summation of the defining formulas.
 FRANEL3 = (1, 2, 10, 56, 346, 2252, 15184, 104960, 739162)
@@ -59,6 +59,36 @@ def test_prefix_matches_term():
 @pytest.mark.parametrize("seq", CATALOG)
 def test_terms_match_independent_oracle(seq):
     assert list(prefix(seq, 25).terms) == brute_prefix(seq, 25)
+
+
+@pytest.mark.parametrize("seq", list(RECURRENCES), ids=lambda s: s.label())
+def test_recurrence_prefix_matches_summation(seq):
+    terms = prefix(seq, 150).terms
+    assert len(terms) == 151
+    for n, t in enumerate(terms):
+        assert t == term(seq, n) == brute_term(seq, n)
+    assert prefix(seq, 0).terms == terms[:1]
+    assert prefix(seq, 1).terms == terms[:2]
+
+
+def test_recurrence_table_covers_unparametrised_families():
+    # prefix sums only the parametrised families outside the table.
+    for fam in Family:
+        if fam not in (Family.FRANEL_R, Family.DOMB_M):
+            assert SequenceId(fam) in RECURRENCES
+    assert franel(5) not in RECURRENCES and domb(3) not in RECURRENCES
+
+
+@pytest.mark.parametrize("seq", (franel(5), franel(6), domb(3)), ids=lambda s: s.label())
+def test_summation_prefix_matches_oracle(seq):
+    assert list(prefix(seq, 60).terms) == brute_prefix(seq, 60)
+    assert prefix(seq, 0).terms == (1,)
+    assert list(prefix(seq, 1).terms) == brute_prefix(seq, 1)
+
+
+@pytest.mark.parametrize("seq", (domb(3), CLF), ids=lambda s: s.label())
+def test_term_above_old_cache_cap(seq):
+    assert term(seq, 1030) == brute_term(seq, 1030)
 
 
 def test_recurrence_examples():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hankelforge import (
     binom_convolution,
@@ -129,3 +130,22 @@ def test_moment_positivity_shadow():
         for y in pool:
             assert _minors_nonneg(binom_sq_convolution(x, y))
             assert _minors_nonneg(binom_convolution(x, y))
+
+
+# Transforms are Z-linear, so reducing the input mod m first must leave every
+# residue of the output unchanged; the congruence claims rely on this.
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=25),
+    st.integers(2, 48),
+    st.integers(0, 3),
+)
+def test_transform_of_residues_agrees_mod_m(x, m, k):
+    reduced = [v % m for v in x]
+    for full, small in (
+        (iterated_transform(x, k), iterated_transform(reduced, k)),
+        (inverse_binomial_transform(x), inverse_binomial_transform(reduced)),
+        (binom_convolution(x, x), binom_convolution(reduced, reduced)),
+        (binom_sq_convolution(x, x), binom_sq_convolution(reduced, reduced)),
+    ):
+        assert [v % m for v in full] == [v % m for v in small]

@@ -1,8 +1,8 @@
 import pytest
 
 from hankelforge import verify
-from hankelforge.reports import VerificationReport
-from hankelforge.sequences import Family
+from hankelforge.reports import ReportBuilder, VerificationReport, decimal_str
+from hankelforge.sequences import APERY_B, Family, franel
 from hankelforge.verify import (
     CONGRUENCES,
     CongruenceClaim,
@@ -187,3 +187,26 @@ def test_report_invariant_witnesses_iff_fail():
         fails = [e for e in report.entries if e.status == "fail"]
         assert bool(fails) == bool(report.witnesses)
         assert report.passed == (not report.witnesses)
+
+
+def test_parity_hypothesis_failure_is_a_witness(monkeypatch):
+    # b_1 = 3 is odd, so 2 does not divide it and B cannot be formed.
+    monkeypatch.setattr(verify, "PARITY_CASES", ((APERY_B, 1), (franel(3), 1)))
+    report = run_claim("parity-matrix-unimodular", 4)
+    assert not report.passed
+    assert report.witnesses[0].index == "apery-b i=1"
+    assert not any(e.index.startswith("apery-b |B_") for e in report.entries)
+    # the qualifying sequence after it is still checked in full
+    assert [e.status for e in report.entries if e.index.startswith("franel[r=3] |B_")] == ["pass"] * 4
+
+
+def test_report_values_render_above_str_digit_limit():
+    big = 10**5000
+    rep = ReportBuilder("big", "n=0")
+    rep.check("n=0", big + 7, True, "")
+    rep.check("n=1", -big, False, "> 0")
+    report = rep.build()
+    assert report.entries[0].value == "1" + "0" * 4999 + "7"
+    assert report.witnesses[0].observed == "-1" + "0" * 5000
+    assert decimal_str(12345) == "12345"
+    assert decimal_str(-(10**601) + 1) == "-" + "9" * 601
