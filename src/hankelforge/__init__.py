@@ -39,25 +39,12 @@ from .transforms import (
     inverse_binomial_transform,
     iterated_transform,
 )
-from .verify import (
-    CLAIM_IDS,
-    REGISTRY,
-    CongruenceClaim,
-    probe_positivity_conjecture,
-    run_all,
-    run_claim,
-    verify_congruence,
-    verify_franel_prime_congruences,
-    verify_theorem_1_1,
-    verify_theorem_1_2,
-    verify_theorem_1_3,
-)
+from .verify import CLAIM_IDS, REGISTRY, run_all, run_claim
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CLAIM_IDS",
-    "CongruenceClaim",
     "DetResult",
     "Family",
     "InexactDivisionError",
@@ -86,16 +73,10 @@ __all__ = [
     "iterated_transform",
     "leading_principal_minors",
     "prefix",
-    "probe_positivity_conjecture",
     "quotient_check",
     "run_all",
     "run_claim",
     "term",
     "term_by_recurrence",
-    "verify_congruence",
-    "verify_franel_prime_congruences",
-    "verify_theorem_1_1",
-    "verify_theorem_1_2",
-    "verify_theorem_1_3",
     "__version__",
 ]

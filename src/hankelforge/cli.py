@@ -20,7 +20,7 @@ import time
 from typing import Sequence
 
 from . import verify
-from .hankel import build_hankel, det_bareiss, det_dodgson, det_laplace, quotient_check
+from .hankel import LAPLACE_ORDER_CAP, build_hankel, det_bareiss, det_dodgson, det_laplace, quotient_check
 from .reports import VerificationReport, decimal_str
 from .sequences import Family, SequenceId, prefix
 
@@ -94,17 +94,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="print sequence terms 0..N")
     _add_family_args(p_seq, families)
-    p_seq.add_argument("--n", type=int, required=True, metavar="N")
+    p_seq.add_argument("--n", type=_natural, required=True, metavar="N")
     p_seq.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_seq.set_defaults(func=_cmd_seq)
 
     p_hankel = sub.add_parser("hankel", help="evaluate one Hankel determinant exactly")
     _add_family_args(p_hankel, families)
-    p_hankel.add_argument("--n", type=int, required=True, metavar="N",
+    p_hankel.add_argument("--n", type=_natural, required=True, metavar="N",
                           help="order index: the matrix is (N+1) x (N+1)")
     p_hankel.add_argument("--engine", choices=sorted(_ENGINES), default="bareiss")
     p_hankel.add_argument("--base", type=int, help="run a quotient check against BASE**EXP")
-    p_hankel.add_argument("--exp", type=int, help="quotient exponent (default: N)")
+    p_hankel.add_argument("--exp", type=_natural, help="quotient exponent (default: N)")
     p_hankel.set_defaults(func=_cmd_hankel)
 
     p_verify = sub.add_parser("verify", help="run claim harnesses")
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time determinant engines on one Hankel matrix")
     _add_family_args(p_bench, families)
-    p_bench.add_argument("--n", type=int, required=True, metavar="N")
+    p_bench.add_argument("--n", type=_natural, required=True, metavar="N")
     p_bench.add_argument("--engines", type=_parse_engines, default=("bareiss", "dodgson"),
                          metavar="E1,E2,...")
     p_bench.add_argument("--repeat", type=int, default=1, metavar="K")
@@ -134,6 +134,16 @@ def _add_family_args(p: argparse.ArgumentParser, families: list[str]) -> None:
     p.add_argument("--family", choices=families, required=True)
     p.add_argument("--r", type=int, default=None, help="order for --family franel (default 3)")
     p.add_argument("--m", type=int, default=None, help="order for --family domb (default 2)")
+
+
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
@@ -161,11 +171,20 @@ def _sequence_id(args) -> SequenceId:
         raise _UsageError("--r applies to --family franel only")
     if args.m is not None and family is not Family.DOMB_M:
         raise _UsageError("--m applies to --family domb only")
+    param = 0
     if family is Family.FRANEL_R:
-        return SequenceId(family, 3 if args.r is None else args.r)
-    if family is Family.DOMB_M:
-        return SequenceId(family, 2 if args.m is None else args.m)
-    return SequenceId(family)
+        param = 3 if args.r is None else args.r
+    elif family is Family.DOMB_M:
+        param = 2 if args.m is None else args.m
+    try:
+        return SequenceId(family, param)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _check_engine(engine: str, n: int) -> None:
+    if engine == "laplace" and n + 1 > LAPLACE_ORDER_CAP:
+        raise _UsageError(f"laplace engine capped at order {LAPLACE_ORDER_CAP}, got {n + 1}")
 
 
 def _cmd_seq(args) -> int:
@@ -193,6 +212,11 @@ def _cmd_seq(args) -> int:
 
 def _cmd_hankel(args) -> int:
     seq_id = _sequence_id(args)
+    _check_engine(args.engine, args.n)
+    if args.base is None and args.exp is not None:
+        raise _UsageError("--exp requires --base")
+    if args.base is not None and args.base < 2:
+        raise _UsageError("--base must be at least 2")
     matrix = build_hankel(prefix(seq_id, 2 * args.n), args.n)
     result = _ENGINES[args.engine](matrix)
     _write(f"det {decimal_str(result.value)}\n")
@@ -207,12 +231,15 @@ def _cmd_hankel(args) -> int:
             _write(f"quotient {decimal_str(q.quotient)} ({flags})\n")
         else:
             _write(f"quotient none ({decimal_str(result.value)} not divisible by {args.base}^{exponent})\n")
-    elif args.exp is not None:
-        raise _UsageError("--exp requires --base")
     return 0
 
 
 def _cmd_verify(args) -> int:
+    for claim in verify.REGISTRY if args.all else (verify.claim(args.claim),):
+        try:
+            claim.bounds(args.n_max, args.primes)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     if args.all:
         reports = verify.run_all(args.n_max, args.primes)
     else:
@@ -235,6 +262,8 @@ def _cmd_bench(args) -> int:
     seq_id = _sequence_id(args)
     if args.repeat < 1:
         raise _UsageError("--repeat must be at least 1")
+    for engine in args.engines:
+        _check_engine(engine, args.n)
     matrix = build_hankel(prefix(seq_id, 2 * args.n), args.n)
     _write(f"matrix {seq_id.label()} order {args.n + 1}\n")
     for engine in args.engines:
@@ -268,9 +297,6 @@ def run(argv: Sequence[str]) -> int:
     try:
         return args.func(args)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,5 @@
 """Checked exact integer division."""
+from .reports import decimal_str
 
 
 class InexactDivisionError(ArithmeticError):
@@ -14,5 +15,5 @@ def exact_div(num: int, den: int, context: str = "") -> int:
     q, r = divmod(num, den)
     if r:
         where = f" in {context}" if context else ""
-        raise InexactDivisionError(f"{num} is not divisible by {den}{where}")
+        raise InexactDivisionError(f"{decimal_str(num)} is not divisible by {decimal_str(den)}{where}")
     return q

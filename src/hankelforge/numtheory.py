@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .hankel import IntegerMatrix
-from .reports import ReportBuilder, VerificationReport
+from .reports import ReportBuilder, VerificationReport, decimal_str
 
 
 def nu2(x: int) -> int:
@@ -103,7 +103,7 @@ def parity_matrix_B(x: list[int] | tuple[int, ...], k: int, n: int) -> IntegerMa
     for i in range(1, 2 * n + 1):
         q, r = divmod(x[i], scale)
         if r:
-            raise ValueError(f"{scale} does not divide x[{i}] = {x[i]}")
+            raise ValueError(f"{scale} does not divide x[{i}] = {decimal_str(x[i])}")
         halved.append(q & 1)
     # halved[t] holds x[t+1]/(2k) mod 2; entry (i,j) with indices from 1 is x[i+j]
     rows = tuple(tuple(halved[i + j + 1] for j in range(n)) for i in range(n))

@@ -7,18 +7,11 @@ gating; everything else is exact (tolerance zero).
 import random
 import time
 
-from hankelforge import (
-    binomial_transform,
-    inverse_binomial_transform,
-    prefix,
-    verify_theorem_1_1,
-    verify_theorem_1_2,
-    verify_theorem_1_3,
-)
+from hankelforge import binomial_transform, inverse_binomial_transform, prefix
 from hankelforge.hankel import IntegerMatrix, build_hankel, det, det_bareiss, det_dodgson, det_laplace
 from hankelforge.numtheory import lemma23_hypothesis_check, nu2, ones_count, parity_matrix_B
-from hankelforge.sequences import Family, domb, franel
-from hankelforge.verify import probe_positivity_conjecture, run_claim
+from hankelforge.sequences import domb, franel
+from hankelforge.verify import run_claim
 from hankelforge import leading_principal_minors
 
 from oracle_helpers import CATALOG
@@ -31,7 +24,7 @@ def _report(number, ok, detail):
 
 def test_criterion_01_franel_hankel_quotients():
     start = time.perf_counter()
-    report = verify_theorem_1_1(12, (3, 4, 5, 6))
+    report = run_claim("hankel-franel", 12)
     elapsed = time.perf_counter() - start
     _report(1, report.passed and elapsed < 10,
             f"2^-n odd for r in 3..6 and 6^-n positive odd for r=3, n<=12 ({elapsed:.2f}s)")
@@ -39,7 +32,7 @@ def test_criterion_01_franel_hankel_quotients():
 
 def test_criterion_02_domb_clf_hankel_quotients():
     start = time.perf_counter()
-    report = verify_theorem_1_2(12)
+    report = run_claim("hankel-domb-clf", 12)
     elapsed = time.perf_counter() - start
     _report(2, report.passed and elapsed < 10,
             f"12^-n D, 2^-n(n+3) P and 4^-n d(1) positive odd, n<=12 ({elapsed:.2f}s)")
@@ -47,7 +40,7 @@ def test_criterion_02_domb_clf_hankel_quotients():
 
 def test_criterion_03_apery_hankel_quotients():
     start = time.perf_counter()
-    report = verify_theorem_1_3(12)
+    report = run_claim("hankel-apery", 12)
     elapsed = time.perf_counter() - start
     _report(3, report.passed and elapsed < 10,
             f"10^-n b and 24^-n a are integers, n<=12 ({elapsed:.2f}s)")
@@ -155,10 +148,9 @@ def test_criterion_10_round_trip_and_invariance():
 
 
 def test_criterion_11_positivity_probe_experimental():
-    rb = probe_positivity_conjecture(Family.APERY_B, 12)
-    ra = probe_positivity_conjecture(Family.APERY_A, 12)
-    assert rb.experimental and ra.experimental
-    status = "all positive" if rb.passed and ra.passed else "NEGATIVE VALUES SEEN"
+    report = run_claim("apery-positivity", 12)
+    assert report.experimental
+    status = "all positive" if report.passed else "NEGATIVE VALUES SEEN"
     # experimental: reported, never failing the suite
     print(f"\n[criterion 11] PASS (EXPERIMENTAL, non-gating) |b-Hankel| and |a-Hankel| "
           f"for n<=12: {status}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -100,10 +101,38 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "verify", "--all", "--primes", "5,x")[0] == 2
     assert run_cli(capsys, "bench", "--family", "clf", "--n", "2", "--engines", "qr")[0] == 2
     assert run_cli(capsys, "seq", "--family", "franel", "--r", "0", "--n", "3")[0] == 2
+    for argv in (
+        ("seq", "--family", "franel", "--n", "-1"),
+        ("hankel", "--family", "franel", "--n", "-1"),
+        ("bench", "--family", "franel", "--n", "-1"),
+        ("hankel", "--family", "franel", "--n", "2", "--base", "1"),
+        ("hankel", "--family", "franel", "--n", "2", "--base", "2", "--exp", "-1"),
+        ("hankel", "--family", "franel", "--engine", "laplace", "--n", "12"),
+        ("bench", "--family", "franel", "--engines", "bareiss,laplace", "--n", "12"),
+        ("seq", "--family", "domb", "--m", "0", "--n", "3"),
+        ("verify", "--all", "--n-max", "-1"),
+        ("verify", "--claim", "franel-prime-sums", "--n-max", "-1"),
+        ("verify", "--all", "--primes", "9"),
+        ("verify", "--claim", "calkin-divisibility", "--n-max", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error:" in err and "Traceback" not in err, argv
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "run_claim", boom)
+    with pytest.raises(ValueError, match="boom"):
+        cli.run(["verify", "--claim", "domb-mod3", "--n-max", "3"])
 
 
 def test_verify_empty_range_exits_2(capsys):
-    for claim_id in ("calkin-divisibility", "domb-mod8"):
+    claim_ids = [c.claim_id for c in verify.REGISTRY if c.n_min >= 1]
+    assert "parity-matrix-unimodular" in claim_ids and "apery-b-congruences" in claim_ids
+    for claim_id in claim_ids:
         code, out, err = run_cli(capsys, "verify", "--claim", claim_id, "--n-max", "0")
         assert code == 2
         assert "PASS" not in out
@@ -213,7 +242,27 @@ def test_emit_report_formats():
 
 def test_spec_json_quotient_example():
     # determinants 1, 6, 180 give base-6 quotients "1", "1", "5"
-    report = verify.verify_theorem_1_1(2, (3,))
+    report = verify.run_claim("hankel-franel", 2)
     obj = json.loads(cli.emit_report(report, "json"))
     quotients = [e["value"] for e in obj["entries"] if e["n"].endswith("base=6")]
     assert quotients == ["1", "1", "5"]
+
+
+# SHA-256 of the full stdout of `verify --all`, recorded before the claims were
+# folded into one registry table; any change to a value, label, order or
+# index range shows here.
+GOLDEN_VERIFY_ALL = {
+    ("--n-max", "4", "--primes", "5,7", "--format", "csv"):
+        "3b07bff09ec664f0b305ba649fb1d7516aef70e362347d72695a80c5c39fee22",
+    ("--n-max", "4", "--primes", "5,7", "--format", "json"):
+        "481cc6c59f73a5ba9f6d89a7cbe5280280d0a7e67b68f47eedd14bc17d1f0a92",
+    ("--format", "csv"):
+        "04c35c58b64376d8b7f20b418b8c25dedf77e8afb12e6760579eddd5973fd600",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_VERIFY_ALL))
+def test_verify_all_output_matches_golden_digest(capsys, args):
+    code, out, _ = run_cli(capsys, "verify", "--all", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_ALL[args]

@@ -135,6 +135,12 @@ def test_parity_matrix_errors():
         parity_matrix_B([1, 3, 5], 1, 1)  # 2 does not divide x[1]
 
 
+def test_parity_matrix_error_names_entry_above_str_digit_limit():
+    with pytest.raises(ValueError) as info:
+        parity_matrix_B([1, 10**5000 + 1, 4, 4, 4], 1, 2)
+    assert str(info.value) == "2 does not divide x[1] = 1" + "0" * 4999 + "1"
+
+
 def test_hypothesis_check_passes_for_qualifying_sequences():
     assert lemma23_hypothesis_check(prefix(franel(3), 16).terms, 1, 16).passed
     assert lemma23_hypothesis_check(prefix(franel(4), 16).terms, 1, 16).passed

@@ -161,3 +161,11 @@ def test_exact_division_guard():
     assert exact_div(-12, 4) == -3
     with pytest.raises(InexactDivisionError):
         exact_div(10, 4, "unit test")
+
+
+def test_exact_division_error_names_dividend_above_str_digit_limit():
+    from hankelforge.exact import InexactDivisionError, exact_div
+
+    with pytest.raises(InexactDivisionError) as info:
+        exact_div(10**5000 + 1, 10)
+    assert str(info.value) == "1" + "0" * 4999 + "1 is not divisible by 10"

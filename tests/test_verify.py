@@ -2,20 +2,8 @@ import pytest
 
 from hankelforge import verify
 from hankelforge.reports import ReportBuilder, VerificationReport, decimal_str
-from hankelforge.sequences import APERY_B, Family, franel
-from hankelforge.verify import (
-    CONGRUENCES,
-    CongruenceClaim,
-    congruence_claim,
-    probe_positivity_conjecture,
-    run_all,
-    run_claim,
-    verify_congruence,
-    verify_franel_prime_congruences,
-    verify_theorem_1_1,
-    verify_theorem_1_2,
-    verify_theorem_1_3,
-)
+from hankelforge.sequences import APERY_B, franel
+from hankelforge.verify import Claim, run_all, run_claim
 
 EXPECTED_CLAIM_IDS = (
     "hankel-franel",
@@ -49,28 +37,20 @@ def test_registry_experimental_flags():
 def test_unknown_claim_rejected():
     with pytest.raises(ValueError):
         run_claim("no-such-claim")
-    with pytest.raises(ValueError):
-        congruence_claim("no-such-claim")
 
 
 def test_theorem_1_1_quotients():
-    report = verify_theorem_1_1(2, (3, 4))
+    report = run_claim("hankel-franel", 2)
     assert report.passed
+    assert report.index_range == "r in [3, 4, 5, 6], n=0..2"
     by_index = {e.index: e.value for e in report.entries}
     assert by_index["r=3 n=1 base=6"] == "1"
     assert by_index["r=3 n=2 base=6"] == "5"
     assert by_index["r=4 n=1"] == "7"
 
 
-def test_theorem_1_1_validates_r_set():
-    with pytest.raises(ValueError):
-        verify_theorem_1_1(4, (2, 3))
-    with pytest.raises(ValueError):
-        verify_theorem_1_1(4, ())
-
-
 def test_theorem_1_2_quotients():
-    report = verify_theorem_1_2(2)
+    report = run_claim("hankel-domb-clf", 2)
     assert report.passed
     by_index = {e.index: e.value for e in report.entries}
     assert by_index["D n=1"] == "1"  # (28 - 16) / 12
@@ -79,7 +59,7 @@ def test_theorem_1_2_quotients():
 
 
 def test_theorem_1_3_integrality_only():
-    report = verify_theorem_1_3(2)
+    report = run_claim("hankel-apery", 2)
     assert report.passed
     by_index = {e.index: e.value for e in report.entries}
     assert by_index["b n=1"] == "1"  # 10 / 10
@@ -87,28 +67,40 @@ def test_theorem_1_3_integrality_only():
 
 
 def test_positivity_probe_is_experimental():
-    report = probe_positivity_conjecture(Family.APERY_B, 3)
+    report = run_claim("apery-positivity", 3)
     assert report.experimental
     assert report.passed
-    with pytest.raises(ValueError):
-        probe_positivity_conjecture(Family.CLF, 3)
+    assert [e.index for e in report.entries][::4] == ["apery-b n=0", "apery-a n=0"]
+
+
+CONGRUENCE_CLAIM_IDS = (
+    "domb-mod3",
+    "domb-iterated-mod3",
+    "apery-b-congruences",
+    "apery-a-transform-mod24",
+    "gessel-mod24",
+    "gsum-mod3",
+)
 
 
 def test_congruence_claims_pass():
-    for claim_id in CONGRUENCES:
-        assert verify_congruence(claim_id, 60).passed
+    for claim_id in CONGRUENCE_CLAIM_IDS:
+        assert run_claim(claim_id, 60).passed
 
 
 def test_congruence_entry_count_matches_range():
-    report = verify_congruence("domb-mod3", 50)
+    report = run_claim("domb-mod3", 50)
     assert len(report.entries) == 51
-    report = verify_congruence("apery-a-transform-mod24", 50)
+    report = run_claim("apery-a-transform-mod24", 50)
     assert len(report.entries) == 48  # starts at n=3
+    report = run_claim("apery-b-congruences", 50)
+    assert len(report.entries) == 50 + 50 + 51
+    assert report.entries[0].index == "apery-b-transform-mod2 n=1"
 
 
 def test_congruence_empty_range_rejected():
-    with pytest.raises(ValueError):
-        verify_congruence("apery-a-transform-mod24", 2)
+    with pytest.raises(ValueError, match="range n=3..2 is empty for apery-a-transform-mod24"):
+        run_claim("apery-a-transform-mod24", 2)
 
 
 @pytest.mark.parametrize("claim_id", verify.CLAIM_IDS)
@@ -124,23 +116,16 @@ def test_empty_report_does_not_pass():
     assert not VerificationReport("empty", "n=1..0", (), ()).passed
 
 
-def test_congruence_claim_validation():
-    with pytest.raises(ValueError):
-        CongruenceClaim("bad", 1, (0, 10), "", lambda n: [], lambda n: 0)
-    with pytest.raises(ValueError):
-        CongruenceClaim("bad", 3, (5, 4), "", lambda n: [], lambda n: 0)
-
-
 def test_failing_claim_produces_witnesses():
-    wrong = CongruenceClaim(
+    wrong = Claim(
         "wrong-on-purpose",
-        3,
-        (0, 10),
         "deliberately false residues",
-        lambda n_max: list(range(n_max + 1)),
-        lambda n: 1,
+        "n=0..{hi}",
+        lambda hi, primes: ((f"n={n}", n % 3, n % 3 == 1, "= 1 (mod 3)") for n in range(hi + 1)),
+        n_max=10,
     )
-    report = verify_congruence(wrong)
+    report = wrong.run()
+    assert report.index_range == "n=0..10"
     assert not report.passed
     passes, fails = report.totals()
     assert passes + fails == 11
@@ -149,13 +134,14 @@ def test_failing_claim_produces_witnesses():
 
 
 def test_franel_prime_values():
-    report = verify_franel_prime_congruences(5)
+    report = run_claim("franel-prime-sums", primes=(5,))
     assert report.passed
+    assert report.index_range == "p in [5]"
     values = {e.index: e.value for e in report.entries}
     assert values["p=5 alt-sum"] == "4"  # 299 = -1 (mod 5)
     assert values["p=5 half-weight-sum"] == "5"  # both sides 5 (mod 25)
 
-    report = verify_franel_prime_congruences(7)
+    report = run_claim("franel-prime-sums", primes=(7,))
     assert report.passed
     labels = [e.index for e in report.entries]
     assert "p=7 half-weight-sum x=-2 y=1" in labels
@@ -165,8 +151,8 @@ def test_franel_prime_values():
 
 def test_franel_prime_validation():
     for bad in (3, 4, 9, -5):
-        with pytest.raises(ValueError):
-            verify_franel_prime_congruences(bad)
+        with pytest.raises(ValueError, match=f"invalid prime {bad}"):
+            run_claim("franel-prime-sums", primes=(5, bad))
 
 
 def test_run_all_small_scope():
