@@ -14,7 +14,6 @@ from .hankel import (
     QuotientCheck,
     all_minors_nonneg,
     build_hankel,
-    det,
     det_bareiss,
     det_dodgson,
     det_laplace,
@@ -30,7 +29,6 @@ from .sequences import (
     franel,
     prefix,
     term,
-    term_by_recurrence,
 )
 from .transforms import (
     binom_convolution,
@@ -62,7 +60,6 @@ __all__ = [
     "binom_sq_convolution",
     "binomial_transform",
     "build_hankel",
-    "det",
     "det_bareiss",
     "det_dodgson",
     "det_laplace",
@@ -77,6 +74,5 @@ __all__ = [
     "run_all",
     "run_claim",
     "term",
-    "term_by_recurrence",
     "__version__",
 ]

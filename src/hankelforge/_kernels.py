@@ -20,7 +20,7 @@ def _input_bits(rows) -> int:
     b = 0
     for r in rows:
         for e in r:
-            eb = e.bit_length() if e >= 0 else (-e).bit_length()
+            eb = e.bit_length()
             if eb > b:
                 b = eb
     return b
@@ -60,7 +60,7 @@ def _bareiss(rows):
                 q, rem = divmod(t, prev)
                 if rem:
                     raise InexactDivisionError("bareiss interior division left a remainder")
-                tb = t.bit_length() if t >= 0 else (-t).bit_length()
+                tb = t.bit_length()
                 if tb > max_bits:
                     max_bits = tb
                 ri[j] = q
@@ -113,7 +113,7 @@ def dodgson_det(rows):
             out = []
             for j in range(m - 1):
                 t = hi[j] * lo[j + 1] - hi[j + 1] * lo[j]
-                tb = t.bit_length() if t >= 0 else (-t).bit_length()
+                tb = t.bit_length()
                 if tb > max_bits:
                     max_bits = tb
                 d = pr[j + 1]

@@ -1,11 +1,13 @@
 """Hankel matrices and exact determinant evaluation.
 
-Three independent engines return the same exact value on any integer matrix:
+Three independent engines return the same exact value on any integer matrix,
+and each caller names the one it runs:
 
 * ``LAPLACE``  minor expansion with memoization, the small-order oracle
   (capped, factorial/2^n cost);
-* ``BAREISS``  fraction-free elimination, the default workhorse; the same
-  sweep reads off the leading principal minors up to the first zero one;
+* ``BAREISS``  fraction-free elimination, the workhorse behind every claim
+  and the CLI's default; the same sweep reads off the leading principal
+  minors up to the first zero one;
 * ``DODGSON``  condensation by 2x2 minors, the cross-check engine, which
   falls back to Bareiss on the whole matrix when a zero interior pivot
   blocks condensation (the result is tagged ``fallback=True``).
@@ -127,7 +129,7 @@ def det_laplace(matrix: IntegerMatrix, max_order: int = LAPLACE_ORDER_CAP) -> De
     stats = [0, 0]  # steps, max_bits
     for r in e:
         for x in r:
-            b = x.bit_length() if x >= 0 else (-x).bit_length()
+            b = x.bit_length()
             if b > stats[1]:
                 stats[1] = b
     memo: dict[tuple[int, ...], int] = {}
@@ -146,7 +148,7 @@ def det_laplace(matrix: IntegerMatrix, max_order: int = LAPLACE_ORDER_CAP) -> De
             if a:
                 t = a * expand(cols[:idx] + cols[idx + 1 :])
                 stats[0] += 1
-                tb = t.bit_length() if t >= 0 else (-t).bit_length()
+                tb = t.bit_length()
                 if tb > stats[1]:
                     stats[1] = tb
                 total = total - t if negate else total + t
@@ -172,13 +174,6 @@ def det_dodgson(matrix: IntegerMatrix) -> DetResult:
         return DetResult(value, "DODGSON", steps, max_bits)
     value, b_steps, b_bits = kernels.bareiss_det(matrix.rows())
     return DetResult(value, "DODGSON", steps + b_steps, max(max_bits, b_bits), fallback=True)
-
-
-def det(matrix: IntegerMatrix) -> DetResult:
-    """Default engine policy: Laplace up to order 4, Bareiss beyond."""
-    if matrix.order <= 4:
-        return det_laplace(matrix)
-    return det_bareiss(matrix)
 
 
 def leading_principal_minors(matrix: IntegerMatrix) -> list[int]:

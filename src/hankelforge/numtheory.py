@@ -6,14 +6,15 @@ whose terms satisfy ``x_0 = 1``, ``2k | x_i`` for i >= 1, and
 ``4k | x_i`` exactly when i is not a power of two, the determinant of B
 over the integers is +1 or -1, which is what makes the Hankel-quotient
 oddness claims tick.  :func:`lemma23_hypothesis_check` tests those three
-hypotheses index by index.
+hypotheses index by index and returns one check per index, in the form
+:meth:`verify.Claim.run` records.
 """
 from __future__ import annotations
 
 import math
 
-from .hankel import IntegerMatrix
-from .reports import ReportBuilder, VerificationReport, decimal_str
+from .hankel import IntegerMatrix, build_hankel
+from .reports import Check, decimal_str
 
 
 def nu2(x: int) -> int:
@@ -51,35 +52,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def inv_mod(a: int, m: int) -> int:
-    """Modular inverse by extended gcd; non-invertible a is a hard error."""
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return s0 % m
-
-
-def lucas_binom_mod(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p via base-p digit products."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    result = 1
-    while n or k:
-        nd, n = n % p, n // p
-        kd, k = k % p, k // p
-        if kd > nd:
-            return 0
-        result = result * math.comb(nd, kd) % p
-    return result
-
-
 def central_binom_parity(n: int) -> bool:
     """True when C(2n-1, n-1) is odd."""
     if n < 1:
@@ -105,33 +77,26 @@ def parity_matrix_B(x: list[int] | tuple[int, ...], k: int, n: int) -> IntegerMa
         if r:
             raise ValueError(f"{scale} does not divide x[{i}] = {decimal_str(x[i])}")
         halved.append(q & 1)
-    # halved[t] holds x[t+1]/(2k) mod 2; entry (i,j) with indices from 1 is x[i+j]
-    rows = tuple(tuple(halved[i + j + 1] for j in range(n)) for i in range(n))
-    return IntegerMatrix(n, rows, hankel=True)
+    # halved[t] holds x[t+1]/(2k) mod 2; entry (i,j) with indices from 1 is
+    # x[i+j], which is halved[1:] at (i-1)+(j-1)
+    return build_hankel(halved[1:], n - 1)
 
 
-def lemma23_hypothesis_check(
-    x: list[int] | tuple[int, ...], k: int, n_max: int
-) -> VerificationReport:
-    """Per-index check of the parity-matrix hypotheses for x with scale k.
+def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int, n_max: int) -> list[Check]:
+    """Per-index checks of the parity-matrix hypotheses for x with scale k.
 
     Index 0 must be 1; for ``1 <= i <= n_max``, ``2k`` must divide ``x[i]``
-    and ``4k`` must divide it exactly when i is not a power of two.
+    and ``4k`` must divide it exactly when i is not a power of two.  Each
+    check is ``(label, value, ok, expected)``, labelled ``i=<index>``.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if len(x) < n_max + 1:
         raise ValueError(f"need {n_max + 1} terms, got {len(x)}")
-    rep = ReportBuilder(f"parity-hypotheses[k={k}]", f"i=0..{n_max}")
-    rep.check("i=0", x[0], x[0] == 1, "x_0 = 1")
+    expected = f"2k | x_i and (4k | x_i iff i not a power of two), k={k}"
+    checks: list[Check] = [("i=0", x[0], x[0] == 1, "x_0 = 1")]
     for i in range(1, n_max + 1):
         xi = x[i]
-        pow2 = is_power_of_two(i)
-        ok = xi % (2 * k) == 0 and (xi % (4 * k) == 0) == (not pow2)
-        rep.check(
-            f"i={i}",
-            xi,
-            ok,
-            f"2k | x_i and (4k | x_i iff i not a power of two), k={k}",
-        )
-    return rep.build()
+        ok = xi % (2 * k) == 0 and (xi % (4 * k) == 0) == (not is_power_of_two(i))
+        checks.append((f"i={i}", xi, ok, expected))
+    return checks

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# One check: (label, observed value, ok, expected condition).
+Check = tuple[str, object, bool, str]
+
 # Integers of up to 600 digits go straight through ``str``: 600 is under the
 # smallest digit limit an interpreter can be configured with (640).
 _STR_BOUND = 10**600
@@ -79,12 +82,6 @@ class ReportBuilder:
         if not ok:
             self._witnesses.append(Witness(index, value_s, expected))
         return ok
-
-    def merge(self, other: VerificationReport, prefix: str = "") -> None:
-        for e in other.entries:
-            self._entries.append(ReportEntry(prefix + e.index, e.value, e.status))
-        for w in other.witnesses:
-            self._witnesses.append(Witness(prefix + w.index, w.observed, w.expected))
 
     def build(self) -> VerificationReport:
         return VerificationReport(

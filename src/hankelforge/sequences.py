@@ -14,9 +14,10 @@ The classical Franel numbers are ``FRANEL_R`` with r=3 and the Domb numbers
 are ``DOMB_M`` with m=2.  The CLF (Catalan-Larcombe-French) summand division
 is provably integral, so it is performed with a checked exact division.
 
-:func:`term` evaluates the defining sum and is the reference route.
-:func:`prefix` generates every sequence that has one from its recurrence in
-:data:`RECURRENCES`, each of the form
+:func:`term` evaluates the defining sum, with coefficients from
+:func:`math.comb`, and is the reference route.  :func:`prefix` generates
+every sequence that has one from its recurrence in :data:`RECURRENCES`,
+each of the form
 
     (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1)
 
@@ -24,7 +25,6 @@ seeded with the summation values at n = 0, 1, with every division checked
 exact.  That covers f(1..4), d(1), d(2), CLF, b, a, g and the central
 binomials.  Only f(r >= 5) and d(m >= 3) are summed; their prefixes walk
 the Pascal rows one from the next and keep a running column of C(2k,k).
-:func:`term_by_recurrence` reads the same table for DOMB_M (m=2) and APERY_B.
 
 All functions here are pure and keep no state between calls.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
 from . import binomial
@@ -105,29 +106,28 @@ def term(seq: SequenceId, n: int) -> int:
         raise ValueError("index must be nonnegative")
     fam = seq.family
     if fam is Family.CENTRAL_BINOM:
-        return binomial.binom(2 * n, n)
-    row = binomial.row(n)
+        return comb(2 * n, n)
+    row = [comb(n, k) for k in range(n + 1)]
     if fam is Family.FRANEL_R:
         r = seq.param
         return sum(c**r for c in row)
     if fam is Family.DOMB_M:
         m = seq.param
         return sum(
-            row[k] ** m * binomial.binom(2 * k, k) * binomial.binom(2 * (n - k), n - k)
-            for k in range(n + 1)
+            row[k] ** m * comb(2 * k, k) * comb(2 * (n - k), n - k) for k in range(n + 1)
         )
     if fam is Family.CLF:
         total = 0
         for k in range(n + 1):
-            num = binomial.binom(2 * k, k) ** 2 * binomial.binom(2 * (n - k), n - k) ** 2
+            num = comb(2 * k, k) ** 2 * comb(2 * (n - k), n - k) ** 2
             total += exact_div(num, row[k], "CLF summand")
         return total
     if fam is Family.APERY_B:
-        return sum(row[k] ** 2 * binomial.binom(n + k, k) for k in range(n + 1))
+        return sum(row[k] ** 2 * comb(n + k, k) for k in range(n + 1))
     if fam is Family.APERY_A:
-        return sum(row[k] ** 2 * binomial.binom(n + k, k) ** 2 for k in range(n + 1))
+        return sum(row[k] ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
     if fam is Family.G_SUM:
-        return sum(row[k] ** 2 * binomial.binom(2 * k, k) for k in range(n + 1))
+        return sum(row[k] ** 2 * comb(2 * k, k) for k in range(n + 1))
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -202,18 +202,3 @@ def _symmetric_sum(summand: Callable[[int], int], n: int) -> int:
     total = 2 * sum(map(summand, range((n + 1) // 2)))
     return total + summand(n // 2) if n % 2 == 0 else total
 
-
-_BY_RECURRENCE = {Family.DOMB_M: domb(2), Family.APERY_B: APERY_B}
-
-
-def term_by_recurrence(family: Family, n: int) -> int:
-    """Value at ``n`` via the three-term recurrence (DOMB_M and APERY_B only).
-
-    Reads the same table as :func:`prefix`: seeded with the n=0,1 summation
-    values, every division by the leading coefficient checked exact.
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if family not in _BY_RECURRENCE:
-        raise ValueError("recurrence is available for DOMB_M and APERY_B only")
-    return _recur(_BY_RECURRENCE[family], n)[n]

@@ -8,7 +8,6 @@ from hankelforge.hankel import (
     IntegerMatrix,
     all_minors_nonneg,
     build_hankel,
-    det,
     det_bareiss,
     det_dodgson,
     det_laplace,
@@ -109,14 +108,6 @@ def test_engines_agree_on_random_matrices():
             assert det_permutation(rows) == expected
 
 
-def test_default_engine_dispatch():
-    small = _m([[2, 0], [0, 3]])
-    assert det(small).algorithm == "LAPLACE"
-    big = build_hankel(prefix(franel(3), 10), 5)
-    assert det(big).algorithm == "BAREISS"
-    assert det(big).value == det_fractions(big.rows())
-
-
 def test_leading_principal_minors():
     matrix = build_hankel(prefix(APERY_B, 12), 6)
     minors = leading_principal_minors(matrix)
@@ -209,8 +200,8 @@ def test_antidiagonal_two_power_scaling():
         terms = prefix(seq, 16).terms
         scaled = [t << i for i, t in enumerate(terms)]
         for n in range(9):
-            base = det(build_hankel(terms, n)).value
-            assert det(build_hankel(scaled, n)).value == 2 ** (n * (n + 1)) * base
+            base = det_bareiss(build_hankel(terms, n)).value
+            assert det_bareiss(build_hankel(scaled, n)).value == 2 ** (n * (n + 1)) * base
 
 
 def test_instrumentation_is_populated():

@@ -6,11 +6,9 @@ from hankelforge import prefix
 from hankelforge.hankel import leading_principal_minors
 from hankelforge.numtheory import (
     central_binom_parity,
-    inv_mod,
     is_power_of_two,
     is_prime,
     lemma23_hypothesis_check,
-    lucas_binom_mod,
     nu2,
     ones_count,
     parity_matrix_B,
@@ -47,37 +45,6 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes)
-
-
-def test_inv_mod():
-    for m in (5, 25, 49, 97 * 97):
-        for a in range(1, 30):
-            if a % m == 0 or (m % 5 == 0 and a % 5 == 0) or (m % 7 == 0 and a % 7 == 0):
-                continue
-            assert a * inv_mod(a, m) % m == 1
-    assert inv_mod(-4, 49) == 12
-    with pytest.raises(ValueError):
-        inv_mod(10, 25)
-
-
-def test_lucas_examples():
-    assert lucas_binom_mod(5, 2, 2) == 0
-    assert lucas_binom_mod(123456, 0, 7) == 1
-    assert lucas_binom_mod(7, 3, 5) == 0
-
-
-def test_lucas_exhaustive_against_comb():
-    for p in (2, 3, 5, 7):
-        for n in range(201):
-            for k in range(n + 1):
-                assert lucas_binom_mod(n, k, p) == comb(n, k) % p
-
-
-def test_lucas_requires_prime():
-    with pytest.raises(ValueError):
-        lucas_binom_mod(10, 2, 6)
-    with pytest.raises(ValueError):
-        lucas_binom_mod(10, 2, 1)
 
 
 def test_central_binom_parity_examples():
@@ -142,15 +109,14 @@ def test_parity_matrix_error_names_entry_above_str_digit_limit():
 
 
 def test_hypothesis_check_passes_for_qualifying_sequences():
-    assert lemma23_hypothesis_check(prefix(franel(3), 16).terms, 1, 16).passed
-    assert lemma23_hypothesis_check(prefix(franel(4), 16).terms, 1, 16).passed
-    assert lemma23_hypothesis_check(prefix(domb(2), 16).terms, 2, 16).passed
+    for seq, k in ((franel(3), 1), (franel(4), 1), (domb(2), 2)):
+        assert all(ok for _, _, ok, _ in lemma23_hypothesis_check(prefix(seq, 16).terms, k, 16))
 
 
 def test_hypothesis_check_catches_counterexample():
-    report = lemma23_hypothesis_check([1, 2, 4], 1, 2)
-    assert not report.passed
-    assert report.witnesses[0].index == "i=2"  # 4 | x_2 but 2 is a power of two
+    checks = lemma23_hypothesis_check([1, 2, 4], 1, 2)
+    # 4 | x_2 but 2 is a power of two
+    assert [label for label, _, ok, _ in checks if not ok] == ["i=2"]
 
 
 def test_hypothesis_check_requires_enough_terms():

@@ -1,6 +1,6 @@
 import pytest
 
-from hankelforge import Family, SequenceId, domb, franel, prefix, term, term_by_recurrence
+from hankelforge import Family, SequenceId, domb, franel, prefix, term
 from hankelforge.sequences import APERY_A, APERY_B, CENTRAL_BINOM, CLF, G_SUM, RECURRENCES
 
 from oracle_helpers import CATALOG, brute_prefix, brute_term
@@ -91,21 +91,14 @@ def test_term_above_old_cache_cap(seq):
     assert term(seq, 1030) == brute_term(seq, 1030)
 
 
-def test_recurrence_examples():
-    assert term_by_recurrence(Family.DOMB_M, 2) == 28
-    assert term_by_recurrence(Family.APERY_B, 2) == 19
-    assert term_by_recurrence(Family.DOMB_M, 0) == 1
-
-
 def test_recurrence_agrees_with_summation():
-    for n in range(60):
-        assert term_by_recurrence(Family.DOMB_M, n) == term(domb(2), n)
-        assert term_by_recurrence(Family.APERY_B, n) == term(APERY_B, n)
-
-
-def test_recurrence_rejects_other_families():
-    with pytest.raises(ValueError):
-        term_by_recurrence(Family.CLF, 3)
+    # The table's (e, P, Q) hold for the summed terms themselves:
+    # (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1).
+    for seq in (domb(2), APERY_B):
+        e, p, q = RECURRENCES[seq]
+        x = [term(seq, n) for n in range(60)]
+        for n in range(1, 59):
+            assert (n + 1) ** e * x[n + 1] == p(n) * x[n] + q(n) * x[n - 1]
 
 
 def test_closed_form_anchors():
@@ -144,8 +137,6 @@ def test_negative_index_rejected():
         term(franel(3), -1)
     with pytest.raises(ValueError):
         prefix(franel(3), -2)
-    with pytest.raises(ValueError):
-        term_by_recurrence(Family.DOMB_M, -1)
 
 
 def test_labels():

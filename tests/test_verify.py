@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
-from hankelforge import verify
+from hankelforge import cli, verify
 from hankelforge.reports import ReportBuilder, VerificationReport, decimal_str
-from hankelforge.sequences import APERY_B, franel
+from hankelforge.sequences import APERY_B, domb, franel
 from hankelforge.verify import Claim, run_all, run_claim
 
 EXPECTED_CLAIM_IDS = (
@@ -184,6 +186,35 @@ def test_parity_hypothesis_failure_is_a_witness(monkeypatch):
     assert not any(e.index.startswith("apery-b |B_") for e in report.entries)
     # the qualifying sequence after it is still checked in full
     assert [e.status for e in report.entries if e.index.startswith("franel[r=3] |B_")] == ["pass"] * 4
+
+
+_HYPOTHESES = "2k | x_i and (4k | x_i iff i not a power of two), k=1"
+
+
+def test_failing_identity_and_parity_witness_text(monkeypatch):
+    # Wrong operands make the two identity claims fail, and b_1 = 3 breaks
+    # the parity hypotheses; each witness must keep its expected text.
+    monkeypatch.setattr(verify, "G_SUM", franel(3))
+    monkeypatch.setattr(verify, "CLF", domb(1))
+    monkeypatch.setattr(verify, "PARITY_CASES", ((APERY_B, 1),))
+    reports = json.loads(cli.emit_reports(run_all(3, (5,)), "json"))
+    witnesses = {r["claim_id"]: r["witnesses"] for r in reports if not r["passed"]}
+    assert witnesses == {
+        "parity-matrix-unimodular": [
+            {"n": f"apery-b i={i}", "observed": b, "expected": _HYPOTHESES}
+            for i, b in enumerate(("3", "19", "147", "1251", "11253", "104959"), 1)
+        ],
+        "barrucand-identity": [
+            {"n": "n=1", "observed": "3", "expected": "= g(1) = 2"},
+            {"n": "n=2", "observed": "15", "expected": "= g(2) = 10"},
+            {"n": "n=3", "observed": "93", "expected": "= g(3) = 56"},
+        ],
+        "clf-doubling-identity": [
+            {"n": "n=1", "observed": "4", "expected": "= 2^1 d(1)_1 = 8"},
+            {"n": "n=2", "observed": "20", "expected": "= 2^2 d(1)_2 = 80"},
+            {"n": "n=3", "observed": "112", "expected": "= 2^3 d(1)_3 = 896"},
+        ],
+    }
 
 
 def test_report_values_render_above_str_digit_limit():
