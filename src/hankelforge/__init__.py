@@ -10,9 +10,7 @@ from .exact import InexactDivisionError, exact_div
 from .hankel import (
     DetResult,
     IntegerMatrix,
-    MinorViolation,
     QuotientCheck,
-    all_minors_nonneg,
     build_hankel,
     det_bareiss,
     det_dodgson,
@@ -31,10 +29,7 @@ from .sequences import (
     term,
 )
 from .transforms import (
-    binom_convolution,
-    binom_sq_convolution,
     binomial_transform,
-    inverse_binomial_transform,
     iterated_transform,
 )
 from .verify import CLAIM_IDS, REGISTRY, run_all, run_claim
@@ -47,7 +42,6 @@ __all__ = [
     "Family",
     "InexactDivisionError",
     "IntegerMatrix",
-    "MinorViolation",
     "QuotientCheck",
     "REGISTRY",
     "ReportEntry",
@@ -55,9 +49,6 @@ __all__ = [
     "SequenceTerms",
     "VerificationReport",
     "Witness",
-    "all_minors_nonneg",
-    "binom_convolution",
-    "binom_sq_convolution",
     "binomial_transform",
     "build_hankel",
     "det_bareiss",
@@ -66,7 +57,6 @@ __all__ = [
     "domb",
     "exact_div",
     "franel",
-    "inverse_binomial_transform",
     "iterated_transform",
     "leading_principal_minors",
     "prefix",

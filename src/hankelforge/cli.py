@@ -27,17 +27,6 @@ from .sequences import Family, SequenceId, prefix
 _ENGINES = {"laplace": det_laplace, "bareiss": det_bareiss, "dodgson": det_dodgson}
 
 
-def emit_report(report: VerificationReport, fmt: str = "text") -> bytes:
-    """Render one report as CSV, JSON, or human-readable text (UTF-8 bytes)."""
-    if fmt == "csv":
-        return _reports_csv([report])
-    if fmt == "json":
-        return (json.dumps(_report_obj(report), separators=(",", ":")) + "\n").encode()
-    if fmt == "text":
-        return _report_text(report).encode()
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 def emit_reports(reports: Sequence[VerificationReport], fmt: str = "text") -> bytes:
     """Render several reports as one document (single CSV header, JSON array)."""
     if fmt == "csv":
@@ -202,7 +191,7 @@ def _cmd_seq(args) -> int:
     else:
         obj = {
             "family": seq_id.family.value,
-            "param": seq_id.param if seq_id.family in (Family.FRANEL_R, Family.DOMB_M) else None,
+            "param": seq_id.param or None,
             "n_max": args.n,
             "terms": [decimal_str(t) for t in terms],
         }
@@ -235,6 +224,9 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.claim and args.primes is not None and verify.claim(args.claim).primes is None:
+        takers = ", ".join(c.claim_id for c in verify.REGISTRY if c.primes is not None)
+        raise _UsageError(f"--primes applies to {takers} only, not {args.claim}")
     for claim in verify.REGISTRY if args.all else (verify.claim(args.claim),):
         try:
             claim.bounds(args.n_max, args.primes)

@@ -1,4 +1,5 @@
-"""Hankel matrices and exact determinant evaluation.
+"""Hankel matrices, their exact determinants and leading principal minors,
+and the quotient check the Hankel claims apply to them.
 
 Three independent engines return the same exact value on any integer matrix,
 and each caller names the one it runs:
@@ -20,8 +21,7 @@ use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import _kernels as kernels
 from .sequences import SequenceTerms
@@ -71,9 +71,6 @@ class IntegerMatrix:
         """Mutable row-major copy for the kernels."""
         return [list(r) for r in self.entries]
 
-    def leading_block(self, size: int) -> "IntegerMatrix":
-        return IntegerMatrix(size, tuple(r[:size] for r in self.entries[:size]), self.hankel)
-
 
 @dataclass(frozen=True)
 class DetResult:
@@ -94,13 +91,6 @@ class QuotientCheck:
     is_integer: bool
     is_odd: bool
     is_positive: bool
-
-
-@dataclass(frozen=True)
-class MinorViolation:
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    value: int
 
 
 def build_hankel(terms: SequenceTerms | Sequence[int], n: int) -> IntegerMatrix:
@@ -206,30 +196,3 @@ def quotient_check(det_value: int, base: int, exponent: int) -> QuotientCheck:
     if r:
         return QuotientCheck(None, False, False, False)
     return QuotientCheck(q, True, q % 2 != 0, q > 0)
-
-
-def all_minors_nonneg(
-    matrix: IntegerMatrix, max_order: int
-) -> tuple[bool, MinorViolation | None]:
-    """Exhaustive total-nonnegativity check of all minors up to ``max_order``.
-
-    Scans sizes in increasing order and, within a size, row and column index
-    sets lexicographically, so the reported violation is the deterministic
-    first one.
-    """
-    if not 1 <= max_order <= matrix.order:
-        raise ValueError("max_order must be between 1 and the matrix order")
-    e = matrix.entries
-    for rows, cols in _index_pairs(matrix.order, max_order):
-        sub = [[e[i][j] for j in cols] for i in rows]
-        value = kernels.bareiss_det(sub)[0]
-        if value < 0:
-            return False, MinorViolation(rows, cols, value)
-    return True, None
-
-
-def _index_pairs(order: int, max_order: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    for size in range(1, max_order + 1):
-        for rows in combinations(range(order), size):
-            for cols in combinations(range(order), size):
-                yield rows, cols

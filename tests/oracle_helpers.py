@@ -1,9 +1,10 @@
 """Brute-force oracles used across the tests.
 
 Everything here is computed straight from defining formulas with
-``math.comb`` and ``fractions.Fraction``, independent of the package's
-Pascal rows, recurrences and elimination kernels, so the tests check the
-library against a second route rather than against itself.
+``math.comb`` and ``fractions.Fraction``, or by elimination over GF(p),
+independent of the package's Pascal rows, recurrences and fraction-free
+kernels, so the tests check the library against a second route rather than
+against itself.
 """
 from fractions import Fraction
 from itertools import permutations
@@ -99,3 +100,40 @@ def det_permutation(rows) -> int:
 
 def hankel_rows(terms, n: int) -> list[list[int]]:
     return [[terms[i + j] for j in range(n + 1)] for i in range(n + 1)]
+
+
+def inverse_binomial_transform(x) -> list[int]:
+    """``y[n] = sum_k (-1)^(n-k) C(n,k) x[k]``, the inverse of the package's
+    ``binomial_transform``; ValueError on an empty input, as there."""
+    if len(x) == 0:
+        raise ValueError("input sequence must be non-empty")
+    return [
+        sum((-1) ** (n - k) * comb(n, k) * x[k] for k in range(n + 1)) for n in range(len(x))
+    ]
+
+
+def leading_minors_mod_p(rows, p: int) -> list[int]:
+    """Leading principal minors of ``rows`` mod the prime ``p``.
+
+    Gaussian elimination over GF(p) without row swaps, so the order-k minor
+    is the product of the first k pivots.  The sweep stops after the first
+    minor that is 0 mod p, since no later pivot is defined; the list is then
+    shorter than the order.
+    """
+    m = [[x % p for x in r] for r in rows]
+    n = len(m)
+    out = []
+    det = 1
+    for k in range(n):
+        pivot_row = m[k]
+        det = det * pivot_row[k] % p
+        out.append(det)
+        if not det:
+            break
+        inv = pow(pivot_row[k], -1, p)
+        for row in m[k + 1 :]:
+            f = row[k] * inv % p
+            if f:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] - f * pivot_row[j]) % p
+    return out

@@ -7,14 +7,14 @@ gating; everything else is exact (tolerance zero).
 import random
 import time
 
-from hankelforge import binomial_transform, inverse_binomial_transform, prefix
+from hankelforge import binomial_transform, prefix
 from hankelforge.hankel import IntegerMatrix, build_hankel, det_bareiss, det_dodgson, det_laplace
 from hankelforge.numtheory import lemma23_hypothesis_check, nu2, ones_count, parity_matrix_B
 from hankelforge.sequences import domb, franel
 from hankelforge.verify import run_claim
 from hankelforge import leading_principal_minors
 
-from oracle_helpers import CATALOG
+from oracle_helpers import CATALOG, inverse_binomial_transform
 
 
 def _report(number, ok, detail):

@@ -114,6 +114,7 @@ def test_usage_errors_exit_2(capsys):
         ("verify", "--claim", "franel-prime-sums", "--n-max", "-1"),
         ("verify", "--all", "--primes", "9"),
         ("verify", "--claim", "calkin-divisibility", "--n-max", "0"),
+        ("verify", "--claim", "domb-mod3", "--primes", "5"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -230,20 +231,20 @@ def test_bench_runs(capsys):
 
 def test_emit_report_formats():
     report = verify.run_claim("gsum-mod3", n_max=3)
-    csv_bytes = cli.emit_report(report, "csv")
+    csv_bytes = cli.emit_reports([report], "csv")
     assert csv_bytes.startswith(b"claim_id,n,value,status\n")
-    obj = json.loads(cli.emit_report(report, "json"))
+    obj = json.loads(cli.emit_reports([report], "json"))[0]
     assert obj["claim_id"] == "gsum-mod3"
-    text = cli.emit_report(report, "text").decode()
+    text = cli.emit_reports([report], "text").decode()
     assert text.startswith("[PASS] gsum-mod3")
     with pytest.raises(ValueError):
-        cli.emit_report(report, "xml")
+        cli.emit_reports([report], "xml")
 
 
 def test_spec_json_quotient_example():
     # determinants 1, 6, 180 give base-6 quotients "1", "1", "5"
     report = verify.run_claim("hankel-franel", 2)
-    obj = json.loads(cli.emit_report(report, "json"))
+    obj = json.loads(cli.emit_reports([report], "json"))[0]
     quotients = [e["value"] for e in obj["entries"] if e["n"].endswith("base=6")]
     assert quotients == ["1", "1", "5"]
 

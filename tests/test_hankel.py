@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hankelforge import _kernels, prefix
 from hankelforge.hankel import (
     IntegerMatrix,
-    all_minors_nonneg,
     build_hankel,
     det_bareiss,
     det_dodgson,
@@ -14,9 +13,9 @@ from hankelforge.hankel import (
     leading_principal_minors,
     quotient_check,
 )
-from hankelforge.sequences import APERY_A, APERY_B, domb, franel
+from hankelforge.sequences import APERY_A, APERY_B, CLF, domb, franel
 
-from oracle_helpers import det_fractions, det_permutation
+from oracle_helpers import det_fractions, det_permutation, leading_minors_mod_p
 
 
 def _m(rows, **kw):
@@ -113,7 +112,7 @@ def test_leading_principal_minors():
     minors = leading_principal_minors(matrix)
     assert len(minors) == 7
     for size in range(1, 8):
-        assert minors[size - 1] == det_fractions(matrix.leading_block(size).rows())
+        assert minors[size - 1] == det_fractions([r[:size] for r in matrix.entries[:size]])
 
 
 # Mostly 0 and +-1 entries, so zero pivots, row swaps and singular matrices
@@ -149,6 +148,19 @@ def test_leading_principal_minors_zero_pivot_path():
     assert minors == [0, -1, det_fractions(rows)]
 
 
+# Order 51 is what the Hankel claims reach at n_max=50, far above the orders
+# the Fraction and Laplace oracles can check; the GF(p) sweep is a second
+# route there.  No leading minor of these four matrices is 0 mod either prime,
+# so every minor is compared.
+@pytest.mark.parametrize("seq", (franel(3), domb(2), CLF, APERY_A), ids=lambda s: s.label())
+def test_leading_minors_at_order_51_match_modular_sweep(seq):
+    matrix = build_hankel(prefix(seq, 100), 50)
+    minors = leading_principal_minors(matrix)
+    assert len(minors) == 51
+    for p in (2**61 - 1, 2**89 - 1):
+        assert [m % p for m in minors] == leading_minors_mod_p(matrix.entries, p)
+
+
 def test_quotient_check_examples():
     q = quotient_check(180, 6, 2)
     assert (q.quotient, q.is_integer, q.is_odd, q.is_positive) == (5, True, True, True)
@@ -166,32 +178,6 @@ def test_quotient_check_validation():
         quotient_check(10, 1, 2)
     with pytest.raises(ValueError):
         quotient_check(10, 2, -1)
-
-
-def test_all_minors_nonneg_examples():
-    f = build_hankel(prefix(franel(3), 4), 2)
-    ok, violation = all_minors_nonneg(f, 3)
-    assert ok and violation is None
-    d = build_hankel(prefix(domb(2), 4), 2)
-    assert all_minors_nonneg(d, 3) == (True, None)
-    ok, violation = all_minors_nonneg(_m([[0, 1], [1, 0]]), 2)
-    assert not ok
-    assert (violation.rows, violation.cols, violation.value) == ((0, 1), (0, 1), -1)
-
-
-def test_all_minors_first_violation_is_lexicographic():
-    ok, violation = all_minors_nonneg(_m([[5, -2], [-3, 1]]), 2)
-    assert not ok
-    # the size-1 minor at (0,1) comes before (1,0) and before the full det
-    assert (violation.rows, violation.cols, violation.value) == ((0,), (1,), -2)
-
-
-def test_all_minors_max_order_validation():
-    matrix = _m([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        all_minors_nonneg(matrix, 3)
-    with pytest.raises(ValueError):
-        all_minors_nonneg(matrix, 0)
 
 
 def test_antidiagonal_two_power_scaling():

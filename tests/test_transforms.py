@@ -3,18 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hankelforge import (
-    binom_convolution,
-    binom_sq_convolution,
-    binomial_transform,
-    inverse_binomial_transform,
-    iterated_transform,
-    prefix,
-)
-from hankelforge.hankel import all_minors_nonneg, build_hankel, det_bareiss
-from hankelforge.sequences import CENTRAL_BINOM, G_SUM, franel
+from hankelforge import binomial_transform, iterated_transform, prefix
+from hankelforge.hankel import build_hankel, det_bareiss
+from hankelforge.sequences import G_SUM, franel
 
-from oracle_helpers import CATALOG
+from oracle_helpers import CATALOG, inverse_binomial_transform
 
 
 def test_transform_examples():
@@ -58,24 +51,6 @@ def test_barrucand_identity():
     assert binomial_transform(f) == list(g)
 
 
-def test_convolution_examples():
-    central = [1, 2, 6, 20]
-    assert binom_sq_convolution(central, central) == [1, 4, 28, 256]
-    assert binom_sq_convolution([1, 0, 0], [1, 2, 6]) == [1, 2, 6]
-    assert binom_sq_convolution([1, 1, 1], [1, 1, 1]) == [1, 2, 6]
-    assert binom_convolution(central, central) == [1, 4, 20, 112]
-    assert binom_convolution([1, 0, 0, 0], [1, 7, 9, 4]) == [1, 7, 9, 4]
-    assert binom_convolution([1, 1, 1], [1, 1, 1]) == [1, 2, 4]
-
-
-def test_convolutions_reproduce_families():
-    central = list(prefix(CENTRAL_BINOM, 20).terms)
-    from hankelforge import domb
-
-    assert binom_sq_convolution(central, central) == list(prefix(domb(2), 20).terms)
-    assert binom_convolution(central, central) == list(prefix(domb(1), 20).terms)
-
-
 def test_errors():
     with pytest.raises(ValueError):
         binomial_transform([])
@@ -83,10 +58,6 @@ def test_errors():
         inverse_binomial_transform([])
     with pytest.raises(ValueError):
         iterated_transform([1], -1)
-    with pytest.raises(ValueError):
-        binom_convolution([1, 2], [1])
-    with pytest.raises(ValueError):
-        binom_sq_convolution([], [])
 
 
 @pytest.mark.parametrize("seq", CATALOG)
@@ -108,30 +79,6 @@ def test_hankel_determinant_invariance_random():
             assert det_bareiss(build_hankel(x, n)).value == det_bareiss(build_hankel(y, n)).value
 
 
-def _minors_nonneg(terms, max_order=4):
-    n = (len(terms) - 1) // 2
-    matrix = build_hankel(terms, n)
-    ok, _ = all_minors_nonneg(matrix, min(max_order, matrix.order))
-    return ok
-
-
-def test_moment_positivity_shadow():
-    # Convolutions of sequences with totally nonnegative Hankel minors keep
-    # that property, order <= 4, lengths <= 10.
-    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
-    central = list(prefix(CENTRAL_BINOM, 9).terms)
-    ones = [1] * 10
-    powers = [2**i for i in range(10)]
-    factorials = [1, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880]
-    pool = [catalan, central, ones, powers, factorials]
-    for x in pool:
-        assert _minors_nonneg(x)
-    for x in pool:
-        for y in pool:
-            assert _minors_nonneg(binom_sq_convolution(x, y))
-            assert _minors_nonneg(binom_convolution(x, y))
-
-
 # Transforms are Z-linear, so reducing the input mod m first must leave every
 # residue of the output unchanged; the congruence claims rely on this.
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -145,7 +92,5 @@ def test_transform_of_residues_agrees_mod_m(x, m, k):
     for full, small in (
         (iterated_transform(x, k), iterated_transform(reduced, k)),
         (inverse_binomial_transform(x), inverse_binomial_transform(reduced)),
-        (binom_convolution(x, x), binom_convolution(reduced, reduced)),
-        (binom_sq_convolution(x, x), binom_sq_convolution(reduced, reduced)),
     ):
         assert [v % m for v in full] == [v % m for v in small]
