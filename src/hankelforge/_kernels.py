@@ -7,7 +7,7 @@ checked: a remainder raises :class:`InexactDivisionError`.
 Instrumentation conventions:
 
 * ``steps``    counts interior entry updates (Bareiss), 2x2 condensation
-  minors (Dodgson).
+  minors (Dodgson, Hankel condensation).
 * ``max_bits`` is the largest absolute bit-length seen among inputs and
   every intermediate product before division.
 """
@@ -132,3 +132,53 @@ def dodgson_det(rows):
             nxt.append(out)
         prev, cur = cur, nxt
     return cur[0][0], steps, max_bits, True
+
+
+def hankel_leading_minors(seq):
+    """Leading principal minors of the Hankel matrix ``(seq[i+j])`` by
+    condensation.  Returns ``(minors, steps, max_bits, ok)``.
+
+    ``seq`` holds the 2n+1 antidiagonal values x_0..x_2n of the order-(n+1)
+    matrix.  Level s holds the shifted Hankel determinants
+    H(k, s) = det(x_{k+i+j})_{0<=i,j<s} for k = 0..2n+2-2s: level 0 is all
+    ones and level 1 is ``seq``.  By Desnanot-Jacobi (Krattenthaler,
+    *Advanced Determinant Calculus*, 1999, section 2.3)
+
+        H(k, s+1) * H(k+2, s-1) = H(k, s) * H(k+2, s) - H(k+1, s)^2,
+
+    so each level costs one 2x2 minor and one exact division per entry, ~n^2
+    in all, and H(0, s) is the order-s leading minor.  ``ok`` is False at
+    the first zero divisor; ``minors`` then stops at the last order reached
+    and the caller is expected to fall back to Bareiss on the whole matrix.
+    """
+    if len(seq) % 2 == 0:
+        raise ValueError(f"need 2n+1 antidiagonal values, got {len(seq)}")
+    cur = list(seq)
+    prev = [1] * len(cur)
+    max_bits = max(x.bit_length() for x in cur)
+    steps = 0
+    minors = [cur[0]]
+    for _ in range(len(cur) // 2):
+        nxt = []
+        for k in range(len(cur) - 2):
+            mid = cur[k + 1]
+            t = cur[k] * cur[k + 2] - mid * mid
+            tb = t.bit_length()
+            if tb > max_bits:
+                max_bits = tb
+            d = prev[k + 2]
+            if d == 1:
+                q = t
+            elif d == -1:
+                q = -t
+            elif d == 0:
+                return minors, steps, max_bits, False
+            else:
+                q, rem = divmod(t, d)
+                if rem:
+                    raise InexactDivisionError("hankel condensation division left a remainder")
+            nxt.append(q)
+            steps += 1
+        prev, cur = cur, nxt
+        minors.append(cur[0])
+    return minors, steps, max_bits, True

@@ -227,6 +227,8 @@ def _cmd_verify(args) -> int:
     if args.claim and args.primes is not None and verify.claim(args.claim).primes is None:
         takers = ", ".join(c.claim_id for c in verify.REGISTRY if c.primes is not None)
         raise _UsageError(f"--primes applies to {takers} only, not {args.claim}")
+    if args.claim and args.n_max is not None and verify.claim(args.claim).n_max is None:
+        raise _UsageError(f"--n-max does not apply to {args.claim}, which takes no index bound")
     for claim in verify.REGISTRY if args.all else (verify.claim(args.claim),):
         try:
             claim.bounds(args.n_max, args.primes)

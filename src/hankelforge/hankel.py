@@ -6,17 +6,22 @@ and each caller names the one it runs:
 
 * ``LAPLACE``  minor expansion with memoization, the small-order oracle
   (capped, factorial/2^n cost);
-* ``BAREISS``  fraction-free elimination, the workhorse behind every claim
-  and the CLI's default; the same sweep reads off the leading principal
-  minors up to the first zero one;
+* ``BAREISS``  fraction-free elimination and the CLI's default; the same
+  sweep reads off the leading principal minors up to the first zero one;
 * ``DODGSON``  condensation by 2x2 minors, the cross-check engine, which
   falls back to Bareiss on the whole matrix when a zero interior pivot
   blocks condensation (the result is tagged ``fallback=True``).
 
-Bareiss and Dodgson run on the kernels in ``_kernels``; Laplace is written
-out here, apart from them, so that it stays an independent check.  Matrices
-are immutable after construction, so everything here is safe for concurrent
-use.
+The claims need every leading principal minor of a Hankel matrix.
+``leading_principal_minors`` takes them from Hankel condensation of the
+antidiagonal values (~n^2 exact updates) when the matrix is tagged
+``hankel=True``, and from the Bareiss sweep otherwise or when condensation
+meets a zero divisor.
+
+All of them except Laplace run on the kernels in ``_kernels``; Laplace is
+written out here, apart from them, so that it stays an independent check.
+Matrices are immutable after construction, so everything here is safe for
+concurrent use.
 """
 from __future__ import annotations
 
@@ -169,9 +174,17 @@ def det_dodgson(matrix: IntegerMatrix) -> DetResult:
 def leading_principal_minors(matrix: IntegerMatrix) -> list[int]:
     """Determinants of all leading blocks, order 1 through ``matrix.order``.
 
-    One fraction-free sweep when no leading minor vanishes; any remainder
-    of the matrix after a zero pivot is evaluated block by block instead.
+    A Hankel-tagged matrix is condensed from its antidiagonal values.  Any
+    other matrix, and a Hankel one whose condensation meets a zero divisor,
+    takes one fraction-free sweep when no leading minor vanishes; any
+    remainder of the matrix after a zero pivot is evaluated block by block
+    instead.
     """
+    if matrix.hankel:
+        seq = [matrix._antidiagonal(s) for s in range(2 * matrix.order - 1)]
+        minors, _, _, ok = kernels.hankel_leading_minors(seq)
+        if ok:
+            return minors
     minors, _, _, completed = kernels.bareiss_leading_minors(matrix.rows())
     if completed:
         return minors

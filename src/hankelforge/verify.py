@@ -26,6 +26,9 @@ CALKIN_N_MAX = 512
 MOD8_N_MAX = 256
 PARITY_N_MAX = 64
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# franel-prime-sums builds ~1.5 p^2 bits of terms per prime, so its time and
+# memory grow as p^2.
+MAX_PRIME = 10_000
 
 Checks = Callable[[int, tuple[int, ...]], Iterable[Check]]
 
@@ -36,15 +39,17 @@ class Claim:
 
     ``checks(hi, primes)`` yields the checks for indices ``n_min..hi``.
     ``scope`` is the report's index range, formatted with ``hi``, ``hi2``
-    (twice ``hi``) and ``primes``.  ``primes`` is the default prime list of
-    a claim that takes one, and None for every other claim.
+    (twice ``hi``) and ``primes``.  ``n_max`` is the default index bound, and
+    None for a claim whose checks take no index bound (they get ``hi`` 0).
+    ``primes`` is the default prime list of a claim that takes one, and None
+    for every other claim.
     """
 
     claim_id: str
     description: str
     scope: str
     checks: Checks
-    n_max: int
+    n_max: int | None
     n_min: int = 0
     primes: tuple[int, ...] | None = None
     experimental: bool = False
@@ -52,14 +57,20 @@ class Claim:
     def bounds(self, n_max: int | None = None,
                primes: Sequence[int] | None = None) -> tuple[int, tuple[int, ...]]:
         """The index bound and primes a run uses; ValueError on an empty
-        range or a prime the claim cannot take."""
-        hi = self.n_max if n_max is None else n_max
-        if hi < self.n_min:
-            raise ValueError(f"range n={self.n_min}..{hi} is empty for {self.claim_id}")
+        range or a prime the claim cannot take.  A claim without an index
+        bound ignores ``n_max``, as one without primes ignores ``primes``."""
+        if self.n_max is None:
+            hi = 0
+        else:
+            hi = self.n_max if n_max is None else n_max
+            if hi < self.n_min:
+                raise ValueError(f"range n={self.n_min}..{hi} is empty for {self.claim_id}")
         if self.primes is None:
             return hi, ()
         ps = self.primes if primes is None else tuple(primes)
         for p in ps:
+            if p > MAX_PRIME:  # before is_prime, whose trial division grows as sqrt(p)
+                raise ValueError(f"prime {p} is above the limit {MAX_PRIME} for {self.claim_id}")
             if p <= 3 or not is_prime(p):
                 raise ValueError(f"invalid prime {p}: need primes greater than 3")
         return hi, ps
@@ -305,9 +316,8 @@ REGISTRY: tuple[Claim, ...] = (
           "n=0..{hi}", _clf_doubling, CONG_N_MAX),
     Claim("gsum-mod3", "g_n is divisible by 3 from index 1",
           "n=1..{hi}", _residues(G_SUM, 3, 1, lambda n: 0), CONG_N_MAX, n_min=1),
-    # checks one prime at a time; the index bound is accepted and unused
     Claim("franel-prime-sums", "three weighted-sum prime congruences for the cubic sums",
-          "p in {primes}", _franel_primes, 0, primes=DEFAULT_PRIMES),
+          "p in {primes}", _franel_primes, None, primes=DEFAULT_PRIMES),
     Claim("apery-positivity", "Apery Hankel determinants are positive (open conjecture)",
           "n=0..{hi}", _chain(_positive_dets(APERY_B), _positive_dets(APERY_A)), DET_N_MAX,
           experimental=True),

@@ -115,6 +115,10 @@ def test_usage_errors_exit_2(capsys):
         ("verify", "--all", "--primes", "9"),
         ("verify", "--claim", "calkin-divisibility", "--n-max", "0"),
         ("verify", "--claim", "domb-mod3", "--primes", "5"),
+        ("verify", "--claim", "franel-prime-sums", "--n-max", "0"),
+        ("verify", "--claim", "franel-prime-sums", "--n-max", "50"),
+        ("verify", "--claim", "franel-prime-sums", "--primes", "10007"),
+        ("verify", "--all", "--primes", "5,1000003"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

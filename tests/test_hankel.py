@@ -148,17 +148,57 @@ def test_leading_principal_minors_zero_pivot_path():
     assert minors == [0, -1, det_fractions(rows)]
 
 
+def test_hankel_zero_divisor_falls_back_to_bareiss():
+    # No leading minor vanishes, but the order-3 condensation step divides
+    # by x_2 = 0.
+    terms = (1, 1, 0, 1, 1)
+    minors, _, _, ok = _kernels.hankel_leading_minors(terms)
+    assert not ok and minors == [1, -1]
+    rows = [[terms[i + j] for j in range(3)] for i in range(3)]
+    expected = [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, 4)]
+    assert expected == [1, -1, -2]
+    assert leading_principal_minors(build_hankel(terms, 2)) == expected
+
+
+# Either mostly 0 and +-1 entries, where condensation usually meets a zero
+# divisor and falls back, or nonzero entries up to 99, where it usually
+# completes.
+_hankel_sequences = st.tuples(
+    st.integers(1, 40),
+    st.sampled_from(((0, 0, 1, -1, 1, -1, 2, -3), tuple(x for x in range(-99, 100) if x))),
+).flatmap(lambda nv: st.lists(st.sampled_from(nv[1]), min_size=2 * nv[0] - 1, max_size=2 * nv[0] - 1))
+
+
+@_oracle_settings
+@given(_hankel_sequences)
+def test_hankel_tagged_minors_match_bareiss_path(seq):
+    order = (len(seq) + 1) // 2
+    rows = [[seq[i + j] for j in range(order)] for i in range(order)]
+    minors = leading_principal_minors(_m(rows, hankel=True))
+    assert minors == leading_principal_minors(_m(rows))
+    if order <= 7:
+        assert minors == [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, order + 1)]
+
+
+def _assert_minors_match_modular_sweep(seq, n):
+    matrix = build_hankel(prefix(seq, 2 * n), n)
+    minors = leading_principal_minors(matrix)
+    assert len(minors) == n + 1
+    for p in (2**61 - 1, 2**89 - 1):
+        assert [m % p for m in minors] == leading_minors_mod_p(matrix.entries, p)
+
+
 # Order 51 is what the Hankel claims reach at n_max=50, far above the orders
 # the Fraction and Laplace oracles can check; the GF(p) sweep is a second
-# route there.  No leading minor of these four matrices is 0 mod either prime,
+# route there.  No leading minor of these matrices is 0 mod either prime,
 # so every minor is compared.
 @pytest.mark.parametrize("seq", (franel(3), domb(2), CLF, APERY_A), ids=lambda s: s.label())
 def test_leading_minors_at_order_51_match_modular_sweep(seq):
-    matrix = build_hankel(prefix(seq, 100), 50)
-    minors = leading_principal_minors(matrix)
-    assert len(minors) == 51
-    for p in (2**61 - 1, 2**89 - 1):
-        assert [m % p for m in minors] == leading_minors_mod_p(matrix.entries, p)
+    _assert_minors_match_modular_sweep(seq, 50)
+
+
+def test_leading_minors_at_order_101_match_modular_sweep():
+    _assert_minors_match_modular_sweep(franel(3), 100)
 
 
 def test_quotient_check_examples():
@@ -205,6 +245,12 @@ def test_kernels_on_spec_values():
     assert (det, ok) == (180, True)
     minors, _, _, completed = _kernels.bareiss_leading_minors(rows)
     assert completed and minors == [1, 6, 180]
+    minors, steps, max_bits, ok = _kernels.hankel_leading_minors(f)
+    assert ok and minors == [1, 6, 180]
+    assert steps == 4  # three order-2 steps, then (6 * 324 - 12 * 12) / 10 = 180
+    assert max_bits == (6 * 324 - 12 * 12).bit_length()
+    with pytest.raises(ValueError):
+        _kernels.hankel_leading_minors(f[:4])
 
 
 def test_kernels_do_not_mutate_input():
@@ -215,3 +261,7 @@ def test_kernels_do_not_mutate_input():
         _kernels.bareiss_leading_minors(rows)
         _kernels.dodgson_det(rows)
         assert rows == snapshot
+    for seq in ([1, 2, 10, 56, 346], [1, 1, 0, 1, 1], [0]):
+        snapshot = seq[:]
+        _kernels.hankel_leading_minors(seq)
+        assert seq == snapshot

@@ -157,6 +157,24 @@ def test_franel_prime_validation():
             run_claim("franel-prime-sums", primes=(5, bad))
 
 
+def test_franel_primes_are_capped():
+    c = verify.claim("franel-prime-sums")
+    assert verify.MAX_PRIME == 10_000
+    assert c.bounds(primes=(9973,)) == (0, (9973,))  # the largest prime below the cap
+    for big in (10007, 1000003):
+        with pytest.raises(ValueError, match=f"prime {big} is above the limit 10000"):
+            c.bounds(primes=(5, big))
+        with pytest.raises(ValueError, match="above the limit"):
+            run_claim("franel-prime-sums", primes=(big,))
+
+
+def test_franel_primes_take_no_index_bound():
+    c = verify.claim("franel-prime-sums")
+    assert c.n_max is None
+    assert c.bounds() == c.bounds(50) == (0, verify.DEFAULT_PRIMES)
+    assert run_claim("franel-prime-sums", 50, (5,)) == run_claim("franel-prime-sums", primes=(5,))
+
+
 def test_run_all_small_scope():
     reports = run_all(n_max=4, primes=(5, 7))
     assert [r.claim_id for r in reports] == list(EXPECTED_CLAIM_IDS)
