@@ -19,12 +19,13 @@ is provably integral, so it is performed with a checked exact division.
 every sequence that has one from its recurrence in :data:`RECURRENCES`,
 each of the form
 
-    (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1)
+    lead(n) x(n+k) = c_0(n) x(n) + ... + c_{k-1}(n) x(n+k-1)
 
-seeded with the summation values at n = 0, 1, with every division checked
-exact.  That covers f(1..4), d(1), d(2), CLF, b, a, g and the central
-binomials.  Only f(r >= 5) and d(m >= 3) are summed; their prefixes walk
-the Pascal rows one from the next and keep a running column of C(2k,k).
+of order k = 1, 2 or 3, seeded with the summation values at n < k, with
+every division checked exact.  That covers f(1..6), d(1..3), CLF, b, a, g
+and the central binomials.  Only f(r >= 7) and d(m >= 4) are summed; their
+prefixes walk the Pascal rows one from the next and keep a running column
+of C(2k,k).
 
 All functions here are pure and keep no state between calls.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import binomial
 from .exact import exact_div
@@ -131,28 +132,83 @@ def term(seq: SequenceId, n: int) -> int:
     raise ValueError(f"unknown family {fam!r}")
 
 
-# (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1), as (e, P, Q).
-Recurrence = tuple[int, Callable[[int], int], Callable[[int], int]]
+class Recurrence(NamedTuple):
+    """lead(n) x(n+k) = sum_i coeffs[i](n) x(n+i) for i < k = len(coeffs), n >= 0.
 
-_CENTRAL_RECURRENCE: Recurrence = (1, lambda n: 2 * (2 * n + 1), lambda n: 0)
+    ``lead`` has no zero at n >= 0, so the first k terms determine the rest.
+    """
 
+    lead: Callable[[int], int]
+    coeffs: tuple[Callable[[int], int], ...]
+
+
+_CENTRAL_RECURRENCE = Recurrence(lambda n: n + 1, (lambda n: 2 * (2 * n + 1),))
+
+# The order-2 rows are the classical three-term recurrences
+# (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1), shifted by one index.
+#
+# Franel conjectured (1894-95) that f(r) satisfies a recurrence of order
+# floor((r+1)/2); Perlstadt, "Some recurrences for sums of powers of binomial
+# coefficients", J. Number Theory 27 (1987), gave the order-3 ones for r = 5
+# and 6.  The order-3 rows for f(5), f(6) and d(3) were recovered once by exact
+# guessing, not at runtime: with unknowns c_ij (i = 0..3, j = 0..d, d = 6 for
+# f(5) and d(3), 9 for f(6)) in sum_ij c_ij n^j x(n+i) = 0, one equation per n
+# over the first 4(d+1)+12 summed terms, sympy's Matrix.nullspace has nullity
+# 1.  The f(5) row matches Perlstadt, and all three agree with the summation
+# for every index up to n = 1000.
 RECURRENCES: dict[SequenceId, Recurrence] = {
-    franel(1): (0, lambda n: 2, lambda n: 0),
+    franel(1): Recurrence(lambda n: 1, (lambda n: 2,)),
     franel(2): _CENTRAL_RECURRENCE,
     CENTRAL_BINOM: _CENTRAL_RECURRENCE,
     # Franel (1894)
-    franel(3): (2, lambda n: 7 * n * n + 7 * n + 2, lambda n: 8 * n * n),
-    franel(4): (3, lambda n: 2 * (2 * n + 1) * (3 * n * n + 3 * n + 1),
-                lambda n: 4 * n * (4 * n - 1) * (4 * n + 1)),
-    domb(1): (2, lambda n: 4 * (3 * n * n + 3 * n + 1), lambda n: -32 * n * n),
-    domb(2): (3, lambda n: 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2), lambda n: -64 * n**3),
+    franel(3): Recurrence(lambda n: (n + 2) ** 2,
+                          (lambda n: 8 * (n + 1) ** 2, lambda n: 7 * (n + 1) * (n + 2) + 2)),
+    franel(4): Recurrence(lambda n: (n + 2) ** 3,
+                          (lambda n: 4 * (n + 1) * (4 * n + 3) * (4 * n + 5),
+                           lambda n: 2 * (2 * n + 3) * (3 * (n + 1) * (n + 2) + 1))),
+    # Perlstadt (1987)
+    franel(5): Recurrence(
+        lambda n: (n + 3) ** 4 * (55 * n**2 + 143 * n + 94),
+        (lambda n: -32 * (n + 1) ** 4 * (55 * n**2 + 253 * n + 292),
+         lambda n: (19415 * n**6 + 205799 * n**5 + 900543 * n**4 + 2082073 * n**3
+                    + 2682770 * n**2 + 1827064 * n + 514048),
+         lambda n: (1155 * n**6 + 14553 * n**5 + 75498 * n**4 + 205949 * n**3
+                    + 310827 * n**2 + 245586 * n + 79320))),
+    franel(6): Recurrence(
+        lambda n: (n + 2) * (n + 3) ** 5 * (91 * n**3 + 364 * n**2 + 490 * n + 222),
+        (lambda n: (-24 * (n + 1) ** 3 * (2 * n + 3) * (6 * n + 5) * (6 * n + 7)
+                    * (91 * n**3 + 637 * n**2 + 1491 * n + 1167)),
+         lambda n: (153881 * n**9 + 2462096 * n**8 + 17419983 * n**7 + 71536002 * n**6
+                    + 187916733 * n**5 + 327503034 * n**4 + 378741807 * n**3
+                    + 280311768 * n**2 + 120507876 * n + 22934340),
+         lambda n: (n + 2) * (3458 * n**8 + 57057 * n**7 + 408555 * n**6 + 1656761 * n**5
+                              + 4158211 * n**4 + 6610054 * n**3 + 6496560 * n**2
+                              + 3609252 * n + 868140))),
+    domb(1): Recurrence(lambda n: (n + 2) ** 2,
+                        (lambda n: -32 * (n + 1) ** 2,
+                         lambda n: 4 * (3 * (n + 1) * (n + 2) + 1))),
+    domb(2): Recurrence(lambda n: (n + 2) ** 3,
+                        (lambda n: -64 * (n + 1) ** 3,
+                         lambda n: 2 * (2 * n + 3) * (5 * (n + 1) * (n + 2) + 2))),
+    domb(3): Recurrence(
+        lambda n: (n + 3) ** 4 * (21 * n**2 + 49 * n + 29),
+        (lambda n: -512 * (n + 1) ** 4 * (21 * n**2 + 91 * n + 99),
+         lambda n: 16 * (21 * n**6 + 217 * n**5 + 946 * n**4 + 2241 * n**3
+                         + 3056 * n**2 + 2275 * n + 719),
+         lambda n: 4 * (168 * n**6 + 2072 * n**5 + 10480 * n**4 + 27714 * n**3
+                        + 40231 * n**2 + 30267 * n + 9209))),
     # CLF is 2^n d(1)
-    CLF: (2, lambda n: 8 * (3 * n * n + 3 * n + 1), lambda n: -128 * n * n),
+    CLF: Recurrence(lambda n: (n + 2) ** 2,
+                    (lambda n: -128 * (n + 1) ** 2, lambda n: 8 * (3 * (n + 1) * (n + 2) + 1))),
     # Apery (1979)
-    APERY_B: (2, lambda n: 11 * n * n + 11 * n + 3, lambda n: n * n),
-    APERY_A: (3, lambda n: 34 * n**3 + 51 * n * n + 27 * n + 5, lambda n: -(n**3)),
+    APERY_B: Recurrence(lambda n: (n + 2) ** 2,
+                        (lambda n: (n + 1) ** 2, lambda n: 11 * (n + 1) * (n + 2) + 3)),
+    APERY_A: Recurrence(lambda n: (n + 2) ** 3,
+                        (lambda n: -((n + 1) ** 3),
+                         lambda n: (2 * n + 3) * (17 * (n + 1) * (n + 2) + 5))),
     # Zagier's sporadic list, (a, b, c) = (10, 3, 9)
-    G_SUM: (2, lambda n: 10 * n * n + 10 * n + 3, lambda n: -9 * n * n),
+    G_SUM: Recurrence(lambda n: (n + 2) ** 2,
+                      (lambda n: -9 * (n + 1) ** 2, lambda n: 10 * (n + 1) * (n + 2) + 3)),
 }
 
 
@@ -170,12 +226,13 @@ def prefix(seq: SequenceId, n_max: int) -> SequenceTerms:
 
 
 def _recur(seq: SequenceId, n_max: int) -> list[int]:
-    e, p, q = RECURRENCES[seq]
+    lead, coeffs = RECURRENCES[seq]
+    order = len(coeffs)
     context = f"{seq.label()} recurrence"
-    out = [term(seq, n) for n in range(min(n_max, 1) + 1)]
-    for n in range(1, n_max):
-        num = p(n) * out[n] + q(n) * out[n - 1]
-        out.append(exact_div(num, (n + 1) ** e, context))
+    out = [term(seq, n) for n in range(min(n_max + 1, order))]
+    for n in range(n_max + 1 - order):
+        num = sum(c(n) * x for c, x in zip(coeffs, out[n:n + order]))
+        out.append(exact_div(num, lead(n), context))
     return out
 
 

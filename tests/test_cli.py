@@ -271,3 +271,23 @@ def test_verify_all_output_matches_golden_digest(capsys, args):
     code, out, _ = run_cli(capsys, "verify", "--all", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_ALL[args]
+
+
+# SHA-256 of the full stdout of single claims whose f(5), f(6) or d(3) terms
+# came from summation when recorded, at bounds above their defaults; they pin
+# the recurrence route for those terms.
+GOLDEN_VERIFY_CLAIM = {
+    ("--claim", "calkin-divisibility", "--n-max", "1000", "--format", "csv"):
+        "41eb799e95e0122c015c770a116a3c376ee3ea27cd9be4ec54519b5b3566b6fa",
+    ("--claim", "domb-mod8", "--n-max", "600", "--format", "csv"):
+        "e04b003b3db84090b48420bb650142983e825002c34881a297b19a67e3e12cd9",
+    ("--claim", "parity-matrix-unimodular", "--n-max", "128", "--format", "csv"):
+        "700601d37fd98cbc2db343222aaaaaf736d4079e45d6f27dc3f93cfcfc5e8a82",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_VERIFY_CLAIM))
+def test_verify_claim_at_raised_bound_matches_golden_digest(capsys, args):
+    code, out, _ = run_cli(capsys, "verify", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_CLAIM[args]

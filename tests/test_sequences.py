@@ -51,7 +51,7 @@ def test_prefix_examples():
 
 
 def test_prefix_matches_term():
-    for seq in (franel(5), domb(3)):
+    for seq in (franel(7), domb(4)):
         terms = prefix(seq, 12).terms
         assert terms == tuple(term(seq, i) for i in range(13))
 
@@ -67,8 +67,17 @@ def test_recurrence_prefix_matches_summation(seq):
     assert len(terms) == 151
     for n, t in enumerate(terms):
         assert t == term(seq, n) == brute_term(seq, n)
-    assert prefix(seq, 0).terms == terms[:1]
-    assert prefix(seq, 1).terms == terms[:2]
+    # n_max below, at and just past the seeds of an order-3 row
+    for n_max in range(4):
+        assert prefix(seq, n_max).terms == terms[:n_max + 1]
+
+
+ORDER_3 = (franel(5), franel(6), domb(3))
+
+
+@pytest.mark.parametrize("seq", ORDER_3, ids=lambda s: s.label())
+def test_order_3_recurrence_matches_summation_at_1000(seq):
+    assert prefix(seq, 1000).terms[1000] == term(seq, 1000)
 
 
 def test_recurrence_table_covers_unparametrised_families():
@@ -76,10 +85,11 @@ def test_recurrence_table_covers_unparametrised_families():
     for fam in Family:
         if fam not in (Family.FRANEL_R, Family.DOMB_M):
             assert SequenceId(fam) in RECURRENCES
-    assert franel(5) not in RECURRENCES and domb(3) not in RECURRENCES
+    assert all(seq in RECURRENCES for seq in ORDER_3)
+    assert franel(7) not in RECURRENCES and domb(4) not in RECURRENCES
 
 
-@pytest.mark.parametrize("seq", (franel(5), franel(6), domb(3)), ids=lambda s: s.label())
+@pytest.mark.parametrize("seq", (franel(7), domb(4)), ids=lambda s: s.label())
 def test_summation_prefix_matches_oracle(seq):
     assert list(prefix(seq, 60).terms) == brute_prefix(seq, 60)
     assert prefix(seq, 0).terms == (1,)
@@ -92,13 +102,15 @@ def test_term_above_old_cache_cap(seq):
 
 
 def test_recurrence_agrees_with_summation():
-    # The table's (e, P, Q) hold for the summed terms themselves:
-    # (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1).
-    for seq in (domb(2), APERY_B):
-        e, p, q = RECURRENCES[seq]
+    # Every row holds for the summed terms themselves, without prefix:
+    # lead(n) x(n+k) = sum_i c_i(n) x(n+i).  Its leading polynomial has no
+    # zero where prefix divides by it.
+    for seq, (lead, coeffs) in RECURRENCES.items():
+        k = len(coeffs)
         x = [term(seq, n) for n in range(60)]
-        for n in range(1, 59):
-            assert (n + 1) ** e * x[n + 1] == p(n) * x[n] + q(n) * x[n - 1]
+        for n in range(60 - k):
+            assert lead(n) * x[n + k] == sum(c(n) * x[n + i] for i, c in enumerate(coeffs)), seq
+        assert all(lead(n) != 0 for n in range(10**4 + 1)), seq
 
 
 def test_closed_form_anchors():
