@@ -103,7 +103,9 @@ def _residues(seq_id: sequences.SequenceId, m: int, lo: int, expected: Callable[
     sequence after ``transformed`` binomial transforms."""
     def checks(hi, primes):
         # The transforms are Z-linear, so T(x) = T(x mod m) (mod m): reducing
-        # first leaves every checked residue unchanged and keeps the sums small.
+        # first leaves every checked residue unchanged, and the difference
+        # table then holds entries of ~n*log2(transformed+1) bits rather than
+        # of the terms' size.
         values = [t % m for t in prefix(seq_id, hi).terms]
         if transformed:
             values = transforms.iterated_transform(values, transformed)

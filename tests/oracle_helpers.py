@@ -112,6 +112,12 @@ def inverse_binomial_transform(x) -> list[int]:
     ]
 
 
+def iterated_transform_sum(x, k: int) -> list[int]:
+    """``y[n] = sum_j C(n,j) k^(n-j) x[j]``, the k-fold binomial transform
+    straight from its defining sum."""
+    return [sum(comb(n, j) * k ** (n - j) * x[j] for j in range(n + 1)) for n in range(len(x))]
+
+
 def leading_minors_mod_p(rows, p: int) -> list[int]:
     """Leading principal minors of ``rows`` mod the prime ``p``.
 

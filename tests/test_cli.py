@@ -273,9 +273,10 @@ def test_verify_all_output_matches_golden_digest(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_ALL[args]
 
 
-# SHA-256 of the full stdout of single claims whose f(5), f(6) or d(3) terms
-# came from summation when recorded, at bounds above their defaults; they pin
-# the recurrence route for those terms.
+# SHA-256 of the full stdout of single claims at bounds above their defaults.
+# The f(5), f(6) and d(3) terms of the first three came from summation when
+# recorded, and the transforms of the last four from Pascal-row products; they
+# pin the recurrence route and the difference-table transform.
 GOLDEN_VERIFY_CLAIM = {
     ("--claim", "calkin-divisibility", "--n-max", "1000", "--format", "csv"):
         "41eb799e95e0122c015c770a116a3c376ee3ea27cd9be4ec54519b5b3566b6fa",
@@ -283,6 +284,14 @@ GOLDEN_VERIFY_CLAIM = {
         "e04b003b3db84090b48420bb650142983e825002c34881a297b19a67e3e12cd9",
     ("--claim", "parity-matrix-unimodular", "--n-max", "128", "--format", "csv"):
         "700601d37fd98cbc2db343222aaaaaf736d4079e45d6f27dc3f93cfcfc5e8a82",
+    ("--claim", "barrucand-identity", "--n-max", "600", "--format", "csv"):
+        "ebf2705f35ee5a14543bca7f9309df5b26a0c5232024de11032841cf5121322d",
+    ("--claim", "apery-b-congruences", "--n-max", "600", "--format", "csv"):
+        "e064731c74f089d4d3728a4a1c6221546ad388b998162f402abc6d9977ce52fd",
+    ("--claim", "domb-iterated-mod3", "--n-max", "600", "--format", "csv"):
+        "0261ee0581d1d7c361cbc019a8d0ce18140a567217ed6bbc1e73e3f7ecd96401",
+    ("--claim", "apery-a-transform-mod24", "--n-max", "600", "--format", "csv"):
+        "f8a2ecab8b66389b02c25fd6c596d3f54b8dd6a927d822aa1759b86329f55618",
 }
 
 

@@ -7,7 +7,7 @@ from hankelforge import binomial_transform, iterated_transform, prefix
 from hankelforge.hankel import build_hankel, det_bareiss
 from hankelforge.sequences import G_SUM, franel
 
-from oracle_helpers import CATALOG, inverse_binomial_transform
+from oracle_helpers import CATALOG, inverse_binomial_transform, iterated_transform_sum
 
 
 def test_transform_examples():
@@ -43,6 +43,15 @@ def test_iterated_matches_repeated_single():
     assert iterated_transform(x, 3) == binomial_transform(
         binomial_transform(binomial_transform(x))
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40),
+    st.integers(0, 5),
+)
+def test_iterated_transform_matches_defining_sum(x, k):
+    assert iterated_transform(x, k) == iterated_transform_sum(x, k)
 
 
 def test_barrucand_identity():
@@ -94,3 +103,12 @@ def test_transform_of_residues_agrees_mod_m(x, m, k):
         (inverse_binomial_transform(x), inverse_binomial_transform(reduced)),
     ):
         assert [v % m for v in full] == [v % m for v in small]
+
+
+def test_error_messages_check_count_before_length():
+    with pytest.raises(ValueError, match="iteration count must be nonnegative"):
+        iterated_transform([], -1)
+    with pytest.raises(ValueError, match="input sequence must be non-empty"):
+        iterated_transform([], 0)
+    with pytest.raises(ValueError, match="input sequence must be non-empty"):
+        binomial_transform([])
