@@ -1,13 +1,14 @@
 """Exact determinant kernels.
 
-Matrices are row-major lists of Python ints and are never mutated (kernels
+Matrices are row-major sequences of Python ints, and a Hankel matrix is
+passed as its 2n+1 antidiagonal values; inputs are never mutated (kernels
 work on copies).  Every interior division is exact by construction and
 checked: a remainder raises :class:`InexactDivisionError`.
 
 Instrumentation conventions:
 
-* ``steps``    counts interior entry updates (Bareiss), 2x2 condensation
-  minors (Dodgson, Hankel condensation).
+* ``steps``    counts interior entry updates (Bareiss) or 2x2 condensation
+  minors (Hankel condensation).
 * ``max_bits`` is the largest absolute bit-length seen among inputs and
   every intermediate product before division.
 """
@@ -88,50 +89,6 @@ def bareiss_leading_minors(rows):
     """
     _, minors, steps, max_bits = _bareiss(rows)
     return minors, steps, max_bits, len(minors) == len(rows)
-
-
-def dodgson_det(rows):
-    """Condensation by 2x2 minors.  Returns ``(det, steps, max_bits, ok)``.
-
-    ``ok`` is False when a zero interior pivot blocks a condensation stage;
-    the caller is expected to fall back to Bareiss on the original matrix.
-    """
-    n = len(rows)
-    max_bits = _input_bits(rows)
-    if n == 1:
-        return rows[0][0], 0, max_bits, True
-    steps = 0
-    prev = [[1] * (n + 1) for _ in range(n + 1)]
-    cur = [list(r) for r in rows]
-    while len(cur) > 1:
-        m = len(cur)
-        nxt = []
-        for i in range(m - 1):
-            hi = cur[i]
-            lo = cur[i + 1]
-            pr = prev[i + 1]
-            out = []
-            for j in range(m - 1):
-                t = hi[j] * lo[j + 1] - hi[j + 1] * lo[j]
-                tb = t.bit_length()
-                if tb > max_bits:
-                    max_bits = tb
-                d = pr[j + 1]
-                if d == 0:
-                    return 0, steps, max_bits, False
-                if d == 1:
-                    q = t
-                elif d == -1:
-                    q = -t
-                else:
-                    q, rem = divmod(t, d)
-                    if rem:
-                        raise InexactDivisionError("condensation division left a remainder")
-                out.append(q)
-                steps += 1
-            nxt.append(out)
-        prev, cur = cur, nxt
-    return cur[0][0], steps, max_bits, True
 
 
 def hankel_leading_minors(seq):

@@ -8,15 +8,15 @@ and each caller names the one it runs:
   (capped, factorial/2^n cost);
 * ``BAREISS``  fraction-free elimination and the CLI's default; the same
   sweep reads off the leading principal minors up to the first zero one;
-* ``DODGSON``  condensation by 2x2 minors, the cross-check engine, which
-  falls back to Bareiss on the whole matrix when a zero interior pivot
-  blocks condensation (the result is tagged ``fallback=True``).
+* ``DODGSON``  Hankel condensation of the antidiagonal values, the
+  cross-check engine, which falls back to Bareiss on the whole matrix when
+  the entries are not constant along antidiagonals or condensation meets a
+  zero divisor (the result is tagged ``fallback=True``).
 
 The claims need every leading principal minor of a Hankel matrix.
-``leading_principal_minors`` takes them from Hankel condensation of the
-antidiagonal values (~n^2 exact updates) when the matrix is tagged
-``hankel=True``, and from the Bareiss sweep otherwise or when condensation
-meets a zero divisor.
+``leading_principal_minors`` takes them from the same condensation (~n^2
+exact updates) and from the Bareiss sweep in the same two cases.  Whether a
+matrix is Hankel is read off its entries, never declared by the caller.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
@@ -38,14 +38,11 @@ LAPLACE_ORDER_CAP = 10
 class IntegerMatrix:
     """Dense square matrix of arbitrary-precision integers.
 
-    ``order`` is the dimension (at least 1).  Instances tagged
-    ``hankel=True`` were built from a sequence prefix and satisfy the
-    constant-antidiagonal constraint, which is asserted on construction.
+    ``order`` is the dimension (at least 1).
     """
 
     order: int
     entries: tuple[tuple[int, ...], ...]
-    hankel: bool = False
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -58,23 +55,10 @@ class IntegerMatrix:
             for e in r:
                 if not isinstance(e, int):
                     raise ValueError("entries must be exact integers")
-        if self.hankel:
-            for i in range(self.order):
-                for j in range(self.order):
-                    if self.entries[i][j] != self._antidiagonal(i + j):
-                        raise ValueError("entry (i,j) must depend only on i+j")
-
-    def _antidiagonal(self, s: int) -> int:
-        i = 0 if s < self.order else s - self.order + 1
-        return self.entries[i][s - i]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], hankel: bool = False) -> "IntegerMatrix":
-        return cls(len(rows), tuple(tuple(r) for r in rows), hankel)
-
-    def rows(self) -> list[list[int]]:
-        """Mutable row-major copy for the kernels."""
-        return [list(r) for r in self.entries]
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
+        return cls(len(rows), tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -106,9 +90,17 @@ def build_hankel(terms: SequenceTerms | Sequence[int], n: int) -> IntegerMatrix:
     if len(seq) < 2 * n + 1:
         raise ValueError(f"need at least {2 * n + 1} terms for order {n + 1}, got {len(seq)}")
     size = n + 1
-    return IntegerMatrix(
-        size, tuple(tuple(seq[i + j] for j in range(size)) for i in range(size)), hankel=True
-    )
+    return IntegerMatrix(size, tuple(tuple(seq[i + j] for j in range(size)) for i in range(size)))
+
+
+def _hankel_values(matrix: IntegerMatrix) -> tuple[int, ...] | None:
+    """The 2n+1 antidiagonal values x_0..x_2n of an order-(n+1) matrix whose
+    entry (i, j) is x_{i+j}, or None when some antidiagonal is not constant."""
+    e = matrix.entries
+    for upper, lower in zip(e, e[1:]):
+        if upper[1:] != lower[:-1]:
+            return None
+    return e[0] + tuple(r[-1] for r in e[1:])
 
 
 def det_laplace(matrix: IntegerMatrix, max_order: int = LAPLACE_ORDER_CAP) -> DetResult:
@@ -157,54 +149,66 @@ def det_laplace(matrix: IntegerMatrix, max_order: int = LAPLACE_ORDER_CAP) -> De
 
 def det_bareiss(matrix: IntegerMatrix) -> DetResult:
     """Fraction-free elimination; no order limit."""
-    value, steps, max_bits = kernels.bareiss_det(matrix.rows())
+    value, steps, max_bits = kernels.bareiss_det(matrix.entries)
     return DetResult(value, "BAREISS", steps, max_bits)
 
 
 def det_dodgson(matrix: IntegerMatrix) -> DetResult:
-    """Condensation; falls back to Bareiss on the whole matrix at a zero
-    interior pivot.  ``steps``/``max_bits`` then cover both attempts."""
-    value, steps, max_bits, ok = kernels.dodgson_det(matrix.rows())
-    if ok:
-        return DetResult(value, "DODGSON", steps, max_bits)
-    value, b_steps, b_bits = kernels.bareiss_det(matrix.rows())
+    """Hankel condensation; falls back to Bareiss on the whole matrix when the
+    matrix is not Hankel or condensation meets a zero divisor.
+    ``steps``/``max_bits`` then cover both attempts."""
+    steps = max_bits = 0
+    values = _hankel_values(matrix)
+    if values is not None:
+        minors, steps, max_bits, ok = kernels.hankel_leading_minors(values)
+        if ok:
+            return DetResult(minors[-1], "DODGSON", steps, max_bits)
+    value, b_steps, b_bits = kernels.bareiss_det(matrix.entries)
     return DetResult(value, "DODGSON", steps + b_steps, max(max_bits, b_bits), fallback=True)
 
 
 def leading_principal_minors(matrix: IntegerMatrix) -> list[int]:
     """Determinants of all leading blocks, order 1 through ``matrix.order``.
 
-    A Hankel-tagged matrix is condensed from its antidiagonal values.  Any
-    other matrix, and a Hankel one whose condensation meets a zero divisor,
-    takes one fraction-free sweep when no leading minor vanishes; any
-    remainder of the matrix after a zero pivot is evaluated block by block
-    instead.
+    A Hankel matrix is condensed from its antidiagonal values.  Any other
+    matrix, and a Hankel one whose condensation meets a zero divisor, takes
+    the Bareiss route of :func:`_swept_minors`.
     """
-    if matrix.hankel:
-        seq = [matrix._antidiagonal(s) for s in range(2 * matrix.order - 1)]
-        minors, _, _, ok = kernels.hankel_leading_minors(seq)
+    values = _hankel_values(matrix)
+    if values is not None:
+        minors, _, _, ok = kernels.hankel_leading_minors(values)
         if ok:
             return minors
-    minors, _, _, completed = kernels.bareiss_leading_minors(matrix.rows())
-    if completed:
-        return minors
-    out = list(minors)
-    for size in range(len(out) + 1, matrix.order + 1):
-        sub = [list(r[:size]) for r in matrix.entries[:size]]
-        out.append(kernels.bareiss_det(sub)[0])
-    return out
+    return _swept_minors(matrix)
+
+
+def _swept_minors(matrix: IntegerMatrix) -> list[int]:
+    """All leading minors from one fraction-free sweep when no leading minor
+    vanishes; the blocks after a zero pivot are evaluated one by one."""
+    minors, _, _, completed = kernels.bareiss_leading_minors(matrix.entries)
+    if not completed:
+        e = matrix.entries
+        for size in range(len(minors) + 1, matrix.order + 1):
+            minors.append(kernels.bareiss_det([r[:size] for r in e[:size]])[0])
+    return minors
 
 
 def quotient_check(det_value: int, base: int, exponent: int) -> QuotientCheck:
     """Exact division test of ``det_value`` by ``base**exponent``.
 
     Non-divisibility is a reported outcome (``is_integer`` False, quotient
-    None), not an error.
+    None), not an error.  The power is built only when it can divide: 0 is
+    divisible, and a nonzero value below ``2**(exponent * (base.bit_length()
+    - 1))`` in absolute value, a lower bound on ``base**exponent``, is not.
     """
     if base < 2:
         raise ValueError("base must be at least 2")
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
+    if not det_value:
+        return QuotientCheck(0, True, False, False)
+    if exponent * (base.bit_length() - 1) >= det_value.bit_length():
+        return QuotientCheck(None, False, False, False)
     q, r = divmod(det_value, base**exponent)
     if r:
         return QuotientCheck(None, False, False, False)

@@ -69,6 +69,14 @@ def test_hankel_non_divisible_quotient(capsys):
     assert "quotient none (6 not divisible by 7^2)" in out
 
 
+def test_hankel_dodgson_engine_condenses_antidiagonals(capsys):
+    # Hankel condensation of 1 2 10 56 346: three order-2 minors, then one
+    # order-3 minor (6 * 324 - 12 * 12) / 10 = 180 of 11 bits
+    code, out, _ = run_cli(capsys, "hankel", "--family", "franel", "--n", "2", "--engine", "dodgson")
+    assert code == 0
+    assert out == "det 180\nengine DODGSON\nsteps 4\nmax_bits 11\n"
+
+
 def test_hankel_prints_values_above_str_digit_limit(capsys):
     # entries near 20^2000 give a det of about 4,760 digits
     from hankelforge.reports import decimal_str

@@ -1,11 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hankelforge import _kernels, prefix
 from hankelforge.hankel import (
     IntegerMatrix,
+    _hankel_values,
+    _swept_minors,
     build_hankel,
     det_bareiss,
     det_dodgson,
@@ -18,8 +20,8 @@ from hankelforge.sequences import APERY_A, APERY_B, CLF, domb, franel
 from oracle_helpers import det_fractions, det_permutation, leading_minors_mod_p
 
 
-def _m(rows, **kw):
-    return IntegerMatrix.from_rows(rows, **kw)
+def _m(rows):
+    return IntegerMatrix.from_rows(rows)
 
 
 def test_matrix_validation():
@@ -31,9 +33,8 @@ def test_matrix_validation():
         _m([[1, 2], [3]])
     with pytest.raises(ValueError):
         _m([[1.5]])
-    with pytest.raises(ValueError):
-        _m([[1, 2], [3, 4]], hankel=True)  # entry (1,0) != entry (0,1)
-    assert _m([[1, 2], [2, 5]], hankel=True).order == 2
+    assert _hankel_values(_m([[1, 2], [3, 4]])) is None  # entry (1,0) != entry (0,1)
+    assert _hankel_values(_m([[1, 2], [2, 5]])) == (1, 2, 5)
 
 
 def test_build_hankel_examples():
@@ -124,15 +125,44 @@ _sparse_matrices = st.integers(1, 7).flatmap(
 )
 _oracle_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
+# Antidiagonal values drawn either mostly from 0 and +-1, where Hankel
+# condensation usually meets a zero divisor and falls back, or from the
+# nonzero integers up to 99, where it usually completes.
+_HANKEL_POOLS = ((0, 0, 1, -1, 1, -1, 2, -3), tuple(x for x in range(-99, 100) if x))
+
+
+def _hankel_sequences(max_order):
+    return st.tuples(st.integers(1, max_order), st.sampled_from(_HANKEL_POOLS)).flatmap(
+        lambda nv: st.lists(st.sampled_from(nv[1]), min_size=2 * nv[0] - 1, max_size=2 * nv[0] - 1)
+    )
+
+
+# Hankel matrices within the Laplace cap, as rows built by build_hankel.
+_hankel_matrices = _hankel_sequences(8).map(lambda seq: build_hankel(seq, len(seq) // 2).entries)
+
+
+def _condensation_completes(rows):
+    """Whether the rows are Hankel and condensing their antidiagonal values
+    meets no zero divisor, checked without ``_hankel_values``."""
+    n = len(rows)
+    if any(rows[i][j] != rows[i + 1][j - 1] for i in range(n - 1) for j in range(1, n)):
+        return False
+    values = list(rows[0]) + [r[-1] for r in rows[1:]]
+    return _kernels.hankel_leading_minors(values)[3]
+
 
 @_oracle_settings
-@given(_sparse_matrices)
+@given(st.one_of(_sparse_matrices, _hankel_matrices))
+@example(((1, 1, 0), (1, 0, 1), (0, 1, 1)))  # Hankel; condensation divides by x_2 = 0
+@example(((1, 2, 10), (2, 10, 56), (10, 56, 346)))  # Hankel; condensation completes
 def test_engines_match_fraction_oracle(rows):
     expected = det_fractions(rows)
     matrix = _m(rows)
     assert det_laplace(matrix).value == expected
     assert det_bareiss(matrix).value == expected
-    assert det_dodgson(matrix).value == expected
+    result = det_dodgson(matrix)
+    assert result.value == expected
+    assert result.fallback == (not _condensation_completes(rows))
 
 
 @_oracle_settings
@@ -160,23 +190,16 @@ def test_hankel_zero_divisor_falls_back_to_bareiss():
     assert leading_principal_minors(build_hankel(terms, 2)) == expected
 
 
-# Either mostly 0 and +-1 entries, where condensation usually meets a zero
-# divisor and falls back, or nonzero entries up to 99, where it usually
-# completes.
-_hankel_sequences = st.tuples(
-    st.integers(1, 40),
-    st.sampled_from(((0, 0, 1, -1, 1, -1, 2, -3), tuple(x for x in range(-99, 100) if x))),
-).flatmap(lambda nv: st.lists(st.sampled_from(nv[1]), min_size=2 * nv[0] - 1, max_size=2 * nv[0] - 1))
-
-
 @_oracle_settings
-@given(_hankel_sequences)
+@given(_hankel_sequences(40))
 def test_hankel_tagged_minors_match_bareiss_path(seq):
     order = (len(seq) + 1) // 2
-    rows = [[seq[i + j] for j in range(order)] for i in range(order)]
-    minors = leading_principal_minors(_m(rows, hankel=True))
-    assert minors == leading_principal_minors(_m(rows))
+    matrix = build_hankel(seq, order - 1)
+    assert _hankel_values(matrix) == tuple(seq)
+    minors = leading_principal_minors(matrix)
+    assert minors == _swept_minors(matrix)
     if order <= 7:
+        rows = matrix.entries
         assert minors == [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, order + 1)]
 
 
@@ -211,6 +234,16 @@ def test_quotient_check_examples():
     assert not q.is_integer and q.quotient is None
     q = quotient_check(-24, 2, 3)
     assert q.quotient == -3 and q.is_odd and not q.is_positive
+    # answered from bit-lengths, without building a 25-million-bit power
+    q = quotient_check(6, 6, 10**7)
+    assert (q.quotient, q.is_integer, q.is_odd, q.is_positive) == (None, False, False, False)
+    q = quotient_check(0, 6, 10**12)
+    assert (q.quotient, q.is_integer, q.is_odd, q.is_positive) == (0, True, False, False)
+    # for base 2 the bit-length bound is tight on both sides
+    assert quotient_check(32, 2, 5).quotient == 1
+    assert not quotient_check(16, 2, 5).is_integer
+    assert quotient_check(-(6**40), 6, 40).quotient == -1
+    assert not quotient_check(2**40, 3, 40).is_integer  # the bound cannot tell; divmod does
 
 
 def test_quotient_check_validation():
@@ -241,8 +274,6 @@ def test_kernels_on_spec_values():
     f = prefix(franel(3), 4).terms
     rows = [[f[i + j] for j in range(3)] for i in range(3)]
     assert _kernels.bareiss_det(rows)[0] == 180
-    det, _, _, ok = _kernels.dodgson_det(rows)
-    assert (det, ok) == (180, True)
     minors, _, _, completed = _kernels.bareiss_leading_minors(rows)
     assert completed and minors == [1, 6, 180]
     minors, steps, max_bits, ok = _kernels.hankel_leading_minors(f)
@@ -259,7 +290,6 @@ def test_kernels_do_not_mutate_input():
         snapshot = [r[:] for r in rows]
         _kernels.bareiss_det(rows)
         _kernels.bareiss_leading_minors(rows)
-        _kernels.dodgson_det(rows)
         assert rows == snapshot
     for seq in ([1, 2, 10, 56, 346], [1, 1, 0, 1, 1], [0]):
         snapshot = seq[:]
