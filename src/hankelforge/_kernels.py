@@ -7,10 +7,10 @@ checked: a remainder raises :class:`InexactDivisionError`.
 
 Instrumentation conventions:
 
-* ``steps``    counts interior entry updates (Bareiss) or 2x2 condensation
-  minors (Hankel condensation).
+* ``steps``    counts interior entry updates (Bareiss) or tau entries
+  (the Hankel recursion).
 * ``max_bits`` is the largest absolute bit-length seen among inputs and
-  every intermediate product before division.
+  every numerator before division.
 """
 from __future__ import annotations
 
@@ -92,50 +92,70 @@ def bareiss_leading_minors(rows):
 
 
 def hankel_leading_minors(seq):
-    """Leading principal minors of the Hankel matrix ``(seq[i+j])`` by
-    condensation.  Returns ``(minors, steps, max_bits, ok)``.
+    """Leading principal minors of the Hankel matrix ``(seq[i+j])`` by the
+    fraction-free Chebyshev recursion.  Returns ``(minors, steps, max_bits,
+    ok)``.
 
     ``seq`` holds the 2n+1 antidiagonal values x_0..x_2n of the order-(n+1)
-    matrix.  Level s holds the shifted Hankel determinants
-    H(k, s) = det(x_{k+i+j})_{0<=i,j<s} for k = 0..2n+2-2s: level 0 is all
-    ones and level 1 is ``seq``.  By Desnanot-Jacobi (Krattenthaler,
-    *Advanced Determinant Calculus*, 1999, section 2.3)
+    matrix.  tau_k(l) is the determinant of the rows (x_i .. x_{i+k}) for
+    i = 0..k-1 bordered by the row (x_l .. x_{l+k}), and Delta_k is the
+    order-k leading minor, so Delta_{k+1} = tau_k(k).  tau_k(l) / Delta_k is
+    the moment of x^l times the k-th monic orthogonal polynomial of the
+    sequence, and the three-term recurrence of those polynomials carries the
+    moments from k to k+1 (Chebyshev's algorithm: Gautschi, *Orthogonal
+    Polynomials: Computation and Approximation*, 2004; Krattenthaler,
+    *Advanced Determinant Calculus*, 1999).  From tau_{-1} = 0,
+    tau_0(l) = x_l and Delta_0 = 1, with a = tau_k(k+1) and
+    c = tau_{k-1}(k), for l = k+1..2n-k-1
 
-        H(k, s+1) * H(k+2, s-1) = H(k, s) * H(k+2, s) - H(k+1, s)^2,
+        w(l)         = (c tau_k(l) - Delta_{k+1} tau_{k-1}(l)) / Delta_k
+        tau_{k+1}(l) = (Delta_{k+1} (tau_k(l+1) + w(l)) - a tau_k(l)) / Delta_k
 
-    so each level costs one 2x2 minor and one exact division per entry, ~n^2
-    in all, and H(0, s) is the order-s leading minor.  ``ok`` is False at
-    the first zero divisor; ``minors`` then stops at the last order reached
-    and the caller is expected to fall back to Bareiss on the whole matrix.
+    so each step costs two exact divisions per entry, n^2 entries in all.
+    The only divisors are the leading minors of order up to n-1: ``ok`` is
+    False when one of them is 0, and ``minors`` then stops at the last
+    order reached (the caller falls back to Bareiss on the whole matrix).
     """
     if len(seq) % 2 == 0:
         raise ValueError(f"need 2n+1 antidiagonal values, got {len(seq)}")
-    cur = list(seq)
-    prev = [1] * len(cur)
+    cur = list(seq)  # tau_k(l) for l = k..2n-k
+    prev = [0] * (len(cur) + 2)  # tau_{k-1}(l) for l = k-1..2n-k+1
+    divisor = 1  # Delta_k
     max_bits = max(x.bit_length() for x in cur)
     steps = 0
     minors = [cur[0]]
-    for _ in range(len(cur) // 2):
+    while len(cur) > 1:
+        if not divisor:
+            return minors, steps, max_bits, False
+        minor, a, c = cur[0], cur[1], prev[1]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k)
         nxt = []
-        for k in range(len(cur) - 2):
-            mid = cur[k + 1]
-            t = cur[k] * cur[k + 2] - mid * mid
-            tb = t.bit_length()
-            if tb > max_bits:
-                max_bits = tb
-            d = prev[k + 2]
-            if d == 1:
-                q = t
-            elif d == -1:
-                q = -t
-            elif d == 0:
-                return minors, steps, max_bits, False
+        for t, t1, s in zip(cur[1:-1], cur[2:], prev[2:-2]):
+            u = c * t - minor * s
+            if divisor == 1:
+                w = u
+            elif divisor == -1:
+                w = -u
             else:
-                q, rem = divmod(t, d)
+                w, rem = divmod(u, divisor)
                 if rem:
-                    raise InexactDivisionError("hankel condensation division left a remainder")
+                    raise InexactDivisionError("chebyshev recursion division left a remainder")
+            v = minor * (t1 + w) - a * t
+            if divisor == 1:
+                q = v
+            elif divisor == -1:
+                q = -v
+            else:
+                q, rem = divmod(v, divisor)
+                if rem:
+                    raise InexactDivisionError("chebyshev recursion division left a remainder")
+            b = u.bit_length()
+            if b > max_bits:
+                max_bits = b
+            b = v.bit_length()
+            if b > max_bits:
+                max_bits = b
             nxt.append(q)
-            steps += 1
-        prev, cur = cur, nxt
+        steps += len(nxt)
+        prev, cur, divisor = cur, nxt, minor
         minors.append(cur[0])
     return minors, steps, max_bits, True

@@ -8,13 +8,13 @@ and each caller names the one it runs:
   (capped, factorial/2^n cost);
 * ``BAREISS``  fraction-free elimination and the CLI's default; the same
   sweep reads off the leading principal minors up to the first zero one;
-* ``DODGSON``  Hankel condensation of the antidiagonal values, the
+* ``DODGSON``  the Hankel recursion on the antidiagonal values, the
   cross-check engine, which falls back to Bareiss on the whole matrix when
-  the entries are not constant along antidiagonals or condensation meets a
-  zero divisor (the result is tagged ``fallback=True``).
+  the entries are not constant along antidiagonals or a leading minor the
+  recursion divides by is zero (the result is tagged ``fallback=True``).
 
 The claims need every leading principal minor of a Hankel matrix.
-``leading_principal_minors`` takes them from the same condensation (~n^2
+``leading_principal_minors`` takes them from the same recursion (~n^2
 exact updates) and from the Bareiss sweep in the same two cases.  Whether a
 matrix is Hankel is read off its entries, never declared by the caller.
 
@@ -154,9 +154,11 @@ def det_bareiss(matrix: IntegerMatrix) -> DetResult:
 
 
 def det_dodgson(matrix: IntegerMatrix) -> DetResult:
-    """Hankel condensation; falls back to Bareiss on the whole matrix when the
-    matrix is not Hankel or condensation meets a zero divisor.
-    ``steps``/``max_bits`` then cover both attempts."""
+    """The engine named DODGSON: the last minor of the fraction-free
+    Chebyshev recursion on the antidiagonal values
+    (``kernels.hankel_leading_minors``).  Falls back to Bareiss on the whole
+    matrix when the matrix is not Hankel or a leading minor of order below
+    ``order - 1`` is zero; ``steps``/``max_bits`` then cover both attempts."""
     steps = max_bits = 0
     values = _hankel_values(matrix)
     if values is not None:
@@ -170,9 +172,9 @@ def det_dodgson(matrix: IntegerMatrix) -> DetResult:
 def leading_principal_minors(matrix: IntegerMatrix) -> list[int]:
     """Determinants of all leading blocks, order 1 through ``matrix.order``.
 
-    A Hankel matrix is condensed from its antidiagonal values.  Any other
-    matrix, and a Hankel one whose condensation meets a zero divisor, takes
-    the Bareiss route of :func:`_swept_minors`.
+    A Hankel matrix runs the Chebyshev recursion on its antidiagonal values.
+    Any other matrix, and a Hankel one with a zero leading minor of order
+    below ``order - 1``, takes the Bareiss route of :func:`_swept_minors`.
     """
     values = _hankel_values(matrix)
     if values is not None:
@@ -184,7 +186,15 @@ def leading_principal_minors(matrix: IntegerMatrix) -> list[int]:
 
 def _swept_minors(matrix: IntegerMatrix) -> list[int]:
     """All leading minors from one fraction-free sweep when no leading minor
-    vanishes; the blocks after a zero pivot are evaluated one by one."""
+    vanishes; the blocks after a zero pivot are evaluated one by one.
+
+    Only non-Hankel matrices and Hankel ones with a zero leading minor of
+    order below ``order - 1`` reach this, and no claim's matrix at its
+    default bounds does, so the per-block loop (O(n^4) after an early zero)
+    stays simple rather than fast.  It is kept because
+    ``leading_principal_minors`` must answer for every matrix, and a zero
+    minor is what the claims test for.
+    """
     minors, _, _, completed = kernels.bareiss_leading_minors(matrix.entries)
     if not completed:
         e = matrix.entries

@@ -183,12 +183,13 @@ def _parity_matrix(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
 
 
 def _domb_mod8(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
+    # Both depend on n alone.  They stay two computations, C(2n-1, n-1) mod 2
+    # and a bit test, so that ``central_odd == pow2`` checks one against the other.
+    parities = [(numtheory.central_binom_parity(n), is_power_of_two(n)) for n in range(1, hi + 1)]
     for m in (1, 2, 3):
         terms = prefix(domb(m), hi).terms
-        for n in range(1, hi + 1):
+        for n, (central_odd, pow2) in enumerate(parities, 1):
             v = terms[n]
-            central_odd = numtheory.central_binom_parity(n)
-            pow2 = is_power_of_two(n)
             want = 4 if central_odd else 0
             ok = (
                 v % 8 == want

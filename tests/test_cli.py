@@ -70,11 +70,14 @@ def test_hankel_non_divisible_quotient(capsys):
 
 
 def test_hankel_dodgson_engine_condenses_antidiagonals(capsys):
-    # Hankel condensation of 1 2 10 56 346: three order-2 minors, then one
-    # order-3 minor (6 * 324 - 12 * 12) / 10 = 180 of 11 bits
+    # The Chebyshev recursion on 1 2 10 56 346: step 0 gives tau_1 =
+    # (10 - 2*2, 56 - 2*10, 346 - 2*56) = (6, 36, 234); step 1 divides by
+    # Delta_1 = 1, with w = 2*36 - 6*10 = 12 and 6*(234 + 12) - 36*36 = 180.
+    # That is 3 + 1 = 4 entries, and no numerator is wider than the 9-bit
+    # input 346.
     code, out, _ = run_cli(capsys, "hankel", "--family", "franel", "--n", "2", "--engine", "dodgson")
     assert code == 0
-    assert out == "det 180\nengine DODGSON\nsteps 4\nmax_bits 11\n"
+    assert out == "det 180\nengine DODGSON\nsteps 4\nmax_bits 9\n"
 
 
 def test_hankel_prints_values_above_str_digit_limit(capsys):

@@ -125,8 +125,8 @@ _sparse_matrices = st.integers(1, 7).flatmap(
 )
 _oracle_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
-# Antidiagonal values drawn either mostly from 0 and +-1, where Hankel
-# condensation usually meets a zero divisor and falls back, or from the
+# Antidiagonal values drawn either mostly from 0 and +-1, where zero leading
+# minors are common and the Hankel recursion often falls back, or from the
 # nonzero integers up to 99, where it usually completes.
 _HANKEL_POOLS = ((0, 0, 1, -1, 1, -1, 2, -3), tuple(x for x in range(-99, 100) if x))
 
@@ -141,20 +141,21 @@ def _hankel_sequences(max_order):
 _hankel_matrices = _hankel_sequences(8).map(lambda seq: build_hankel(seq, len(seq) // 2).entries)
 
 
-def _condensation_completes(rows):
-    """Whether the rows are Hankel and condensing their antidiagonal values
-    meets no zero divisor, checked without ``_hankel_values``."""
+def _recursion_completes(rows):
+    """Whether the rows are Hankel and no leading minor of order 1..n-2 of
+    the order-n matrix (the divisors of the Hankel recursion) is 0, checked
+    with ``det_fractions`` and without ``_hankel_values`` or the kernel."""
     n = len(rows)
     if any(rows[i][j] != rows[i + 1][j - 1] for i in range(n - 1) for j in range(1, n)):
         return False
-    values = list(rows[0]) + [r[-1] for r in rows[1:]]
-    return _kernels.hankel_leading_minors(values)[3]
+    return all(det_fractions([r[:size] for r in rows[:size]]) for size in range(1, n - 1))
 
 
 @_oracle_settings
 @given(st.one_of(_sparse_matrices, _hankel_matrices))
-@example(((1, 1, 0), (1, 0, 1), (0, 1, 1)))  # Hankel; condensation divides by x_2 = 0
-@example(((1, 2, 10), (2, 10, 56), (10, 56, 346)))  # Hankel; condensation completes
+@example(((0, 1, 1), (1, 1, 1), (1, 1, 2)))  # Hankel; the recursion divides by x_0 = 0
+@example(((1, 1, 0), (1, 0, 1), (0, 1, 1)))  # Hankel; no divisor is 0, so it completes
+@example(((1, 2, 10), (2, 10, 56), (10, 56, 346)))  # Hankel; the recursion completes
 def test_engines_match_fraction_oracle(rows):
     expected = det_fractions(rows)
     matrix = _m(rows)
@@ -162,7 +163,7 @@ def test_engines_match_fraction_oracle(rows):
     assert det_bareiss(matrix).value == expected
     result = det_dodgson(matrix)
     assert result.value == expected
-    assert result.fallback == (not _condensation_completes(rows))
+    assert result.fallback == (not _recursion_completes(rows))
 
 
 @_oracle_settings
@@ -178,16 +179,37 @@ def test_leading_principal_minors_zero_pivot_path():
     assert minors == [0, -1, det_fractions(rows)]
 
 
-def test_hankel_zero_divisor_falls_back_to_bareiss():
-    # No leading minor vanishes, but the order-3 condensation step divides
-    # by x_2 = 0.
+def _fraction_minors(terms):
+    order = len(terms) // 2 + 1
+    rows = [[terms[i + j] for j in range(order)] for i in range(order)]
+    return [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, order + 1)]
+
+
+def test_hankel_recursion_divides_only_by_leading_minors():
+    # x_2 = 0 is no leading minor, so the recursion never divides by it.
     terms = (1, 1, 0, 1, 1)
+    assert _fraction_minors(terms) == [1, -1, -2]
+    assert _kernels.hankel_leading_minors(terms) == ([1, -1, -2], 4, 2, True)
+    # The zero order-2 minor of an order-3 matrix is no divisor either: only
+    # orders 1..n-2 of an order-n matrix are.
+    terms = (1, 1, 1, 1, 2)
+    assert _fraction_minors(terms) == [1, 0, 0]
     minors, _, _, ok = _kernels.hankel_leading_minors(terms)
-    assert not ok and minors == [1, -1]
-    rows = [[terms[i + j] for j in range(3)] for i in range(3)]
-    expected = [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, 4)]
-    assert expected == [1, -1, -2]
-    assert leading_principal_minors(build_hankel(terms, 2)) == expected
+    assert ok and minors == [1, 0, 0]
+
+
+def test_hankel_zero_divisor_falls_back_to_bareiss():
+    # The order-2 leading minor of this order-4 matrix is 0, and the step
+    # to order 4 divides by it.
+    terms = (1, 1, 1, 1, 2, 3, 5)
+    expected = _fraction_minors(terms)
+    assert expected == [1, 0, 0, -1]
+    minors, _, _, ok = _kernels.hankel_leading_minors(terms)
+    assert not ok and minors == expected[:3]
+    matrix = build_hankel(terms, 3)
+    assert leading_principal_minors(matrix) == expected
+    result = det_dodgson(matrix)
+    assert result.fallback and result.value == -1
 
 
 @_oracle_settings
@@ -278,8 +300,16 @@ def test_kernels_on_spec_values():
     assert completed and minors == [1, 6, 180]
     minors, steps, max_bits, ok = _kernels.hankel_leading_minors(f)
     assert ok and minors == [1, 6, 180]
-    assert steps == 4  # three order-2 steps, then (6 * 324 - 12 * 12) / 10 = 180
-    assert max_bits == (6 * 324 - 12 * 12).bit_length()
+    # Step 0 (Delta_0 = 1, c = 0, so w = 0): tau_1 = (10 - 2*2, 56 - 2*10,
+    # 346 - 2*56) = (6, 36, 234).  Step 1 (Delta_1 = 1, Delta_2 = 6, a = 36,
+    # c = 2): w = 2*36 - 6*10 = 12 and tau_2(2) = 6*(234 + 12) - 36*36 = 180.
+    # Four entries; the numerators 0, 6, 36, 234, 12 and 180 are all narrower
+    # than the 9-bit input 346.
+    assert steps == 4
+    assert max_bits == 9
+    # (3, 5, 3): one entry, whose numerator 3*3 - 5*5 = -16 (5 bits) is wider
+    # than every input.
+    assert _kernels.hankel_leading_minors((3, 5, 3)) == ([3, -16], 1, 5, True)
     with pytest.raises(ValueError):
         _kernels.hankel_leading_minors(f[:4])
 

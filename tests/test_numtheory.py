@@ -2,8 +2,8 @@ from math import comb
 
 import pytest
 
-from hankelforge import prefix
-from hankelforge.hankel import _hankel_values, leading_principal_minors
+from hankelforge import _kernels, prefix, verify
+from hankelforge.hankel import _hankel_values, _swept_minors, leading_principal_minors
 from hankelforge.numtheory import (
     central_binom_parity,
     is_power_of_two,
@@ -93,6 +93,18 @@ def test_parity_matrix_examples():
 def test_parity_matrix_is_hankel_tagged():
     f = prefix(franel(3), 10).terms
     assert _hankel_values(parity_matrix_B(f, 1, 5)) == tuple((t // 2) & 1 for t in f[2:11])
+
+
+@pytest.mark.parametrize("case", verify.PARITY_CASES, ids=lambda c: f"{c[0].label()} k={c[1]}")
+def test_parity_matrices_take_no_fallback(case):
+    # Every leading minor of these matrices is +-1, so the Hankel recursion
+    # never divides by 0 and the Bareiss sweep is never run for them.
+    seq_id, k = case
+    n = verify.PARITY_N_MAX
+    matrix = parity_matrix_B(prefix(seq_id, 2 * n).terms, k, n)
+    minors, _, _, ok = _kernels.hankel_leading_minors(_hankel_values(matrix))
+    assert ok
+    assert minors == _swept_minors(matrix)
 
 
 def test_parity_matrix_errors():
