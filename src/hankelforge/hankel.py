@@ -13,10 +13,13 @@ and each caller names the one it runs:
   the entries are not constant along antidiagonals or a leading minor the
   recursion divides by is zero (the result is tagged ``fallback=True``).
 
-The claims need every leading principal minor of a Hankel matrix.
-``leading_principal_minors`` takes them from the same recursion (~n^2
-exact updates) and from the Bareiss sweep in the same two cases.  Whether a
-matrix is Hankel is read off its entries, never declared by the caller.
+The claims need every leading principal minor of a Hankel matrix, and hold
+the 2n+1 antidiagonal values it is made of.  ``hankel_minors`` takes the
+minors from those values by the same recursion (~n^2 exact updates); only
+when a leading minor it divides by is zero does it build the matrix, for the
+Bareiss sweep.  ``leading_principal_minors`` answers for any matrix: a
+Hankel one, read off its entries and never declared by the caller, goes to
+``hankel_minors``, any other to the Bareiss sweep.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
@@ -169,19 +172,36 @@ def det_dodgson(matrix: IntegerMatrix) -> DetResult:
     return DetResult(value, "DODGSON", steps + b_steps, max(max_bits, b_bits), fallback=True)
 
 
+def hankel_minors(values: Sequence[int]) -> list[int]:
+    """Leading principal minors, order 1 through n+1, of the order-(n+1)
+    Hankel matrix whose entry (i, j) is ``values[i+j]``.
+
+    ``values`` are the 2n+1 antidiagonal values x_0..x_2n; an even count or
+    a value that is not an exact integer is a ValueError, as it is for the
+    entries of an :class:`IntegerMatrix`.  The Chebyshev recursion runs on
+    the values; only when a leading minor of order below n is zero is the
+    matrix built, for the Bareiss route of :func:`_swept_minors`.
+    """
+    for x in values:
+        if not isinstance(x, int):
+            raise ValueError("entries must be exact integers")
+    minors, _, _, ok = kernels.hankel_leading_minors(values)  # refuses an even count
+    if ok:
+        return minors
+    return _swept_minors(build_hankel(values, len(values) // 2))
+
+
 def leading_principal_minors(matrix: IntegerMatrix) -> list[int]:
     """Determinants of all leading blocks, order 1 through ``matrix.order``.
 
-    A Hankel matrix runs the Chebyshev recursion on its antidiagonal values.
-    Any other matrix, and a Hankel one with a zero leading minor of order
-    below ``order - 1``, takes the Bareiss route of :func:`_swept_minors`.
+    A Hankel matrix goes to :func:`hankel_minors` with its antidiagonal
+    values, any other matrix to the Bareiss route of :func:`_swept_minors`.
+    Callers that hold the values already pass them to ``hankel_minors``.
     """
     values = _hankel_values(matrix)
-    if values is not None:
-        minors, _, _, ok = kernels.hankel_leading_minors(values)
-        if ok:
-            return minors
-    return _swept_minors(matrix)
+    if values is None:
+        return _swept_minors(matrix)
+    return hankel_minors(values)
 
 
 def _swept_minors(matrix: IntegerMatrix) -> list[int]:
@@ -191,8 +211,8 @@ def _swept_minors(matrix: IntegerMatrix) -> list[int]:
     Only non-Hankel matrices and Hankel ones with a zero leading minor of
     order below ``order - 1`` reach this, and no claim's matrix at its
     default bounds does, so the per-block loop (O(n^4) after an early zero)
-    stays simple rather than fast.  It is kept because
-    ``leading_principal_minors`` must answer for every matrix, and a zero
+    stays simple rather than fast.  It is kept because ``hankel_minors`` and
+    ``leading_principal_minors`` must answer for every input, and a zero
     minor is what the claims test for.
     """
     minors, _, _, completed = kernels.bareiss_leading_minors(matrix.entries)

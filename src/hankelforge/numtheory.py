@@ -5,13 +5,14 @@ The parity matrix of a sequence x with scale k is the (0,1)-matrix
 whose terms satisfy ``x_0 = 1``, ``2k | x_i`` for i >= 1, and
 ``4k | x_i`` exactly when i is not a power of two, the determinant of B
 over the integers is +1 or -1, which is what makes the Hankel-quotient
-oddness claims tick.  :func:`lemma23_hypothesis_check` tests those three
-hypotheses index by index and returns one check per index, in the form
-:meth:`verify.Claim.run` records.
+oddness claims tick.  B is Hankel, so :func:`parity_values` gives it as
+its 2n-1 antidiagonal values, which is what the parity claim hands to
+``hankel.hankel_minors``; :func:`parity_matrix_B` builds the matrix itself.
+:func:`lemma23_hypothesis_check` tests those three hypotheses index by index
+and returns one check per index, in the form :meth:`verify.Claim.run`
+records.
 """
 from __future__ import annotations
-
-import math
 
 from .hankel import IntegerMatrix, build_hankel
 from .reports import Check, decimal_str
@@ -52,15 +53,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def central_binom_parity(n: int) -> bool:
-    """True when C(2n-1, n-1) is odd."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return math.comb(2 * n - 1, n - 1) % 2 == 1
+def central_binom_parities(hi: int) -> list[bool]:
+    """Whether C(2n-1, n-1) is odd, for n = 1..hi.
+
+    The 2-adic valuation is tracked along n, never from the binomial itself:
+    C(2n+1, n) = C(2n-1, n-1) * 2(2n+1)/(n+1), so it steps by 1 - nu2(n+1),
+    from 0 at n = 1.
+    """
+    out = []
+    v = 0
+    for n in range(1, hi + 1):
+        out.append(v == 0)
+        v += 1 - nu2(n + 1)
+    return out
 
 
-def parity_matrix_B(x: list[int] | tuple[int, ...], k: int, n: int) -> IntegerMatrix:
-    """The n x n (0,1)-matrix ``(x[i+j]/(2k)) mod 2``, indices from 1.
+def parity_values(x: list[int] | tuple[int, ...], k: int, n: int) -> list[int]:
+    """The 2n-1 values ``(x[i]/(2k)) mod 2`` for ``2 <= i <= 2n``: the
+    antidiagonals of the n x n parity matrix B, whose entry (i, j), indices
+    from 1, is the value at i+j.
 
     Requires ``2k | x[i]`` for every ``1 <= i <= 2n``.
     """
@@ -77,9 +88,16 @@ def parity_matrix_B(x: list[int] | tuple[int, ...], k: int, n: int) -> IntegerMa
         if r:
             raise ValueError(f"{scale} does not divide x[{i}] = {decimal_str(x[i])}")
         halved.append(q & 1)
-    # halved[t] holds x[t+1]/(2k) mod 2; entry (i,j) with indices from 1 is
-    # x[i+j], which is halved[1:] at (i-1)+(j-1)
-    return build_hankel(halved[1:], n - 1)
+    # halved[t] holds x[t+1]/(2k) mod 2; x[1] is checked but lies on no
+    # antidiagonal of B
+    return halved[1:]
+
+
+def parity_matrix_B(x: list[int] | tuple[int, ...], k: int, n: int) -> IntegerMatrix:
+    """The n x n (0,1)-matrix ``(x[i+j]/(2k)) mod 2``, indices from 1, built
+    on :func:`parity_values` with the same requirements and errors.  The
+    claims pass those values to ``hankel_minors`` and never build B."""
+    return build_hankel(parity_values(x, k, n), n - 1)
 
 
 def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int, n_max: int) -> list[Check]:

@@ -118,8 +118,7 @@ def _residues(seq_id: sequences.SequenceId, m: int, lo: int, expected: Callable[
 
 
 def _hankel_dets(seq_id: sequences.SequenceId, n_max: int) -> list[int]:
-    terms = prefix(seq_id, 2 * n_max)
-    return hankel.leading_principal_minors(hankel.build_hankel(terms, n_max))
+    return hankel.hankel_minors(prefix(seq_id, 2 * n_max).terms)
 
 
 def _quotient(label: str, det: int, base: int, exponent: int, odd: bool, positive: bool) -> Check:
@@ -176,16 +175,18 @@ def _parity_matrix(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
             yield f"{name} {label}", value, ok, expected
         if not all(ok for _, _, ok, _ in hypotheses):
             continue  # B is defined only under the hypotheses; their witnesses are the failure
-        minors = hankel.leading_principal_minors(numtheory.parity_matrix_B(terms, k, hi))
+        minors = hankel.hankel_minors(numtheory.parity_values(terms, k, hi))
         for n in range(1, hi + 1):
             v = minors[n - 1]
             yield f"{name} |B_{n}|", v, v in (1, -1), "in {+1, -1}"
 
 
 def _domb_mod8(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
-    # Both depend on n alone.  They stay two computations, C(2n-1, n-1) mod 2
-    # and a bit test, so that ``central_odd == pow2`` checks one against the other.
-    parities = [(numtheory.central_binom_parity(n), is_power_of_two(n)) for n in range(1, hi + 1)]
+    # Both depend on n alone.  They stay two computations, the 2-adic valuation
+    # of C(2n-1, n-1) tracked along n and a bit test, so that
+    # ``central_odd == pow2`` checks one against the other.
+    parities = list(zip(numtheory.central_binom_parities(hi),
+                        [is_power_of_two(n) for n in range(1, hi + 1)]))
     for m in (1, 2, 3):
         terms = prefix(domb(m), hi).terms
         for n, (central_odd, pow2) in enumerate(parities, 1):

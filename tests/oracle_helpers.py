@@ -98,6 +98,13 @@ def det_permutation(rows) -> int:
     return total
 
 
+def central_binom_parity(n: int) -> bool:
+    """True when C(2n-1, n-1) is odd, from the binomial itself."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return comb(2 * n - 1, n - 1) % 2 == 1
+
+
 def hankel_rows(terms, n: int) -> list[list[int]]:
     return [[terms[i + j] for j in range(n + 1)] for i in range(n + 1)]
 

@@ -303,6 +303,16 @@ GOLDEN_VERIFY_CLAIM = {
         "0261ee0581d1d7c361cbc019a8d0ce18140a567217ed6bbc1e73e3f7ecd96401",
     ("--claim", "apery-a-transform-mod24", "--n-max", "600", "--format", "csv"):
         "f8a2ecab8b66389b02c25fd6c596d3f54b8dd6a927d822aa1759b86329f55618",
+    # Recorded when the Hankel claims still built each (n+1)^2 matrix and read
+    # its antidiagonal values back; they pin the values route at order 31.
+    ("--claim", "hankel-franel", "--n-max", "30", "--format", "csv"):
+        "de1004829137e9b851ecd03df8c584f9ecd3fadac70bae45020217c1bd01f63d",
+    ("--claim", "hankel-domb-clf", "--n-max", "30", "--format", "csv"):
+        "7594d55f293b5733828974dccb3c45951d804c87c20e460b84a8538fdf652fc3",
+    ("--claim", "hankel-apery", "--n-max", "30", "--format", "csv"):
+        "2cb450e191cac6731edc6c737f320ad6de25f7fde49dad5d25976bed1681f1e5",
+    ("--claim", "apery-positivity", "--n-max", "30", "--format", "csv"):
+        "5424343b4f0a64b7de35846297c6bdd33b1dd7e8fb89accab5d5fb7737367942",
 }
 
 

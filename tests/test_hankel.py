@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hankelforge import _kernels, prefix
+from hankelforge import _kernels, hankel, numtheory, prefix, verify
 from hankelforge.hankel import (
     IntegerMatrix,
     _hankel_values,
@@ -12,6 +12,7 @@ from hankelforge.hankel import (
     det_bareiss,
     det_dodgson,
     det_laplace,
+    hankel_minors,
     leading_principal_minors,
     quotient_check,
 )
@@ -223,6 +224,51 @@ def test_hankel_tagged_minors_match_bareiss_path(seq):
     if order <= 7:
         rows = matrix.entries
         assert minors == [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, order + 1)]
+
+
+@_oracle_settings
+@given(_hankel_sequences(8))
+@example((1, 1, 1, 1, 2, 3, 5))  # order-2 minor 0 divides the step to order 4
+@example((0, 1, 1, 1, 2))  # the recursion divides by x_0 = 0
+@example((1, 1, 1, 1, 2))  # zero minors of order 2 and 3, but no zero divisor
+def test_hankel_minors_match_matrix_route(seq):
+    n = len(seq) // 2
+    minors = hankel_minors(seq)
+    assert minors == leading_principal_minors(build_hankel(seq, n))
+    assert minors == _fraction_minors(seq)
+
+
+def test_hankel_minors_refuse_even_count_and_inexact_values():
+    for values in ((), (1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="2n\\+1"):
+            hankel_minors(values)
+    for values in ((1, 2.0, 3), (1.5,), (1, 2, "3")):
+        with pytest.raises(ValueError, match="exact integers"):  # IntegerMatrix's message
+            hankel_minors(values)
+
+
+# Every claim that takes Hankel minors: the four quotient and positivity
+# claims on sequence terms, and the parity claim on halved parity values.
+_HANKEL_CLAIMS = ("hankel-franel", "hankel-domb-clf", "hankel-apery", "apery-positivity",
+                  "parity-matrix-unimodular")
+
+
+@pytest.mark.parametrize("claim_id", _HANKEL_CLAIMS)
+def test_hankel_claims_build_no_matrix(monkeypatch, claim_id):
+    built = []
+
+    def counting_build(*args):
+        built.append(args)
+        return build_hankel(*args)
+
+    def counting_post_init(self):
+        built.append(self)
+
+    monkeypatch.setattr(hankel, "build_hankel", counting_build)
+    monkeypatch.setattr(numtheory, "build_hankel", counting_build)
+    monkeypatch.setattr(IntegerMatrix, "__post_init__", counting_post_init)
+    report = verify.run_claim(claim_id)
+    assert report.entries and built == []
 
 
 def _assert_minors_match_modular_sweep(seq, n):

@@ -5,15 +5,18 @@ import pytest
 from hankelforge import _kernels, prefix, verify
 from hankelforge.hankel import _hankel_values, _swept_minors, leading_principal_minors
 from hankelforge.numtheory import (
-    central_binom_parity,
+    central_binom_parities,
     is_power_of_two,
     is_prime,
     lemma23_hypothesis_check,
     nu2,
     ones_count,
     parity_matrix_B,
+    parity_values,
 )
 from hankelforge.sequences import domb, franel
+
+from oracle_helpers import central_binom_parity
 
 
 def test_nu2_examples():
@@ -56,6 +59,12 @@ def test_central_binom_parity_examples():
 def test_central_binom_parity_criterion():
     for n in range(1, 513):
         assert central_binom_parity(n) == is_power_of_two(n)
+
+
+def test_central_binom_parities_track_the_binomial():
+    assert central_binom_parities(0) == []
+    assert central_binom_parities(4) == [True, True, False, True]  # C(1,0), C(3,1), C(5,2), C(7,3)
+    assert central_binom_parities(2000) == [central_binom_parity(n) for n in range(1, 2001)]
 
 
 def test_calkin_divisibility_shape():
@@ -118,6 +127,29 @@ def test_parity_matrix_error_names_entry_above_str_digit_limit():
     with pytest.raises(ValueError) as info:
         parity_matrix_B([1, 10**5000 + 1, 4, 4, 4], 1, 2)
     assert str(info.value) == "2 does not divide x[1] = 1" + "0" * 4999 + "1"
+
+
+def test_parity_values_errors():
+    for args, message in (
+        (([1, 2, 10], 1, 3), "need at least 7 terms, got 3"),
+        (([1, 3, 5], 1, 1), "2 does not divide x[1] = 3"),
+        (([1, 10**5000 + 1, 4, 4, 4], 1, 2), "2 does not divide x[1] = 1" + "0" * 4999 + "1"),
+        (([1, 2, 4], 0, 1), "k must be positive"),
+        (([1, 2, 4], 1, 0), "n must be positive"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parity_values(*args)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", verify.PARITY_CASES, ids=lambda c: f"{c[0].label()} k={c[1]}")
+def test_parity_values_are_the_antidiagonals_of_B(case):
+    seq_id, k = case
+    terms = prefix(seq_id, 40).terms
+    for n in (1, 2, 5, 20):
+        values = parity_values(terms, k, n)
+        assert len(values) == 2 * n - 1
+        assert values == list(_hankel_values(parity_matrix_B(terms, k, n)))
 
 
 def test_hypothesis_check_passes_for_qualifying_sequences():
