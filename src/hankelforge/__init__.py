@@ -15,7 +15,6 @@ from .hankel import (
     det_bareiss,
     det_dodgson,
     det_laplace,
-    leading_principal_minors,
     quotient_check,
 )
 from .reports import ReportEntry, VerificationReport, Witness
@@ -58,7 +57,6 @@ __all__ = [
     "exact_div",
     "franel",
     "iterated_transform",
-    "leading_principal_minors",
     "prefix",
     "quotient_check",
     "run_all",

@@ -27,21 +27,15 @@ def _input_bits(rows) -> int:
     return b
 
 
-def _bareiss(rows):
+def bareiss_det(rows):
     """Fraction-free elimination (Bareiss 1968) with a row swap at each zero
-    pivot.  Returns ``(det, minors, steps, max_bits)``.
-
-    Before any swap, diagonal entry ``k`` of the partly eliminated matrix is
-    the leading principal minor of order ``k + 1``.  ``minors`` collects them
-    up to and including the first zero one, which forces the first swap.
-    """
+    pivot.  Returns ``(det, steps, max_bits)``."""
     n = len(rows)
     m = [list(r) for r in rows]
     max_bits = _input_bits(m)
     steps = 0
     sign = 1
     prev = 1
-    minors = [m[0][0]]
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -50,7 +44,7 @@ def _bareiss(rows):
                     sign = -sign
                     break
             else:
-                return 0, minors, steps, max_bits
+                return 0, steps, max_bits
         piv = m[k][k]
         rk = m[k]
         for i in range(k + 1, n):
@@ -68,27 +62,7 @@ def _bareiss(rows):
                 steps += 1
             ri[k] = 0
         prev = piv
-        if minors[-1]:
-            minors.append(m[k + 1][k + 1])
-    return sign * m[n - 1][n - 1], minors, steps, max_bits
-
-
-def bareiss_det(rows):
-    """Fraction-free elimination.  Returns ``(det, steps, max_bits)``."""
-    det, _, steps, max_bits = _bareiss(rows)
-    return det, steps, max_bits
-
-
-def bareiss_leading_minors(rows):
-    """Leading principal minors from one fraction-free elimination.
-
-    Returns ``(minors, steps, max_bits, completed)``.  ``minors`` ends at
-    the first zero minor (``completed`` False); the minors of higher order
-    are then left to the caller, and ``steps``/``max_bits`` cover the whole
-    elimination.
-    """
-    _, minors, steps, max_bits = _bareiss(rows)
-    return minors, steps, max_bits, len(minors) == len(rows)
+    return sign * m[n - 1][n - 1], steps, max_bits
 
 
 def hankel_leading_minors(seq):
@@ -114,7 +88,8 @@ def hankel_leading_minors(seq):
     so each step costs two exact divisions per entry, n^2 entries in all.
     The only divisors are the leading minors of order up to n-1: ``ok`` is
     False when one of them is 0, and ``minors`` then stops at the last
-    order reached (the caller falls back to Bareiss on the whole matrix).
+    order reached.  Those minors are exact; the caller finishes the higher
+    orders itself.
     """
     if len(seq) % 2 == 0:
         raise ValueError(f"need 2n+1 antidiagonal values, got {len(seq)}")

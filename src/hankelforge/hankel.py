@@ -1,13 +1,13 @@
-"""Hankel matrices, their exact determinants and leading principal minors,
-and the quotient check the Hankel claims apply to them.
+"""Hankel matrices, their exact determinants, the leading principal minors
+of a Hankel matrix given by its values, and the quotient check the Hankel
+claims apply to them.
 
 Three independent engines return the same exact value on any integer matrix,
 and each caller names the one it runs:
 
 * ``LAPLACE``  minor expansion with memoization, the small-order oracle
   (capped, factorial/2^n cost);
-* ``BAREISS``  fraction-free elimination and the CLI's default; the same
-  sweep reads off the leading principal minors up to the first zero one;
+* ``BAREISS``  fraction-free elimination and the CLI's default;
 * ``DODGSON``  the Hankel recursion on the antidiagonal values, the
   cross-check engine, which falls back to Bareiss on the whole matrix when
   the entries are not constant along antidiagonals or a leading minor the
@@ -15,11 +15,10 @@ and each caller names the one it runs:
 
 The claims need every leading principal minor of a Hankel matrix, and hold
 the 2n+1 antidiagonal values it is made of.  ``hankel_minors`` takes the
-minors from those values by the same recursion (~n^2 exact updates); only
-when a leading minor it divides by is zero does it build the matrix, for the
-Bareiss sweep.  ``leading_principal_minors`` answers for any matrix: a
-Hankel one, read off its entries and never declared by the caller, goes to
-``hankel_minors``, any other to the Bareiss sweep.
+minors from those values by the same recursion (~n^2 exact updates) and
+builds no matrix; when a leading minor it divides by is zero, it keeps the
+minors the recursion reached and finishes the higher orders block by block
+from the values.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
@@ -179,47 +178,20 @@ def hankel_minors(values: Sequence[int]) -> list[int]:
     ``values`` are the 2n+1 antidiagonal values x_0..x_2n; an even count or
     a value that is not an exact integer is a ValueError, as it is for the
     entries of an :class:`IntegerMatrix`.  The Chebyshev recursion runs on
-    the values; only when a leading minor of order below n is zero is the
-    matrix built, for the Bareiss route of :func:`_swept_minors`.
+    the values.  When a leading minor it divides by is zero, the minors it
+    reached are kept, and each higher-order block ``(x_{i+j})`` is built from
+    the values and evaluated by Bareiss on its own.  No claim's matrix at
+    its default bounds reaches that loop, so it stays simple (O(n^4) after
+    an early zero) rather than fast; it is kept because a zero minor is
+    what the claims test for.
     """
     for x in values:
         if not isinstance(x, int):
             raise ValueError("entries must be exact integers")
     minors, _, _, ok = kernels.hankel_leading_minors(values)  # refuses an even count
-    if ok:
-        return minors
-    return _swept_minors(build_hankel(values, len(values) // 2))
-
-
-def leading_principal_minors(matrix: IntegerMatrix) -> list[int]:
-    """Determinants of all leading blocks, order 1 through ``matrix.order``.
-
-    A Hankel matrix goes to :func:`hankel_minors` with its antidiagonal
-    values, any other matrix to the Bareiss route of :func:`_swept_minors`.
-    Callers that hold the values already pass them to ``hankel_minors``.
-    """
-    values = _hankel_values(matrix)
-    if values is None:
-        return _swept_minors(matrix)
-    return hankel_minors(values)
-
-
-def _swept_minors(matrix: IntegerMatrix) -> list[int]:
-    """All leading minors from one fraction-free sweep when no leading minor
-    vanishes; the blocks after a zero pivot are evaluated one by one.
-
-    Only non-Hankel matrices and Hankel ones with a zero leading minor of
-    order below ``order - 1`` reach this, and no claim's matrix at its
-    default bounds does, so the per-block loop (O(n^4) after an early zero)
-    stays simple rather than fast.  It is kept because ``hankel_minors`` and
-    ``leading_principal_minors`` must answer for every input, and a zero
-    minor is what the claims test for.
-    """
-    minors, _, _, completed = kernels.bareiss_leading_minors(matrix.entries)
-    if not completed:
-        e = matrix.entries
-        for size in range(len(minors) + 1, matrix.order + 1):
-            minors.append(kernels.bareiss_det([r[:size] for r in e[:size]])[0])
+    if not ok:
+        for size in range(len(minors) + 1, len(values) // 2 + 2):
+            minors.append(kernels.bareiss_det([values[i : i + size] for i in range(size)])[0])
     return minors
 
 

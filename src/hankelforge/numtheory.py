@@ -7,14 +7,13 @@ whose terms satisfy ``x_0 = 1``, ``2k | x_i`` for i >= 1, and
 over the integers is +1 or -1, which is what makes the Hankel-quotient
 oddness claims tick.  B is Hankel, so :func:`parity_values` gives it as
 its 2n-1 antidiagonal values, which is what the parity claim hands to
-``hankel.hankel_minors``; :func:`parity_matrix_B` builds the matrix itself.
+``hankel.hankel_minors``; the matrix itself is never built.
 :func:`lemma23_hypothesis_check` tests those three hypotheses index by index
 and returns one check per index, in the form :meth:`verify.Claim.run`
 records.
 """
 from __future__ import annotations
 
-from .hankel import IntegerMatrix, build_hankel
 from .reports import Check, decimal_str
 
 
@@ -91,13 +90,6 @@ def parity_values(x: list[int] | tuple[int, ...], k: int, n: int) -> list[int]:
     # halved[t] holds x[t+1]/(2k) mod 2; x[1] is checked but lies on no
     # antidiagonal of B
     return halved[1:]
-
-
-def parity_matrix_B(x: list[int] | tuple[int, ...], k: int, n: int) -> IntegerMatrix:
-    """The n x n (0,1)-matrix ``(x[i+j]/(2k)) mod 2``, indices from 1, built
-    on :func:`parity_values` with the same requirements and errors.  The
-    claims pass those values to ``hankel_minors`` and never build B."""
-    return build_hankel(parity_values(x, k, n), n - 1)
 
 
 def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int, n_max: int) -> list[Check]:

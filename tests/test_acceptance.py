@@ -8,11 +8,17 @@ import random
 import time
 
 from hankelforge import binomial_transform, prefix
-from hankelforge.hankel import IntegerMatrix, build_hankel, det_bareiss, det_dodgson, det_laplace
-from hankelforge.numtheory import lemma23_hypothesis_check, nu2, ones_count, parity_matrix_B
+from hankelforge.hankel import (
+    IntegerMatrix,
+    build_hankel,
+    det_bareiss,
+    det_dodgson,
+    det_laplace,
+    hankel_minors,
+)
+from hankelforge.numtheory import lemma23_hypothesis_check, nu2, ones_count, parity_values
 from hankelforge.sequences import domb, franel
 from hankelforge.verify import run_claim
-from hankelforge import leading_principal_minors
 
 from oracle_helpers import CATALOG, inverse_binomial_transform
 
@@ -63,7 +69,7 @@ def test_criterion_05_parity_matrix_machinery():
         terms = prefix(seq, 128).terms
         if not all(ok for _, _, ok, _ in lemma23_hypothesis_check(terms, k, 128)):
             ok = False
-        for minor in leading_principal_minors(parity_matrix_B(terms, k, 64)):
+        for minor in hankel_minors(parity_values(terms, k, 64)):
             if minor not in (1, -1):
                 ok = False
     _report(5, ok, "hypothesis scan to index 128 and |B_n| in {+-1} for n<=64")

@@ -3,22 +3,20 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hankelforge import _kernels, hankel, numtheory, prefix, verify
+from hankelforge import _kernels, hankel, prefix, verify
 from hankelforge.hankel import (
     IntegerMatrix,
     _hankel_values,
-    _swept_minors,
     build_hankel,
     det_bareiss,
     det_dodgson,
     det_laplace,
     hankel_minors,
-    leading_principal_minors,
     quotient_check,
 )
 from hankelforge.sequences import APERY_A, APERY_B, CLF, domb, franel
 
-from oracle_helpers import det_fractions, det_permutation, leading_minors_mod_p
+from oracle_helpers import det_fractions, det_permutation, hankel_rows, leading_minors_mod_p
 
 
 def _m(rows):
@@ -110,11 +108,12 @@ def test_engines_agree_on_random_matrices():
 
 
 def test_leading_principal_minors():
-    matrix = build_hankel(prefix(APERY_B, 12), 6)
-    minors = leading_principal_minors(matrix)
+    terms = prefix(APERY_B, 12).terms
+    minors = hankel_minors(terms)
     assert len(minors) == 7
+    rows = hankel_rows(terms, 6)
     for size in range(1, 8):
-        assert minors[size - 1] == det_fractions([r[:size] for r in matrix.entries[:size]])
+        assert minors[size - 1] == det_fractions([r[:size] for r in rows[:size]])
 
 
 # Mostly 0 and +-1 entries, so zero pivots, row swaps and singular matrices
@@ -167,19 +166,6 @@ def test_engines_match_fraction_oracle(rows):
     assert result.fallback == (not _recursion_completes(rows))
 
 
-@_oracle_settings
-@given(_sparse_matrices)
-def test_leading_principal_minors_match_fraction_oracle(rows):
-    expected = [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, len(rows) + 1)]
-    assert leading_principal_minors(_m(rows)) == expected
-
-
-def test_leading_principal_minors_zero_pivot_path():
-    rows = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
-    minors = leading_principal_minors(_m(rows))
-    assert minors == [0, -1, det_fractions(rows)]
-
-
 def _fraction_minors(terms):
     order = len(terms) // 2 + 1
     rows = [[terms[i + j] for j in range(order)] for i in range(order)]
@@ -207,22 +193,42 @@ def test_hankel_zero_divisor_falls_back_to_bareiss():
     assert expected == [1, 0, 0, -1]
     minors, _, _, ok = _kernels.hankel_leading_minors(terms)
     assert not ok and minors == expected[:3]
-    matrix = build_hankel(terms, 3)
-    assert leading_principal_minors(matrix) == expected
-    result = det_dodgson(matrix)
+    assert hankel_minors(terms) == expected
+    result = det_dodgson(build_hankel(terms, 3))
     assert result.fallback and result.value == -1
+
+
+def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
+    # Past a zero divisor only the blocks the recursion did not reach go to
+    # Bareiss, one call each, built from the values: no matrix, no sweep.
+    orders = []
+    bareiss_det = _kernels.bareiss_det
+
+    def counting_bareiss_det(rows):
+        orders.append(len(rows))
+        return bareiss_det(rows)
+
+    def counting_post_init(self):
+        orders.append(self)
+
+    monkeypatch.setattr(hankel.kernels, "bareiss_det", counting_bareiss_det)
+    monkeypatch.setattr(IntegerMatrix, "__post_init__", counting_post_init)
+    assert hankel_minors((1, 1, 1, 1, 2, 3, 5)) == [1, 0, 0, -1]
+    assert orders == [4]
+    orders.clear()
+    assert hankel_minors((0, 1, 1, 1, 2)) == _fraction_minors((0, 1, 1, 1, 2))
+    assert orders == [3]
 
 
 @_oracle_settings
 @given(_hankel_sequences(40))
 def test_hankel_tagged_minors_match_bareiss_path(seq):
     order = (len(seq) + 1) // 2
-    matrix = build_hankel(seq, order - 1)
-    assert _hankel_values(matrix) == tuple(seq)
-    minors = leading_principal_minors(matrix)
-    assert minors == _swept_minors(matrix)
+    assert _hankel_values(build_hankel(seq, order - 1)) == tuple(seq)
+    minors = hankel_minors(seq)
+    assert minors == [det_bareiss(build_hankel(seq, s)).value for s in range(order)]
     if order <= 7:
-        rows = matrix.entries
+        rows = hankel_rows(seq, order - 1)
         assert minors == [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, order + 1)]
 
 
@@ -231,11 +237,16 @@ def test_hankel_tagged_minors_match_bareiss_path(seq):
 @example((1, 1, 1, 1, 2, 3, 5))  # order-2 minor 0 divides the step to order 4
 @example((0, 1, 1, 1, 2))  # the recursion divides by x_0 = 0
 @example((1, 1, 1, 1, 2))  # zero minors of order 2 and 3, but no zero divisor
+@example((0,))  # order 1: no step, so no divisor at all
+@example((7,))
+@example((0, 0, 0, 0, 0))  # the recursion stops at order 2; order 3 comes from Bareiss
 def test_hankel_minors_match_matrix_route(seq):
-    n = len(seq) // 2
-    minors = hankel_minors(seq)
-    assert minors == leading_principal_minors(build_hankel(seq, n))
-    assert minors == _fraction_minors(seq)
+    expected = _fraction_minors(seq)
+    minors, _, _, ok = _kernels.hankel_leading_minors(seq)
+    if not ok:
+        # hankel_minors returns these minors as they are, so they must be exact.
+        assert minors == expected[: len(minors)]
+    assert hankel_minors(seq) == expected
 
 
 def test_hankel_minors_refuse_even_count_and_inexact_values():
@@ -265,18 +276,18 @@ def test_hankel_claims_build_no_matrix(monkeypatch, claim_id):
         built.append(self)
 
     monkeypatch.setattr(hankel, "build_hankel", counting_build)
-    monkeypatch.setattr(numtheory, "build_hankel", counting_build)
     monkeypatch.setattr(IntegerMatrix, "__post_init__", counting_post_init)
     report = verify.run_claim(claim_id)
     assert report.entries and built == []
 
 
 def _assert_minors_match_modular_sweep(seq, n):
-    matrix = build_hankel(prefix(seq, 2 * n), n)
-    minors = leading_principal_minors(matrix)
+    terms = prefix(seq, 2 * n).terms
+    minors = hankel_minors(terms)
     assert len(minors) == n + 1
+    rows = hankel_rows(terms, n)
     for p in (2**61 - 1, 2**89 - 1):
-        assert [m % p for m in minors] == leading_minors_mod_p(matrix.entries, p)
+        assert [m % p for m in minors] == leading_minors_mod_p(rows, p)
 
 
 # Order 51 is what the Hankel claims reach at n_max=50, far above the orders
@@ -342,8 +353,6 @@ def test_kernels_on_spec_values():
     f = prefix(franel(3), 4).terms
     rows = [[f[i + j] for j in range(3)] for i in range(3)]
     assert _kernels.bareiss_det(rows)[0] == 180
-    minors, _, _, completed = _kernels.bareiss_leading_minors(rows)
-    assert completed and minors == [1, 6, 180]
     minors, steps, max_bits, ok = _kernels.hankel_leading_minors(f)
     assert ok and minors == [1, 6, 180]
     # Step 0 (Delta_0 = 1, c = 0, so w = 0): tau_1 = (10 - 2*2, 56 - 2*10,
@@ -365,7 +374,6 @@ def test_kernels_do_not_mutate_input():
     for rows in cases:
         snapshot = [r[:] for r in rows]
         _kernels.bareiss_det(rows)
-        _kernels.bareiss_leading_minors(rows)
         assert rows == snapshot
     for seq in ([1, 2, 10, 56, 346], [1, 1, 0, 1, 1], [0]):
         snapshot = seq[:]

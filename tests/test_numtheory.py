@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from hankelforge import _kernels, prefix, verify
-from hankelforge.hankel import _hankel_values, _swept_minors, leading_principal_minors
+from hankelforge.hankel import build_hankel, det_bareiss, hankel_minors
 from hankelforge.numtheory import (
     central_binom_parities,
     is_power_of_two,
@@ -11,7 +11,6 @@ from hankelforge.numtheory import (
     lemma23_hypothesis_check,
     nu2,
     ones_count,
-    parity_matrix_B,
     parity_values,
 )
 from hankelforge.sequences import domb, franel
@@ -92,41 +91,30 @@ def test_domb_mod8_congruence():
 
 
 def test_parity_matrix_examples():
+    # B = ((1, 0, 1), (0, 1, 0), (1, 0, 0)), ((1,),) and ((1, 0), (0, 1)),
+    # given by their antidiagonals
     f = prefix(franel(3), 6).terms
-    assert parity_matrix_B(f, 1, 3).entries == ((1, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert parity_matrix_B(f, 1, 1).entries == ((1,),)
+    assert parity_values(f, 1, 3) == [1, 0, 1, 0, 0]
+    assert parity_values(f, 1, 1) == [1]
     d = prefix(domb(2), 4).terms
-    assert parity_matrix_B(d, 2, 2).entries == ((1, 0), (0, 1))
+    assert parity_values(d, 2, 2) == [1, 0, 1]
 
 
 def test_parity_matrix_is_hankel_tagged():
     f = prefix(franel(3), 10).terms
-    assert _hankel_values(parity_matrix_B(f, 1, 5)) == tuple((t // 2) & 1 for t in f[2:11])
+    assert parity_values(f, 1, 5) == [(t // 2) & 1 for t in f[2:11]]
 
 
 @pytest.mark.parametrize("case", verify.PARITY_CASES, ids=lambda c: f"{c[0].label()} k={c[1]}")
 def test_parity_matrices_take_no_fallback(case):
     # Every leading minor of these matrices is +-1, so the Hankel recursion
-    # never divides by 0 and the Bareiss sweep is never run for them.
+    # never divides by 0 and Bareiss is never run for them.
     seq_id, k = case
     n = verify.PARITY_N_MAX
-    matrix = parity_matrix_B(prefix(seq_id, 2 * n).terms, k, n)
-    minors, _, _, ok = _kernels.hankel_leading_minors(_hankel_values(matrix))
+    values = parity_values(prefix(seq_id, 2 * n).terms, k, n)
+    minors, _, _, ok = _kernels.hankel_leading_minors(values)
     assert ok
-    assert minors == _swept_minors(matrix)
-
-
-def test_parity_matrix_errors():
-    with pytest.raises(ValueError):
-        parity_matrix_B([1, 2, 10], 1, 3)  # too few terms
-    with pytest.raises(ValueError):
-        parity_matrix_B([1, 3, 5], 1, 1)  # 2 does not divide x[1]
-
-
-def test_parity_matrix_error_names_entry_above_str_digit_limit():
-    with pytest.raises(ValueError) as info:
-        parity_matrix_B([1, 10**5000 + 1, 4, 4, 4], 1, 2)
-    assert str(info.value) == "2 does not divide x[1] = 1" + "0" * 4999 + "1"
+    assert minors == [det_bareiss(build_hankel(values, s)).value for s in range(n)]
 
 
 def test_parity_values_errors():
@@ -149,7 +137,11 @@ def test_parity_values_are_the_antidiagonals_of_B(case):
     for n in (1, 2, 5, 20):
         values = parity_values(terms, k, n)
         assert len(values) == 2 * n - 1
-        assert values == list(_hankel_values(parity_matrix_B(terms, k, n)))
+        # B[i][j] = (x[i+j] / 2k) mod 2 for 1 <= i, j <= n, so entry (i, j)
+        # lies on antidiagonal i + j - 2 of the values
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert values[i + j - 2] == (terms[i + j] // (2 * k)) & 1
 
 
 def test_hypothesis_check_passes_for_qualifying_sequences():
@@ -171,6 +163,5 @@ def test_hypothesis_check_requires_enough_terms():
 def test_parity_matrix_dets_are_unimodular():
     for seq, k in ((franel(3), 1), (domb(2), 2)):
         terms = prefix(seq, 48).terms
-        matrix = parity_matrix_B(terms, k, 24)
-        for minor in leading_principal_minors(matrix):
+        for minor in hankel_minors(parity_values(terms, k, 24)):
             assert minor in (1, -1)
