@@ -97,22 +97,25 @@ def _chain(*parts: Checks) -> Checks:
     return checks
 
 
-def _residues(seq_id: sequences.SequenceId, m: int, lo: int, expected: Callable[[int], int],
-              transformed: int = 0, label: str = "n={n}") -> Checks:
-    """``x_n = expected(n) (mod m)`` for ``n = lo..hi``, where x is the
-    sequence after ``transformed`` binomial transforms."""
+def _residues(seq_id: sequences.SequenceId,
+              *congruences: tuple[int, int, Callable[[int], int], int, str]) -> Checks:
+    """For each congruence ``(m, lo, expected, transformed, label)`` in turn:
+    ``x_n = expected(n) (mod m)`` for ``n = lo..hi``, where x is the sequence
+    after ``transformed`` binomial transforms.  The prefix is built once."""
     def checks(hi, primes):
-        # The transforms are Z-linear, so T(x) = T(x mod m) (mod m): reducing
-        # first leaves every checked residue unchanged, and the difference
-        # table then holds entries of ~n*log2(transformed+1) bits rather than
-        # of the terms' size.
-        values = [t % m for t in prefix(seq_id, hi).terms]
-        if transformed:
-            values = transforms.iterated_transform(values, transformed)
-        for n in range(lo, hi + 1):
-            want = expected(n) % m
-            got = values[n] % m
-            yield label.format(n=n), got, got == want, f"= {want} (mod {m})"
+        terms = prefix(seq_id, hi).terms
+        for m, lo, expected, transformed, label in congruences:
+            # Only residues are read, so the difference table runs mod m
+            # (iterated_transform's modulus): its entries stay within one
+            # machine digit instead of growing to ~n*log2(transformed+1) bits.
+            if transformed:
+                values = transforms.iterated_transform(terms, transformed, m)
+            else:
+                values = [t % m for t in terms]
+            for n in range(lo, hi + 1):
+                want = expected(n) % m
+                got = values[n]
+                yield label.format(n=n), got, got == want, f"= {want} (mod {m})"
 
     return checks
 
@@ -234,9 +237,13 @@ def _repr_x2_3y2(p: int) -> tuple[int, int]:
 
 
 def _franel_primes(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
+    if not primes:
+        return
+    terms = prefix(franel(3), max(primes) - 1).terms
     for p in primes:
-        fs = prefix(franel(3), p - 1).terms
         p2 = p * p
+        # every sum below is read mod p or mod p^2, so its ~3p-bit terms are not needed
+        fs = [f % p2 for f in terms[:p]]
 
         alt = sum(fs[k] if k % 2 == 0 else -fs[k] for k in range(p)) % p
         want = 1 % p if p % 3 == 1 else p - 1
@@ -299,27 +306,27 @@ REGISTRY: tuple[Claim, ...] = (
     Claim("domb-mod8", "d(m)_n = 4 C(2n-1,n-1) (mod 8) with power-of-two refinement",
           "m=1..3, n=1..{hi}", _domb_mod8, MOD8_N_MAX, n_min=1),
     Claim("domb-mod3", "Domb numbers are congruent to 1 mod 3",
-          "n=0..{hi}", _residues(domb(2), 3, 0, lambda n: 1), CONG_N_MAX),
+          "n=0..{hi}", _residues(domb(2), (3, 0, lambda n: 1, 0, "n={n}")), CONG_N_MAX),
     Claim("domb-iterated-mod3", "twice binomial-transformed Domb numbers are divisible by 3",
-          "n=1..{hi}", _residues(domb(2), 3, 1, lambda n: 0, transformed=2), CONG_N_MAX, n_min=1),
+          "n=1..{hi}", _residues(domb(2), (3, 1, lambda n: 0, 2, "n={n}")), CONG_N_MAX, n_min=1),
     Claim("apery-b-congruences", "b' even, b'' divisible by 5, b_n = 3^n mod 5",
-          "n<={hi}", _chain(
-              _residues(APERY_B, 2, 1, lambda n: 0, transformed=1,
-                        label="apery-b-transform-mod2 n={n}"),
-              _residues(APERY_B, 5, 1, lambda n: 0, transformed=2,
-                        label="apery-b-iterated-mod5 n={n}"),
-              _residues(APERY_B, 5, 0, lambda n: pow(3, n, 5), label="apery-b-powers-mod5 n={n}"),
+          "n<={hi}", _residues(
+              APERY_B,
+              (2, 1, lambda n: 0, 1, "apery-b-transform-mod2 n={n}"),
+              (5, 1, lambda n: 0, 2, "apery-b-iterated-mod5 n={n}"),
+              (5, 0, lambda n: pow(3, n, 5), 0, "apery-b-powers-mod5 n={n}"),
           ), CONG_N_MAX, n_min=1),
     Claim("apery-a-transform-mod24", "binomial transform of a is divisible by 24 from index 3",
-          "n=3..{hi}", _residues(APERY_A, 24, 3, lambda n: 0, transformed=1), CONG_N_MAX, n_min=3),
+          "n=3..{hi}", _residues(APERY_A, (24, 3, lambda n: 0, 1, "n={n}")), CONG_N_MAX, n_min=3),
     Claim("gessel-mod24", "a_n is congruent to 3 - 2(-1)^n mod 24",
-          "n=0..{hi}", _residues(APERY_A, 24, 0, lambda n: 1 if n % 2 == 0 else 5), CONG_N_MAX),
+          "n=0..{hi}", _residues(APERY_A, (24, 0, lambda n: 1 if n % 2 == 0 else 5, 0, "n={n}")),
+          CONG_N_MAX),
     Claim("barrucand-identity", "binomial transform of the cubic sums equals the g-sums",
           "n=0..{hi}", _barrucand, CONG_N_MAX),
     Claim("clf-doubling-identity", "p_n = 2^n d(1)_n",
           "n=0..{hi}", _clf_doubling, CONG_N_MAX),
     Claim("gsum-mod3", "g_n is divisible by 3 from index 1",
-          "n=1..{hi}", _residues(G_SUM, 3, 1, lambda n: 0), CONG_N_MAX, n_min=1),
+          "n=1..{hi}", _residues(G_SUM, (3, 1, lambda n: 0, 0, "n={n}")), CONG_N_MAX, n_min=1),
     Claim("franel-prime-sums", "three weighted-sum prime congruences for the cubic sums",
           "p in {primes}", _franel_primes, None, primes=DEFAULT_PRIMES),
     Claim("apery-positivity", "Apery Hankel determinants are positive (open conjecture)",

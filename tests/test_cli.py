@@ -303,6 +303,17 @@ GOLDEN_VERIFY_CLAIM = {
         "0261ee0581d1d7c361cbc019a8d0ce18140a567217ed6bbc1e73e3f7ecd96401",
     ("--claim", "apery-a-transform-mod24", "--n-max", "600", "--format", "csv"):
         "f8a2ecab8b66389b02c25fd6c596d3f54b8dd6a927d822aa1759b86329f55618",
+    # Recorded when the residue claims reduced their terms once and ran the
+    # exact difference table, and franel-prime-sums built one prefix per prime
+    # and summed the full terms; 9941 = 2 and 9967, 9973 = 1 (mod 3).
+    ("--claim", "domb-mod3", "--n-max", "600", "--format", "csv"):
+        "99b6e684a7cc771dbc3e88d5ea8f2218eb2db62867121ee3e099ca000e6e5394",
+    ("--claim", "gessel-mod24", "--n-max", "600", "--format", "csv"):
+        "018e2301650ce75c5f0678dac52b5a2e4855952fea30c997b8cd0afd97526d7a",
+    ("--claim", "gsum-mod3", "--n-max", "600", "--format", "csv"):
+        "2e7e6a68a705d0902a111f85fe1e543c8668244ed18aacfd53e809b89efb24c9",
+    ("--claim", "franel-prime-sums", "--primes", "9941,9967,9973", "--format", "csv"):
+        "9dff7139cb65a763e5ea38c8a133fe0023b99460a17c688ca7c253c06b37c818",
     # Recorded when the Hankel claims still built each (n+1)^2 matrix and read
     # its antidiagonal values back; they pin the values route at order 31.
     ("--claim", "hankel-franel", "--n-max", "30", "--format", "csv"):

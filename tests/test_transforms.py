@@ -100,6 +100,7 @@ def test_transform_of_residues_agrees_mod_m(x, m, k):
     reduced = [v % m for v in x]
     for full, small in (
         (iterated_transform(x, k), iterated_transform(reduced, k)),
+        (iterated_transform(x, k), iterated_transform(reduced, k, modulus=m)),
         (inverse_binomial_transform(x), inverse_binomial_transform(reduced)),
     ):
         assert [v % m for v in full] == [v % m for v in small]
@@ -112,3 +113,26 @@ def test_error_messages_check_count_before_length():
         iterated_transform([], 0)
     with pytest.raises(ValueError, match="input sequence must be non-empty"):
         binomial_transform([])
+
+
+# Lengths to 120 make the modulus path reduce its table part-way through (every
+# J rows); m runs from 1, where every residue is 0, to above 2^64, where J is 1.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=120),
+    st.integers(0, 5),
+    st.one_of(st.integers(1, 64), st.integers(1, 2**64 + 13)),
+)
+def test_modulus_path_matches_reduced_exact_transform(x, k, m):
+    assert iterated_transform(x, k, m) == [y % m for y in iterated_transform(x, k)]
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_modulus_must_be_positive(m):
+    with pytest.raises(ValueError, match="^modulus must be positive$"):
+        iterated_transform([1, 2, 3], 2, m)
+    # the count and length checks still come first
+    with pytest.raises(ValueError, match="iteration count must be nonnegative"):
+        iterated_transform([], -1, m)
+    with pytest.raises(ValueError, match="input sequence must be non-empty"):
+        iterated_transform([], 1, m)

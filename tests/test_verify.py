@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hankelforge import cli, verify
+from hankelforge import cli, sequences, verify
 from hankelforge.reports import ReportBuilder, VerificationReport, decimal_str
 from hankelforge.sequences import APERY_B, domb, franel
 from hankelforge.verify import Claim, run_all, run_claim
@@ -245,3 +245,26 @@ def test_report_values_render_above_str_digit_limit():
     assert report.witnesses[0].observed == "-1" + "0" * 5000
     assert decimal_str(12345) == "12345"
     assert decimal_str(-(10**601) + 1) == "-" + "9" * 601
+
+
+def _prefix_calls(monkeypatch):
+    calls = []
+
+    def counted(seq, n_max):
+        calls.append((seq, n_max))
+        return sequences.prefix(seq, n_max)
+
+    monkeypatch.setattr(verify, "prefix", counted)
+    return calls
+
+
+def test_apery_b_congruences_build_one_prefix(monkeypatch):
+    calls = _prefix_calls(monkeypatch)
+    assert run_claim("apery-b-congruences", 50).passed
+    assert calls == [(APERY_B, 50)]
+
+
+def test_franel_prime_sums_build_one_prefix(monkeypatch):
+    calls = _prefix_calls(monkeypatch)
+    assert run_claim("franel-prime-sums").passed
+    assert calls == [(franel(3), max(verify.DEFAULT_PRIMES) - 1)]
