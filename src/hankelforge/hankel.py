@@ -22,8 +22,10 @@ from the values.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
-Matrices are immutable after construction, so everything here is safe for
-concurrent use.
+Matrices are immutable after construction and nothing here keeps state
+between calls, so everything here is safe to call from several threads at
+once or in a forked child; the Hankel claims in ``verify`` run some of their
+independent ``hankel_minors`` calls in one.
 """
 from __future__ import annotations
 

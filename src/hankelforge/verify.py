@@ -6,8 +6,11 @@ stable claim id, and each run produces a :class:`VerificationReport` with
 one status per checked index.  ``hankelforge verify --help`` and the README
 list the claims.
 
-Claims are independent and may run concurrently; each claim's own index
-loop is sequential so witness order is reproducible.
+Claims are independent and may run concurrently.  A Hankel claim computes
+the minors of all its sequences before it checks any of them, and when they
+are large it runs some of those independent minors runs in one forked child
+(see :func:`_hankel_dets` and ``_fork``).  Its checks are still yielded in
+one fixed order, so witness order is reproducible.
 """
 from __future__ import annotations
 
@@ -31,6 +34,8 @@ DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 MAX_PRIME = 10_000
 
 Checks = Callable[[int, tuple[int, ...]], Iterable[Check]]
+# one sequence of a Hankel claim and the checks of its minor of each order n
+_HankelRun = tuple[sequences.SequenceId, Callable[[int, int], Iterable[Check]]]
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,9 @@ class Claim:
     def bounds(self, n_max: int | None = None,
                primes: Sequence[int] | None = None) -> tuple[int, tuple[int, ...]]:
         """The index bound and primes a run uses; ValueError on an empty
-        range or a prime the claim cannot take.  A claim without an index
-        bound ignores ``n_max``, as one without primes ignores ``primes``."""
+        range, a prime the claim cannot take or a prime given twice.  A claim
+        without an index bound ignores ``n_max``, as one without primes
+        ignores ``primes``."""
         if self.n_max is None:
             hi = 0
         else:
@@ -68,11 +74,13 @@ class Claim:
         if self.primes is None:
             return hi, ()
         ps = self.primes if primes is None else tuple(primes)
-        for p in ps:
+        for i, p in enumerate(ps):
             if p > MAX_PRIME:  # before is_prime, whose trial division grows as sqrt(p)
                 raise ValueError(f"prime {p} is above the limit {MAX_PRIME} for {self.claim_id}")
             if p <= 3 or not is_prime(p):
                 raise ValueError(f"invalid prime {p}: need primes greater than 3")
+            if p in ps[:i]:
+                raise ValueError(f"prime {p} is given twice for {self.claim_id}")
         return hi, ps
 
     def run(self, n_max: int | None = None, primes: Sequence[int] | None = None) -> VerificationReport:
@@ -86,15 +94,6 @@ class Claim:
 
 # ---------------------------------------------------------------------------
 # check builders
-
-
-def _chain(*parts: Checks) -> Checks:
-    """The checks of every part, in order."""
-    def checks(hi, primes):
-        for part in parts:
-            yield from part(hi, primes)
-
-    return checks
 
 
 def _residues(seq_id: sequences.SequenceId,
@@ -120,8 +119,48 @@ def _residues(seq_id: sequences.SequenceId,
     return checks
 
 
-def _hankel_dets(seq_id: sequences.SequenceId, n_max: int) -> list[int]:
-    return hankel.hankel_minors(prefix(seq_id, 2 * n_max).terms)
+# The break-even of forking a child for a claim's minors, in _hankel_cost
+# units of its lighter share.  Measured on a 2-vCPU x86_64 VM under CPython
+# 3.11, best of 7 per claim at n = 16..50, forked over in-process time, two
+# separate times: below 1e8 units 1.0-2.5x (a fork, pipe and pickle round
+# trip costs ~1-10 ms), 1.1e8-1.5e8 units 0.85-1.5x, 2e8 units and up
+# 0.56-0.89x both times.  At the default n <= 12 the lighter shares stay
+# below 1.3e7.
+_FORK_MIN_COST = 200_000_000
+
+
+def _hankel_cost(values: Sequence[int]) -> int:
+    """The big-int work of ``hankel_minors(values)`` up to a constant: the
+    recursion makes ~(2n+1)^2 updates on entries of ~bits(x_2n) bits."""
+    return len(values) ** 2 * values[-1].bit_length() ** 2
+
+
+def _hankel_dets(seq_ids: Sequence[sequences.SequenceId], n_max: int) -> list[list[int]]:
+    """The leading Hankel minors, orders 1..n_max+1, of each sequence in turn.
+
+    All the prefixes are built here.  The minors runs are independent, so
+    when they are large :func:`._fork.split_map` runs some of them in a
+    forked child, split by :func:`_hankel_cost` against ``_FORK_MIN_COST``.
+    """
+    runs = [prefix(seq_id, 2 * n_max).terms for seq_id in seq_ids]
+    costs = [_hankel_cost(values) for values in runs]
+    if sum(costs) - max(costs) < _FORK_MIN_COST:  # no split's lighter share costs more
+        return [hankel.hankel_minors(values) for values in runs]
+    from . import _fork  # loaded only here, so that the CLI's start-up does not compile it
+
+    return _fork.split_map(hankel.hankel_minors, runs, costs, _FORK_MIN_COST)
+
+
+def _hankel(*runs: _HankelRun) -> Checks:
+    """For each run ``(seq_id, check)`` in turn, the checks ``check(n, det
+    H_n)`` for ``n = 0..hi``; one :func:`_hankel_dets` takes all the minors."""
+    def checks(hi, primes):
+        dets = _hankel_dets([seq_id for seq_id, _ in runs], hi)
+        for (_, check), minors in zip(runs, dets):
+            for n, d in enumerate(minors):
+                yield from check(n, d)
+
+    return checks
 
 
 def _quotient(label: str, det: int, base: int, exponent: int, odd: bool, positive: bool) -> Check:
@@ -132,26 +171,26 @@ def _quotient(label: str, det: int, base: int, exponent: int, odd: bool, positiv
 
 
 def _quotients(seq_id: sequences.SequenceId, label: str, base: int, odd: bool = True,
-               positive: bool = True, exponent: Callable[[int], int] = lambda n: n) -> Checks:
-    """``det H_n / base^exponent(n)`` is an integer (odd, positive as asked)
-    for ``n = 0..hi``."""
-    def checks(hi, primes):
-        for n, d in enumerate(_hankel_dets(seq_id, hi)):
-            yield _quotient(label.format(n=n), d, base, exponent(n), odd, positive)
+               positive: bool = True, exponent: Callable[[int], int] = lambda n: n) -> _HankelRun:
+    """``det H_n / base^exponent(n)`` is an integer (odd, positive as asked)."""
+    return seq_id, lambda n, d: [_quotient(label.format(n=n), d, base, exponent(n), odd, positive)]
 
-    return checks
+
+def _franel_quotients(r: int) -> _HankelRun:
+    def check(n: int, d: int) -> Iterator[Check]:
+        yield _quotient(f"r={r} n={n}", d, 2, n, odd=True, positive=False)
+        if r == 3:
+            yield _quotient(f"r=3 n={n} base=6", d, 6, n, odd=True, positive=True)
+
+    return franel(r), check
+
+
+def _positive_dets(seq_id: sequences.SequenceId) -> _HankelRun:
+    return seq_id, lambda n, d: [(f"{seq_id.label()} n={n}", d, d > 0, "> 0")]
 
 
 # ---------------------------------------------------------------------------
 # claims with their own loops
-
-
-def _franel_quotients(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
-    for r in range(3, 7):
-        for n, d in enumerate(_hankel_dets(franel(r), hi)):
-            yield _quotient(f"r={r} n={n}", d, 2, n, odd=True, positive=False)
-            if r == 3:
-                yield _quotient(f"r=3 n={n} base=6", d, 6, n, odd=True, positive=True)
 
 
 def _calkin(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
@@ -273,29 +312,22 @@ def _franel_primes(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
         yield label, lhs, lhs == rhs, f"= {rhs} (mod {p2})"
 
 
-def _positive_dets(seq_id: sequences.SequenceId) -> Checks:
-    def checks(hi, primes):
-        for n, d in enumerate(_hankel_dets(seq_id, hi)):
-            yield f"{seq_id.label()} n={n}", d, d > 0, "> 0"
-
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # the registry
 
 
 REGISTRY: tuple[Claim, ...] = (
     Claim("hankel-franel", "2^-n (and 6^-n for r=3) Hankel quotients of the r-th power sums",
-          "r in [3, 4, 5, 6], n=0..{hi}", _franel_quotients, DET_N_MAX),
+          "r in [3, 4, 5, 6], n=0..{hi}", _hankel(*(_franel_quotients(r) for r in range(3, 7))),
+          DET_N_MAX),
     Claim("hankel-domb-clf", "12^-n Domb, 2^-n(n+3) CLF and 4^-n d(1) Hankel quotients",
-          "n=0..{hi}", _chain(
+          "n=0..{hi}", _hankel(
               _quotients(domb(2), "D n={n}", 12),
               _quotients(CLF, "P n={n}", 2, exponent=lambda n: n * (n + 3)),
               _quotients(domb(1), "D1 n={n}", 4),
           ), DET_N_MAX),
     Claim("hankel-apery", "10^-n b and 24^-n a Hankel quotients are integers",
-          "n=0..{hi}", _chain(
+          "n=0..{hi}", _hankel(
               _quotients(APERY_B, "b n={n}", 10, odd=False, positive=False),
               _quotients(APERY_A, "a n={n}", 24, odd=False, positive=False),
           ), DET_N_MAX),
@@ -330,7 +362,7 @@ REGISTRY: tuple[Claim, ...] = (
     Claim("franel-prime-sums", "three weighted-sum prime congruences for the cubic sums",
           "p in {primes}", _franel_primes, None, primes=DEFAULT_PRIMES),
     Claim("apery-positivity", "Apery Hankel determinants are positive (open conjecture)",
-          "n=0..{hi}", _chain(_positive_dets(APERY_B), _positive_dets(APERY_A)), DET_N_MAX,
+          "n=0..{hi}", _hankel(_positive_dets(APERY_B), _positive_dets(APERY_A)), DET_N_MAX,
           experimental=True),
 )
 

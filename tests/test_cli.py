@@ -130,6 +130,7 @@ def test_usage_errors_exit_2(capsys):
         ("verify", "--claim", "franel-prime-sums", "--n-max", "50"),
         ("verify", "--claim", "franel-prime-sums", "--primes", "10007"),
         ("verify", "--all", "--primes", "5,1000003"),
+        ("verify", "--claim", "franel-prime-sums", "--primes", "5,7,5"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -324,6 +325,15 @@ GOLDEN_VERIFY_CLAIM = {
         "2cb450e191cac6731edc6c737f320ad6de25f7fde49dad5d25976bed1681f1e5",
     ("--claim", "apery-positivity", "--n-max", "30", "--format", "csv"):
         "5424343b4f0a64b7de35846297c6bdd33b1dd7e8fb89accab5d5fb7737367942",
+    # Recorded before the Hankel claims split their minors runs between the
+    # process and a forked child; at n=50 they take that path wherever two
+    # CPUs are usable.
+    ("--claim", "hankel-franel", "--n-max", "50", "--format", "csv"):
+        "2cbe51f106118600ddd8c15b6341a77bd322eef8a9375ed5195d0296ef1604b0",
+    ("--claim", "hankel-domb-clf", "--n-max", "50", "--format", "csv"):
+        "e3b92c0e0238110ad01813d07aeba937b0fc5c6ab59c7b42715c477fae969f66",
+    ("--claim", "hankel-apery", "--n-max", "50", "--format", "csv"):
+        "55cde2629d92a9a7aa8384b60d5c333fc7934da15d24e49da22dd67b4e0d51ea",
 }
 
 

@@ -1,10 +1,13 @@
 import json
+import os
+import pickle
+import signal
 
 import pytest
 
-from hankelforge import cli, sequences, verify
+from hankelforge import InexactDivisionError, _fork, cli, hankel, sequences, verify
 from hankelforge.reports import ReportBuilder, VerificationReport, decimal_str
-from hankelforge.sequences import APERY_B, domb, franel
+from hankelforge.sequences import APERY_A, APERY_B, CLF, domb, franel
 from hankelforge.verify import Claim, run_all, run_claim
 
 EXPECTED_CLAIM_IDS = (
@@ -157,6 +160,14 @@ def test_franel_prime_validation():
             run_claim("franel-prime-sums", primes=(5, bad))
 
 
+def test_franel_primes_given_twice_are_refused():
+    c = verify.claim("franel-prime-sums")
+    for primes in ((5, 5), (7, 5, 11, 5)):
+        with pytest.raises(ValueError, match="prime 5 is given twice for franel-prime-sums"):
+            c.bounds(primes=primes)
+    assert c.bounds(primes=(7, 5)) == (0, (7, 5))
+
+
 def test_franel_primes_are_capped():
     c = verify.claim("franel-prime-sums")
     assert verify.MAX_PRIME == 10_000
@@ -268,3 +279,115 @@ def test_franel_prime_sums_build_one_prefix(monkeypatch):
     calls = _prefix_calls(monkeypatch)
     assert run_claim("franel-prime-sums").passed
     assert calls == [(franel(3), max(verify.DEFAULT_PRIMES) - 1)]
+
+
+# The sequence sets whose minors each Hankel claim computes together.
+HANKEL_SETS = {
+    "hankel-franel": [franel(r) for r in range(3, 7)],
+    "hankel-domb-clf": [domb(2), CLF, domb(1)],
+    "hankel-apery": [APERY_B, APERY_A],
+    "apery-positivity": [APERY_B, APERY_A],
+}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Force the minors split on (two usable CPUs, no break-even) and count
+    the forks made; a parent left waiting on its child fails the test."""
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_FORK_MIN_COST", 1)
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        made.append(None)
+        return real_fork()
+
+    def hung(signum, frame):
+        raise TimeoutError("the parent waited on its child")
+
+    monkeypatch.setattr(os, "fork", fork)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        yield made
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_in(where: str, exc: BaseException, monkeypatch):
+    """Make hankel_minors raise ``exc`` in the forked child or in this process."""
+    parent, real = os.getpid(), hankel.hankel_minors
+
+    def minors(values):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise exc
+        return real(values)
+
+    monkeypatch.setattr(hankel, "hankel_minors", minors)
+
+
+@pytest.mark.parametrize("claim_id", sorted(HANKEL_SETS))
+def test_forked_minors_match_in_process(forks, monkeypatch, claim_id):
+    seq_ids = HANKEL_SETS[claim_id]
+    want = [hankel.hankel_minors(sequences.prefix(s, 60).terms) for s in seq_ids]
+    assert verify._hankel_dets(seq_ids, 30) == want
+    assert len(forks) == 1
+    forked = run_claim(claim_id, 30)
+    monkeypatch.setattr(verify, "_FORK_MIN_COST", 10**30)
+    assert forked == run_claim(claim_id, 30)
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad values 7"),
+                                 InexactDivisionError("31 is not divisible by 4")])
+def test_child_exception_is_raised_again(forks, monkeypatch, exc):
+    _fail_in("child", exc, monkeypatch)
+    with pytest.raises(type(exc)) as raised:
+        verify._hankel_dets(HANKEL_SETS["hankel-franel"], 30)
+    assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    assert len(forks) == 1
+
+
+def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypatch):
+    seq_ids = [franel(6)] * 6  # equal costs: the child takes three runs
+    one = hankel.hankel_minors(sequences.prefix(franel(6), 100).terms)
+    assert len(pickle.dumps([list(one) for _ in range(3)])) > 65536  # more than a pipe holds
+    _fail_in("parent", ValueError("parent side failed"), monkeypatch)
+    with pytest.raises(ValueError, match="parent side failed"):
+        verify._hankel_dets(seq_ids, 50)
+    assert len(forks) == 1
+
+
+@pytest.fixture
+def fork_refused(monkeypatch):
+    """Two usable CPUs, and a call of os.fork fails the test."""
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def test_default_bounds_and_parity_claim_stay_in_process(fork_refused, capsys):
+    assert cli.run(["verify", "--all"]) == 0
+    assert cli.run(["verify", "--claim", "parity-matrix-unimodular", "--n-max", "128"]) == 0
+    capsys.readouterr()
+
+
+def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
+    parent, real = os.getpid(), hankel.hankel_minors
+    monkeypatch.setattr(hankel, "hankel_minors",
+                        lambda values: real(values) if os.getpid() == parent else os._exit(1))
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        verify._hankel_dets(HANKEL_SETS["hankel-apery"], 30)
+    assert len(forks) == 1
+
+
+def test_split_map_weighs_the_lighter_share(fork_refused):
+    # dealt 5 | 4 + 3: the lighter share costs 5, below 6, although the
+    # costs other than the largest add up to 7
+    assert _fork.split_map(str, [5, 4, 3], [5, 4, 3], 6) == ["5", "4", "3"]
