@@ -3,8 +3,9 @@
 Subcommands: ``seq`` (print terms), ``hankel`` (build and evaluate one
 Hankel determinant), ``verify`` (run claim harnesses), ``bench`` (time the
 determinant engines).  Exit codes: 0 all requested checks pass, 1 a proven
-claim failed, 2 usage error.  Failures of EXPERIMENTAL claims warn on
-stderr and exit 0.
+claim failed, 2 usage error, 3 internal error (an exception raised inside
+the program, whose traceback goes to stderr).  Failures of EXPERIMENTAL
+claims warn on stderr and exit 0.
 
 All big integers are rendered as decimal strings, never floats, and
 identical inputs produce byte-identical CSV/JSON output.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 import time
 from typing import Sequence
@@ -32,6 +32,8 @@ def emit_reports(reports: Sequence[VerificationReport], fmt: str = "text") -> by
     if fmt == "csv":
         return _reports_csv(reports)
     if fmt == "json":
+        import json
+
         objs = [_report_obj(r) for r in reports]
         return (json.dumps(objs, separators=(",", ":")) + "\n").encode()
     if fmt == "text":
@@ -189,6 +191,8 @@ def _cmd_seq(args) -> int:
             writer.writerow([i, decimal_str(t)])
         _write(buf.getvalue())
     else:
+        import json
+
         obj = {
             "family": seq_id.family.value,
             "param": seq_id.param or None,
@@ -296,7 +300,14 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+    except Exception:  # a bug, not a refuted claim: keep the traceback as its report
+        import traceback
+
+        traceback.print_exc()
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ independent ``hankel_minors`` calls in one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from . import _kernels as kernels
 from .sequences import SequenceTerms
@@ -38,35 +38,33 @@ from .sequences import SequenceTerms
 LAPLACE_ORDER_CAP = 10
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(namedtuple("IntegerMatrix", "order entries")):
     """Dense square matrix of arbitrary-precision integers.
 
     ``order`` is the dimension (at least 1).
     """
 
-    order: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __new__(cls, order: int, entries: tuple[tuple[int, ...], ...]) -> "IntegerMatrix":
+        if order < 1:
             raise ValueError("order must be at least 1")
-        if len(self.entries) != self.order:
+        if len(entries) != order:
             raise ValueError("row count does not match order")
-        for r in self.entries:
-            if len(r) != self.order:
+        for r in entries:
+            if len(r) != order:
                 raise ValueError("matrix is not square")
             for e in r:
                 if not isinstance(e, int):
                     raise ValueError("entries must be exact integers")
+        return super().__new__(cls, order, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
         return cls(len(rows), tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class DetResult:
+class DetResult(NamedTuple):
     """Exact determinant plus which engine produced it and at what cost."""
 
     value: int
@@ -76,8 +74,7 @@ class DetResult:
     fallback: bool = False
 
 
-@dataclass(frozen=True)
-class QuotientCheck:
+class QuotientCheck(NamedTuple):
     """Outcome of dividing a determinant by ``base**exponent``."""
 
     quotient: int | None

@@ -1,12 +1,13 @@
 """Verification report containers shared by all claim harnesses.
 
 A report records one status per checked index; a failing index also yields
-a witness with the observed value and the violated condition.  Reports are
-immutable and deterministic: same inputs, same entries in the same order.
+a witness with the observed value and the violated condition.  Reports,
+entries and witnesses are named tuples: immutable, equal when their fields
+are, and deterministic: same inputs, same entries in the same order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # One check: (label, observed value, ok, expected condition).
 Check = tuple[str, object, bool, str]
@@ -33,22 +34,19 @@ def decimal_str(value: int) -> str:
     return decimal_str(high) + decimal_str(low).zfill(half)
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     index: str
     value: str
     status: str  # "pass" | "fail"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     index: str
     observed: str
     expected: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim_id: str
     index_range: str
     entries: tuple[ReportEntry, ...]
@@ -66,15 +64,15 @@ class VerificationReport:
         return len(self.entries) - fails, fails
 
 
-@dataclass
 class ReportBuilder:
     """Accumulates entries and witnesses in evaluation order."""
 
-    claim_id: str
-    index_range: str
-    experimental: bool = False
-    _entries: list[ReportEntry] = field(default_factory=list)
-    _witnesses: list[Witness] = field(default_factory=list)
+    def __init__(self, claim_id: str, index_range: str, experimental: bool = False) -> None:
+        self.claim_id = claim_id
+        self.index_range = index_range
+        self.experimental = experimental
+        self._entries: list[ReportEntry] = []
+        self._witnesses: list[Witness] = []
 
     def check(self, index: str, value: object, ok: bool, expected: str) -> bool:
         value_s = decimal_str(value) if isinstance(value, int) else str(value)

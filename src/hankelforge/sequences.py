@@ -23,16 +23,18 @@ each of the form
 
 of order k = 1, 2 or 3, seeded with the summation values at n < k, with
 every division checked exact.  That covers f(1..6), d(1..3), CLF, b, a, g
-and the central binomials.  Only f(r >= 7) and d(m >= 4) are summed; their
-prefixes walk the Pascal rows one from the next and keep a running column
-of C(2k,k).
+and the central binomials.  Each order has its own loop, which keeps the
+last k terms in locals and divides with an inline ``divmod``; a remainder
+raises :class:`~hankelforge.exact.InexactDivisionError` naming the
+recurrence.  Only f(r >= 7) and d(m >= 4) are summed; their prefixes walk
+the Pascal rows one from the next and keep a running column of C(2k,k).
 
 All functions here are pure and keep no state between calls.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -53,19 +55,18 @@ class Family(enum.Enum):
 _PARAMETRIC = (Family.FRANEL_R, Family.DOMB_M)
 
 
-@dataclass(frozen=True)
-class SequenceId:
+class SequenceId(namedtuple("SequenceId", "family param")):
     """A sequence family plus its integer parameter (r or m, where used)."""
 
-    family: Family
-    param: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family in _PARAMETRIC:
-            if self.param < 1:
-                raise ValueError(f"{self.family.value} requires a parameter >= 1")
-        elif self.param != 0:
-            raise ValueError(f"{self.family.value} takes no parameter")
+    def __new__(cls, family: Family, param: int = 0) -> "SequenceId":
+        if family in _PARAMETRIC:
+            if param < 1:
+                raise ValueError(f"{family.value} requires a parameter >= 1")
+        elif param != 0:
+            raise ValueError(f"{family.value} takes no parameter")
+        return super().__new__(cls, family, param)
 
     def label(self) -> str:
         if self.family is Family.FRANEL_R:
@@ -75,15 +76,26 @@ class SequenceId:
         return self.family.value
 
 
-@dataclass(frozen=True)
 class SequenceTerms:
     """An id plus the exact terms at positions ``0..len-1``."""
 
-    id: SequenceId
-    terms: tuple[int, ...]
+    def __init__(self, id: SequenceId, terms: tuple[int, ...]) -> None:
+        self.id = id
+        self.terms = terms
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SequenceTerms:
+            return NotImplemented
+        return self.id == other.id and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.terms))
+
+    def __repr__(self) -> str:
+        return f"SequenceTerms(id={self.id!r}, terms={self.terms!r})"
 
 
 def franel(r: int = 3) -> SequenceId:
@@ -226,13 +238,44 @@ def prefix(seq: SequenceId, n_max: int) -> SequenceTerms:
 
 
 def _recur(seq: SequenceId, n_max: int) -> list[int]:
+    # exact_div is reached only on a remainder, and raises there with the context
     lead, coeffs = RECURRENCES[seq]
     order = len(coeffs)
     context = f"{seq.label()} recurrence"
     out = [term(seq, n) for n in range(min(n_max + 1, order))]
-    for n in range(n_max + 1 - order):
-        num = sum(c(n) * x for c, x in zip(coeffs, out[n:n + order]))
-        out.append(exact_div(num, lead(n), context))
+    if n_max < order:
+        return out
+    steps = range(n_max + 1 - order)
+    append = out.append
+    if order == 1:
+        (c0,) = coeffs
+        (x0,) = out
+        for n in steps:
+            num, d = c0(n) * x0, lead(n)
+            x0, r = divmod(num, d)
+            if r:
+                exact_div(num, d, context)
+            append(x0)
+    elif order == 2:
+        c0, c1 = coeffs
+        x0, x1 = out
+        for n in steps:
+            num, d = c0(n) * x0 + c1(n) * x1, lead(n)
+            x2, r = divmod(num, d)
+            if r:
+                exact_div(num, d, context)
+            append(x2)
+            x0, x1 = x1, x2
+    else:
+        c0, c1, c2 = coeffs
+        x0, x1, x2 = out
+        for n in steps:
+            num, d = c0(n) * x0 + c1(n) * x1 + c2(n) * x2, lead(n)
+            x3, r = divmod(num, d)
+            if r:
+                exact_div(num, d, context)
+            append(x3)
+            x0, x1, x2 = x1, x2, x3
     return out
 
 

@@ -15,7 +15,6 @@ one fixed order, so witness order is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import hankel, numtheory, sequences, transforms
@@ -38,7 +37,6 @@ Checks = Callable[[int, tuple[int, ...]], Iterable[Check]]
 _HankelRun = tuple[sequences.SequenceId, Callable[[int, int], Iterable[Check]]]
 
 
-@dataclass(frozen=True)
 class Claim:
     """One registered claim: its default bounds and the checks it makes.
 
@@ -47,17 +45,31 @@ class Claim:
     (twice ``hi``) and ``primes``.  ``n_max`` is the default index bound, and
     None for a claim whose checks take no index bound (they get ``hi`` 0).
     ``primes`` is the default prime list of a claim that takes one, and None
-    for every other claim.
+    for every other claim.  Two claims are equal when all their fields are.
     """
 
-    claim_id: str
-    description: str
-    scope: str
-    checks: Checks
-    n_max: int | None
-    n_min: int = 0
-    primes: tuple[int, ...] | None = None
-    experimental: bool = False
+    def __init__(self, claim_id: str, description: str, scope: str, checks: Checks,
+                 n_max: int | None, n_min: int = 0, primes: tuple[int, ...] | None = None,
+                 experimental: bool = False) -> None:
+        self.claim_id = claim_id
+        self.description = description
+        self.scope = scope
+        self.checks = checks
+        self.n_max = n_max
+        self.n_min = n_min
+        self.primes = primes
+        self.experimental = experimental
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Claim:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"Claim({self.claim_id!r})"
 
     def bounds(self, n_max: int | None = None,
                primes: Sequence[int] | None = None) -> tuple[int, tuple[int, ...]]:

@@ -146,6 +146,23 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
         cli.run(["verify", "--claim", "domb-mod3", "--n-max", "3"])
 
 
+def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
+    # A bug inside a claim is neither a refuted claim (1) nor a usage error (2).
+    from hankelforge import _kernels
+    from hankelforge.exact import InexactDivisionError
+
+    def boom(values):
+        raise InexactDivisionError("boom")
+
+    monkeypatch.setattr(_kernels, "hankel_leading_minors", boom)
+    monkeypatch.setattr("sys.argv", ["hankelforge", "verify", "--claim", "hankel-franel"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    err = capsys.readouterr().err
+    assert info.value.code == 3
+    assert "Traceback" in err and "InexactDivisionError: boom" in err
+
+
 def test_verify_empty_range_exits_2(capsys):
     claim_ids = [c.claim_id for c in verify.REGISTRY if c.n_min >= 1]
     assert "parity-matrix-unimodular" in claim_ids and "apery-b-congruences" in claim_ids
@@ -275,6 +292,10 @@ GOLDEN_VERIFY_ALL = {
         "481cc6c59f73a5ba9f6d89a7cbe5280280d0a7e67b68f47eedd14bc17d1f0a92",
     ("--format", "csv"):
         "04c35c58b64376d8b7f20b418b8c25dedf77e8afb12e6760579eddd5973fd600",
+    ("--format", "json"):
+        "87530733cd53e33d24e0b5b9749bfe824e823993f72b4efd49621bd881d7396c",
+    ("--format", "text"):
+        "1b92f5daba6e209cb6897cf40350b8933b475222b2719bdff0c55ead45e17afc",
 }
 
 

@@ -1,7 +1,8 @@
 import pytest
 
 from hankelforge import Family, SequenceId, domb, franel, prefix, term
-from hankelforge.sequences import APERY_A, APERY_B, CENTRAL_BINOM, CLF, G_SUM, RECURRENCES
+from hankelforge.exact import InexactDivisionError
+from hankelforge.sequences import APERY_A, APERY_B, CENTRAL_BINOM, CLF, G_SUM, RECURRENCES, Recurrence
 
 from oracle_helpers import CATALOG, brute_prefix, brute_term
 
@@ -70,6 +71,19 @@ def test_recurrence_prefix_matches_summation(seq):
     # n_max below, at and just past the seeds of an order-3 row
     for n_max in range(4):
         assert prefix(seq, n_max).terms == terms[:n_max + 1]
+
+
+# One row per recurrence order.  lead + 2 leaves a remainder in each; lead + 1
+# would not on franel(1), where 2 divides 2 x(n) at every n.
+@pytest.mark.parametrize("seq,order", [(franel(1), 1), (franel(3), 2), (franel(5), 3)],
+                         ids=("order-1", "order-2", "order-3"))
+def test_recurrence_loop_checks_every_division(monkeypatch, seq, order):
+    lead, coeffs = RECURRENCES[seq]
+    assert len(coeffs) == order
+    monkeypatch.setitem(RECURRENCES, seq, Recurrence(lambda n: lead(n) + 2, coeffs))
+    with pytest.raises(InexactDivisionError) as info:
+        prefix(seq, 20)
+    assert str(info.value).endswith(f" in {seq.label()} recurrence")
 
 
 ORDER_3 = (franel(5), franel(6), domb(3))
