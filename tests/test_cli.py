@@ -1,11 +1,14 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from hankelforge import cli, term, verify
 from hankelforge.reports import ReportEntry, VerificationReport, Witness
-from hankelforge.sequences import franel
+from hankelforge.sequences import Family, franel
+
+from oracle_helpers import CATALOG
 
 
 def run_cli(capsys, *argv):
@@ -363,3 +366,51 @@ def test_verify_claim_at_raised_bound_matches_golden_digest(capsys, args):
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_CLAIM[args]
+
+
+def _family_args(seq_id):
+    flag = {Family.FRANEL_R: "--r", Family.DOMB_M: "--m"}.get(seq_id.family)
+    return ("--family", seq_id.family.value) + ((flag, str(seq_id.param)) if flag else ())
+
+
+# The oracle catalog plus f(1) = 2^n, whose order-2 minor is 0, so DODGSON
+# takes its Bareiss fallback from n = 2 on; n = 12 and 30 are above the
+# Laplace cap, so those runs are refusals (exit 2, empty stdout).
+_GOLDEN_SEQUENCES = CATALOG + (franel(1),)
+_GOLDEN_ORDERS = (0, 1, 5, 9, 12, 30)
+_BENCH_TIMINGS = re.compile(r"best \S+s mean \S+s ")
+
+
+def _golden_engine_digest(capsys, command):
+    digest = hashlib.sha256()
+    for seq_id in _GOLDEN_SEQUENCES:
+        for n in _GOLDEN_ORDERS:
+            for argv in command(_family_args(seq_id) + ("--n", str(n))):
+                code, out, _ = run_cli(capsys, *argv)
+                digest.update(f"{argv} {code}\n{_BENCH_TIMINGS.sub('', out)}".encode())
+    return digest.hexdigest()
+
+
+def _hankel_runs(args):
+    return [("hankel", *args, "--engine", engine, "--base", "2")
+            for engine in ("laplace", "bareiss", "dodgson")]
+
+
+def _bench_runs(args):
+    return [("bench", *args, "--engines", "bareiss,dodgson")]
+
+
+# SHA-256 over every run's argv, exit code and stdout, with the bench timings
+# taken out.  Recorded while the engines still took an (n+1) x (n+1) matrix
+# built from the terms; they pin the determinant, steps, max_bits, quotient
+# and fallback tag of every run, and the Laplace refusals.
+GOLDEN_ENGINES = {
+    "hankel": (_hankel_runs, "02049abfdec15f16b5fc228423b4ec5daf4f398d442ef02677ac19952bbd6eb2"),
+    "bench": (_bench_runs, "0a6c1c2047fa0f69519b6da2ca8598e7606110420cd926d7c0d6ceac4dfc4dd1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_ENGINES))
+def test_hankel_and_bench_output_match_golden_digest(capsys, command):
+    runs, expected = GOLDEN_ENGINES[command]
+    assert _golden_engine_digest(capsys, runs) == expected
