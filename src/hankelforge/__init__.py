@@ -9,9 +9,7 @@ parity, congruence, and positivity claims about them.
 from .exact import InexactDivisionError, exact_div
 from .hankel import (
     DetResult,
-    IntegerMatrix,
     QuotientCheck,
-    build_hankel,
     det_bareiss,
     det_dodgson,
     det_laplace,
@@ -40,7 +38,6 @@ __all__ = [
     "DetResult",
     "Family",
     "InexactDivisionError",
-    "IntegerMatrix",
     "QuotientCheck",
     "REGISTRY",
     "ReportEntry",
@@ -49,7 +46,6 @@ __all__ = [
     "VerificationReport",
     "Witness",
     "binomial_transform",
-    "build_hankel",
     "det_bareiss",
     "det_dodgson",
     "det_laplace",

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``seq`` (print terms), ``hankel`` (build and evaluate one
-Hankel determinant), ``verify`` (run claim harnesses), ``bench`` (time the
-determinant engines).  Exit codes: 0 all requested checks pass, 1 a proven
-claim failed, 2 usage error, 3 internal error (an exception raised inside
-the program, whose traceback goes to stderr).  Failures of EXPERIMENTAL
-claims warn on stderr and exit 0.
+Subcommands: ``seq`` (print terms), ``hankel`` (evaluate one Hankel
+determinant from the sequence's 2n+1 terms), ``verify`` (run claim
+harnesses), ``bench`` (time the determinant engines).  Exit codes: 0 all
+requested checks pass, 1 a proven claim failed, 2 usage error, 3 internal
+error (an exception raised inside the program, whose traceback goes to
+stderr).  Failures of EXPERIMENTAL claims warn on stderr and exit 0.
 
 All big integers are rendered as decimal strings, never floats, and
 identical inputs produce byte-identical CSV/JSON output.
@@ -20,7 +20,7 @@ import time
 from typing import Sequence
 
 from . import verify
-from .hankel import LAPLACE_ORDER_CAP, build_hankel, det_bareiss, det_dodgson, det_laplace, quotient_check
+from .hankel import LAPLACE_ORDER_CAP, det_bareiss, det_dodgson, det_laplace, quotient_check
 from .reports import VerificationReport, decimal_str
 from .sequences import Family, SequenceId, prefix
 
@@ -210,8 +210,7 @@ def _cmd_hankel(args) -> int:
         raise _UsageError("--exp requires --base")
     if args.base is not None and args.base < 2:
         raise _UsageError("--base must be at least 2")
-    matrix = build_hankel(prefix(seq_id, 2 * args.n), args.n)
-    result = _ENGINES[args.engine](matrix)
+    result = _ENGINES[args.engine](prefix(seq_id, 2 * args.n).terms)
     _write(f"det {decimal_str(result.value)}\n")
     _write(f"engine {result.algorithm}{' (bareiss fallback)' if result.fallback else ''}\n")
     _write(f"steps {result.steps}\n")
@@ -262,14 +261,14 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--repeat must be at least 1")
     for engine in args.engines:
         _check_engine(engine, args.n)
-    matrix = build_hankel(prefix(seq_id, 2 * args.n), args.n)
+    values = prefix(seq_id, 2 * args.n).terms
     _write(f"matrix {seq_id.label()} order {args.n + 1}\n")
     for engine in args.engines:
         times = []
         result = None
         for _ in range(args.repeat):
             start = time.perf_counter()
-            result = _ENGINES[engine](matrix)
+            result = _ENGINES[engine](values)
             times.append(time.perf_counter() - start)
         best = min(times)
         mean = sum(times) / len(times)

@@ -1,67 +1,36 @@
-"""Hankel matrices, their exact determinants, the leading principal minors
-of a Hankel matrix given by its values, and the quotient check the Hankel
-claims apply to them.
+"""Exact Hankel determinants, the leading principal minors of a Hankel
+matrix, and the quotient check the Hankel claims apply to them.
 
-Three independent engines return the same exact value on any integer matrix,
-and each caller names the one it runs:
+Every function here takes the order-(n+1) Hankel matrix ``(x_{i+j})`` as its
+2n+1 antidiagonal values x_0..x_2n; an even count or a value that is not an
+exact integer is a ValueError.  Three independent engines return the same
+exact determinant on the values, and each caller names the one it runs:
 
 * ``LAPLACE``  minor expansion with memoization, the small-order oracle
   (capped, factorial/2^n cost);
 * ``BAREISS``  fraction-free elimination and the CLI's default;
-* ``DODGSON``  the Hankel recursion on the antidiagonal values, the
-  cross-check engine, which falls back to Bareiss on the whole matrix when
-  the entries are not constant along antidiagonals or a leading minor the
+* ``DODGSON``  the Hankel recursion on the values, the cross-check engine,
+  which falls back to Bareiss on the whole matrix when a leading minor the
   recursion divides by is zero (the result is tagged ``fallback=True``).
 
-The claims need every leading principal minor of a Hankel matrix, and hold
-the 2n+1 antidiagonal values it is made of.  ``hankel_minors`` takes the
-minors from those values by the same recursion (~n^2 exact updates) and
-builds no matrix; when a leading minor it divides by is zero, it keeps the
-minors the recursion reached and finishes the higher orders block by block
-from the values.
+The claims need every leading principal minor.  ``hankel_minors`` takes them
+from the values by the same recursion (~n^2 exact updates); when a leading
+minor it divides by is zero, it keeps the minors the recursion reached and
+finishes the higher orders block by block.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
-Matrices are immutable after construction and nothing here keeps state
-between calls, so everything here is safe to call from several threads at
-once or in a forked child; the Hankel claims in ``verify`` run some of their
-independent ``hankel_minors`` calls in one.
+Nothing here keeps state between calls, so everything here is safe to call
+from several threads at once or in a forked child; the Hankel claims in
+``verify`` run some of their independent ``hankel_minors`` calls in one.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from . import _kernels as kernels
-from .sequences import SequenceTerms
 
 LAPLACE_ORDER_CAP = 10
-
-
-class IntegerMatrix(namedtuple("IntegerMatrix", "order entries")):
-    """Dense square matrix of arbitrary-precision integers.
-
-    ``order`` is the dimension (at least 1).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, order: int, entries: tuple[tuple[int, ...], ...]) -> "IntegerMatrix":
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        if len(entries) != order:
-            raise ValueError("row count does not match order")
-        for r in entries:
-            if len(r) != order:
-                raise ValueError("matrix is not square")
-            for e in r:
-                if not isinstance(e, int):
-                    raise ValueError("entries must be exact integers")
-        return super().__new__(cls, order, entries)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        return cls(len(rows), tuple(tuple(r) for r in rows))
 
 
 class DetResult(NamedTuple):
@@ -83,43 +52,33 @@ class QuotientCheck(NamedTuple):
     is_positive: bool
 
 
-def build_hankel(terms: SequenceTerms | Sequence[int], n: int) -> IntegerMatrix:
-    """The ``(n+1) x (n+1)`` matrix with entry ``(i, j) = terms[i+j]``."""
-    seq = terms.terms if isinstance(terms, SequenceTerms) else terms
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if len(seq) < 2 * n + 1:
-        raise ValueError(f"need at least {2 * n + 1} terms for order {n + 1}, got {len(seq)}")
-    size = n + 1
-    return IntegerMatrix(size, tuple(tuple(seq[i + j] for j in range(size)) for i in range(size)))
+def _order(values: Sequence[int]) -> int:
+    """The order n+1 of the Hankel matrix on the 2n+1 ``values``; a
+    ValueError on an even count or a value that is not an exact integer."""
+    if len(values) % 2 == 0:
+        raise ValueError(f"need 2n+1 antidiagonal values, got {len(values)}")
+    for x in values:
+        if not isinstance(x, int):
+            raise ValueError("entries must be exact integers")
+    return len(values) // 2 + 1
 
 
-def _hankel_values(matrix: IntegerMatrix) -> tuple[int, ...] | None:
-    """The 2n+1 antidiagonal values x_0..x_2n of an order-(n+1) matrix whose
-    entry (i, j) is x_{i+j}, or None when some antidiagonal is not constant."""
-    e = matrix.entries
-    for upper, lower in zip(e, e[1:]):
-        if upper[1:] != lower[:-1]:
-            return None
-    return e[0] + tuple(r[-1] for r in e[1:])
+def _block(values: Sequence[int], size: int) -> list[Sequence[int]]:
+    """The rows of the leading order-``size`` block ``(x_{i+j})``."""
+    return [values[i : i + size] for i in range(size)]
 
 
-def det_laplace(matrix: IntegerMatrix, max_order: int = LAPLACE_ORDER_CAP) -> DetResult:
+def det_laplace(values: Sequence[int], max_order: int = LAPLACE_ORDER_CAP) -> DetResult:
     """Minor expansion along the top rows, memoized over column subsets.
 
     Refuses orders above ``max_order``; meant as the independent oracle, not
     the workhorse.
     """
-    n = matrix.order
+    n = _order(values)
     if n > max_order:
         raise ValueError(f"laplace engine capped at order {max_order}, got {n}")
-    e = matrix.entries
-    stats = [0, 0]  # steps, max_bits
-    for r in e:
-        for x in r:
-            b = x.bit_length()
-            if b > stats[1]:
-                stats[1] = b
+    e = _block(values, n)
+    stats = [0, max(x.bit_length() for x in values)]  # steps, max_bits
     memo: dict[tuple[int, ...], int] = {}
 
     def expand(cols: tuple[int, ...]) -> int:
@@ -148,25 +107,23 @@ def det_laplace(matrix: IntegerMatrix, max_order: int = LAPLACE_ORDER_CAP) -> De
     return DetResult(value, "LAPLACE", stats[0], stats[1])
 
 
-def det_bareiss(matrix: IntegerMatrix) -> DetResult:
-    """Fraction-free elimination; no order limit."""
-    value, steps, max_bits = kernels.bareiss_det(matrix.entries)
+def det_bareiss(values: Sequence[int]) -> DetResult:
+    """Fraction-free elimination on the whole matrix; no order limit."""
+    value, steps, max_bits = kernels.bareiss_det(_block(values, _order(values)))
     return DetResult(value, "BAREISS", steps, max_bits)
 
 
-def det_dodgson(matrix: IntegerMatrix) -> DetResult:
+def det_dodgson(values: Sequence[int]) -> DetResult:
     """The engine named DODGSON: the last minor of the fraction-free
-    Chebyshev recursion on the antidiagonal values
-    (``kernels.hankel_leading_minors``).  Falls back to Bareiss on the whole
-    matrix when the matrix is not Hankel or a leading minor of order below
-    ``order - 1`` is zero; ``steps``/``max_bits`` then cover both attempts."""
-    steps = max_bits = 0
-    values = _hankel_values(matrix)
-    if values is not None:
-        minors, steps, max_bits, ok = kernels.hankel_leading_minors(values)
-        if ok:
-            return DetResult(minors[-1], "DODGSON", steps, max_bits)
-    value, b_steps, b_bits = kernels.bareiss_det(matrix.entries)
+    Chebyshev recursion on the values (``kernels.hankel_leading_minors``).
+    Falls back to Bareiss on the whole matrix when a leading minor of order
+    below ``order - 1`` is zero; ``steps``/``max_bits`` then cover both
+    attempts."""
+    order = _order(values)
+    minors, steps, max_bits, ok = kernels.hankel_leading_minors(values)
+    if ok:
+        return DetResult(minors[-1], "DODGSON", steps, max_bits)
+    value, b_steps, b_bits = kernels.bareiss_det(_block(values, order))
     return DetResult(value, "DODGSON", steps + b_steps, max(max_bits, b_bits), fallback=True)
 
 
@@ -174,23 +131,18 @@ def hankel_minors(values: Sequence[int]) -> list[int]:
     """Leading principal minors, order 1 through n+1, of the order-(n+1)
     Hankel matrix whose entry (i, j) is ``values[i+j]``.
 
-    ``values`` are the 2n+1 antidiagonal values x_0..x_2n; an even count or
-    a value that is not an exact integer is a ValueError, as it is for the
-    entries of an :class:`IntegerMatrix`.  The Chebyshev recursion runs on
-    the values.  When a leading minor it divides by is zero, the minors it
-    reached are kept, and each higher-order block ``(x_{i+j})`` is built from
-    the values and evaluated by Bareiss on its own.  No claim's matrix at
-    its default bounds reaches that loop, so it stays simple (O(n^4) after
-    an early zero) rather than fast; it is kept because a zero minor is
-    what the claims test for.
+    The Chebyshev recursion runs on the values.  When a leading minor it
+    divides by is zero, the minors it reached are kept, and each
+    higher-order block is evaluated by Bareiss on its own.  No claim's
+    matrix at its default bounds reaches that loop, so it stays simple
+    (O(n^4) after an early zero) rather than fast; it is kept because a zero
+    minor is what the claims test for.
     """
-    for x in values:
-        if not isinstance(x, int):
-            raise ValueError("entries must be exact integers")
-    minors, _, _, ok = kernels.hankel_leading_minors(values)  # refuses an even count
+    order = _order(values)
+    minors, _, _, ok = kernels.hankel_leading_minors(values)
     if not ok:
-        for size in range(len(minors) + 1, len(values) // 2 + 2):
-            minors.append(kernels.bareiss_det([values[i : i + size] for i in range(size)])[0])
+        for size in range(len(minors) + 1, order + 1):
+            minors.append(kernels.bareiss_det(_block(values, size))[0])
     return minors
 
 

@@ -7,20 +7,13 @@ gating; everything else is exact (tolerance zero).
 import random
 import time
 
-from hankelforge import binomial_transform, prefix
-from hankelforge.hankel import (
-    IntegerMatrix,
-    build_hankel,
-    det_bareiss,
-    det_dodgson,
-    det_laplace,
-    hankel_minors,
-)
+from hankelforge import _kernels, binomial_transform, prefix
+from hankelforge.hankel import det_bareiss, det_dodgson, det_laplace, hankel_minors
 from hankelforge.numtheory import lemma23_hypothesis_check, nu2, ones_count, parity_values
 from hankelforge.sequences import domb, franel
 from hankelforge.verify import run_claim
 
-from oracle_helpers import CATALOG, inverse_binomial_transform
+from oracle_helpers import CATALOG, det_fractions, inverse_binomial_transform
 
 
 def _report(number, ok, detail):
@@ -112,33 +105,33 @@ def test_criterion_09_engine_agreement():
     for _ in range(500):
         order = rng.randint(1, 6)
         rows = [[rng.randint(-(10**6), 10**6) for _ in range(order)] for _ in range(order)]
-        matrix = IntegerMatrix.from_rows(rows)
-        if det_laplace(matrix).value != det_bareiss(matrix).value:
+        # The engines take Hankel values only; the Bareiss kernel under them
+        # takes any square matrix.
+        if _kernels.bareiss_det(rows)[0] != det_fractions(rows):
             ok = False
             break
-    # DODGSON falls back to Bareiss on every non-Hankel matrix, so it is
-    # compared on Hankel matrices, where it must run the Hankel recursion.
+    # On random values DODGSON must run the Hankel recursion, not fall back.
     for _ in range(500):
         order = rng.randint(1, 6)
         values = [rng.randint(-(10**6), 10**6) for _ in range(2 * order - 1)]
-        matrix = build_hankel(values, order - 1)
-        a = det_laplace(matrix).value
-        b = det_bareiss(matrix).value
-        c = det_dodgson(matrix)
+        a = det_laplace(values).value
+        b = det_bareiss(values).value
+        c = det_dodgson(values)
         if c.fallback or not a == b == c.value:
             ok = False
             break
     for seq in CATALOG:
-        terms = prefix(seq, 24)
+        terms = prefix(seq, 24).terms
         for n in range(13):
-            matrix = build_hankel(terms, n)
-            a = det_laplace(matrix, max_order=13).value
-            b = det_bareiss(matrix).value
-            c = det_dodgson(matrix).value
+            values = terms[: 2 * n + 1]
+            a = det_laplace(values, max_order=13).value
+            b = det_bareiss(values).value
+            c = det_dodgson(values).value
             if not a == b == c:
                 ok = False
-    _report(9, ok, "LAPLACE = BAREISS on 500 random matrices; LAPLACE = BAREISS = DODGSON on "
-                   f"500 random Hankel and {len(CATALOG)} x 13 sequence Hankel matrices")
+    _report(9, ok, "Bareiss kernel = Fraction elimination on 500 random matrices; "
+                   "LAPLACE = BAREISS = DODGSON on 500 random Hankel and "
+                   f"{len(CATALOG)} x 13 sequence Hankel determinants")
 
 
 def test_criterion_10_round_trip_and_invariance():
@@ -153,10 +146,10 @@ def test_criterion_10_round_trip_and_invariance():
         transformed = binomial_transform(terms)
         scaled = [t << i for i, t in enumerate(terms)]
         for n in range(9):
-            base = det_bareiss(build_hankel(terms, n)).value
-            if det_bareiss(build_hankel(transformed, n)).value != base:
+            base = det_bareiss(terms[: 2 * n + 1]).value
+            if det_bareiss(transformed[: 2 * n + 1]).value != base:
                 ok = False
-            if det_bareiss(build_hankel(scaled, n)).value != 2 ** (n * (n + 1)) * base:
+            if det_bareiss(scaled[: 2 * n + 1]).value != 2 ** (n * (n + 1)) * base:
                 ok = False
     _report(10, ok, "inverse-transform round trip (len<=50), Hankel invariance "
                     "and 2-power antidiagonal scaling (orders<=9)")
@@ -172,10 +165,9 @@ def test_criterion_11_positivity_probe_experimental():
 
 
 def test_criterion_12_performance_smoke():
-    terms = prefix(franel(3), 100)
-    matrix = build_hankel(terms, 50)
+    terms = prefix(franel(3), 100).terms
     start = time.perf_counter()
-    result = det_bareiss(matrix)
+    result = det_bareiss(terms)
     elapsed = time.perf_counter() - start
     q6 = result.value // 6**50
     ok = elapsed < 60 and result.value % 6**50 == 0 and q6 % 2 == 1 and q6 > 0

@@ -1,13 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hankelforge import _kernels, hankel, prefix, verify
+from hankelforge.exact import InexactDivisionError
 from hankelforge.hankel import (
-    IntegerMatrix,
-    _hankel_values,
-    build_hankel,
     det_bareiss,
     det_dodgson,
     det_laplace,
@@ -19,75 +18,67 @@ from hankelforge.sequences import APERY_A, APERY_B, CLF, domb, franel
 from oracle_helpers import det_fractions, det_permutation, hankel_rows, leading_minors_mod_p
 
 
-def _m(rows):
-    return IntegerMatrix.from_rows(rows)
-
-
-def test_matrix_validation():
-    with pytest.raises(ValueError):
-        IntegerMatrix(0, ())
-    with pytest.raises(ValueError):
-        _m([[1, 2], [3, 4], [5, 6]])
-    with pytest.raises(ValueError):
-        _m([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        _m([[1.5]])
-    assert _hankel_values(_m([[1, 2], [3, 4]])) is None  # entry (1,0) != entry (0,1)
-    assert _hankel_values(_m([[1, 2], [2, 5]])) == (1, 2, 5)
-
-
-def test_build_hankel_examples():
-    f = prefix(franel(3), 4)
-    assert build_hankel(f, 1).entries == ((1, 2), (2, 10))
-    assert build_hankel(f, 0).entries == ((1,),)
-    d = prefix(domb(2), 2)
-    assert build_hankel(d, 1).entries == ((1, 4), (4, 28))
-    assert build_hankel([5, 6, 7], 1).entries == ((5, 6), (6, 7))
-
-
-def test_build_hankel_insufficient_terms():
-    with pytest.raises(ValueError):
-        build_hankel([1, 2], 1)
-    with pytest.raises(ValueError):
-        build_hankel(prefix(franel(3), 3), 2)
+@pytest.mark.parametrize("func", (det_laplace, det_bareiss, det_dodgson, hankel_minors),
+                         ids=lambda f: f.__name__)
+def test_values_must_be_an_odd_count_of_exact_integers(func):
+    for values in ((), (1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="need 2n\\+1 antidiagonal values, got"):
+            func(values)
+    for values in ((1, 2.0, 3), (1.5,), (1, 2, "3"), (1, Fraction(2), 3)):
+        with pytest.raises(ValueError, match="entries must be exact integers"):
+            func(values)
 
 
 def test_laplace_examples():
-    assert det_laplace(_m([[1, 2], [2, 10]])).value == 6
-    assert det_laplace(_m([[1]])).value == 1
-    assert det_laplace(_m([[1, 2, 10], [2, 10, 56], [10, 56, 346]])).value == 180
+    assert det_laplace((1, 2, 10)).value == 6
+    assert det_laplace((1,)).value == 1
+    assert det_laplace((1, 2, 10, 56, 346)).value == 180
 
 
 def test_laplace_cap():
-    big = _m([[1 if i == j else 0 for j in range(11)] for i in range(11)])
-    with pytest.raises(ValueError):
-        det_laplace(big)
-    assert det_laplace(big, max_order=11).value == 1
+    # x_10 = 1 and every other value 0: the order-11 reversal matrix, whose
+    # determinant is the sign (-1)^(11*10/2) of reversing 11 columns.
+    reversal = (0,) * 10 + (1,) + (0,) * 10
+    with pytest.raises(ValueError, match="capped at order 10, got 11"):
+        det_laplace(reversal)
+    assert det_laplace(reversal, max_order=11).value == -1
 
 
 def test_bareiss_examples():
-    assert det_bareiss(_m([[1, 4], [4, 28]])).value == 12
-    eye5 = _m([[1 if i == j else 0 for j in range(5)] for i in range(5)])
-    assert det_bareiss(eye5).value == 1
-    assert det_bareiss(_m([[1, 5], [5, 73]])).value == 48
+    assert det_bareiss((1, 4, 28)).value == 12
+    assert det_bareiss(prefix(domb(2), 2).terms).value == 12
+    assert det_bareiss(prefix(franel(3), 2).terms).value == 6
+    assert det_bareiss((5, 6, 7)).value == -1
+    # the order-5 reversal matrix: zero pivots, so Bareiss swaps rows twice
+    assert det_bareiss((0, 0, 0, 0, 1, 0, 0, 0, 0)).value == 1
+    assert det_bareiss((1, 5, 73)).value == 48
 
 
 def test_dodgson_examples():
-    assert det_dodgson(_m([[1, 2, 10], [2, 10, 56], [10, 56, 346]])).value == 180
-    assert det_dodgson(_m([[1]])).value == 1
-    assert det_dodgson(_m([[1, 3], [3, 19]])).value == 10
+    assert det_dodgson((1, 2, 10, 56, 346)).value == 180
+    assert det_dodgson((1,)).value == 1
+    assert det_dodgson((1, 3, 19)).value == 10
 
 
 def test_dodgson_zero_pivot_falls_back():
+    # Bareiss swaps rows at a zero pivot; the kernel is checked on a matrix
+    # that is not Hankel, which no engine takes.
     rows = [[1, 2, 3], [4, 0, 6], [7, 8, 9]]
-    result = det_dodgson(_m(rows))
-    assert result.fallback
-    assert result.algorithm == "DODGSON"
-    assert result.value == det_fractions(rows) == 60
+    assert _kernels.bareiss_det(rows)[0] == det_fractions(rows) == 60
+    # The recursion meets a zero divisor (x_0, then the order-2 minor), so
+    # DODGSON falls back, and steps/max_bits cover both attempts.
+    for values in ((0, 1, 1, 1, 2), (1, 1, 1, 1, 2, 3, 5)):
+        order = len(values) // 2 + 1
+        _, steps, max_bits, ok = _kernels.hankel_leading_minors(values)
+        _, b_steps, b_bits = _kernels.bareiss_det(hankel_rows(values, order - 1))
+        result = det_dodgson(values)
+        assert not ok and result.fallback and result.algorithm == "DODGSON"
+        assert result.value == det_fractions(hankel_rows(values, order - 1))
+        assert (result.steps, result.max_bits) == (steps + b_steps, max(max_bits, b_bits))
 
 
 def test_dodgson_no_fallback_when_interior_nonzero():
-    result = det_dodgson(_m([[1, 2, 10], [2, 10, 56], [10, 56, 346]]))
+    result = det_dodgson((1, 2, 10, 56, 346))
     assert not result.fallback
 
 
@@ -99,12 +90,16 @@ def test_engines_agree_on_random_matrices():
         if trial % 7 == 0 and order > 1:
             rows[order // 2] = [0] * order  # force singular cases
         expected = det_fractions(rows)
-        matrix = _m(rows)
-        assert det_laplace(matrix).value == expected
-        assert det_bareiss(matrix).value == expected
-        assert det_dodgson(matrix).value == expected
+        assert _kernels.bareiss_det(rows)[0] == expected
         if order <= 5:
             assert det_permutation(rows) == expected
+        values = [rng.randint(-99, 99) for _ in range(2 * order - 1)]
+        if trial % 7 == 0 and order > 1:
+            values[order - 1 :] = [0] * order  # the last row is 0: singular
+        expected = det_fractions(hankel_rows(values, order - 1))
+        assert det_laplace(values).value == expected
+        assert det_bareiss(values).value == expected
+        assert det_dodgson(values).value == expected
 
 
 def test_leading_principal_minors():
@@ -137,39 +132,39 @@ def _hankel_sequences(max_order):
     )
 
 
-# Hankel matrices within the Laplace cap, as rows built by build_hankel.
-_hankel_matrices = _hankel_sequences(8).map(lambda seq: build_hankel(seq, len(seq) // 2).entries)
-
-
-def _recursion_completes(rows):
-    """Whether the rows are Hankel and no leading minor of order 1..n-2 of
-    the order-n matrix (the divisors of the Hankel recursion) is 0, checked
-    with ``det_fractions`` and without ``_hankel_values`` or the kernel."""
-    n = len(rows)
-    if any(rows[i][j] != rows[i + 1][j - 1] for i in range(n - 1) for j in range(1, n)):
-        return False
-    return all(det_fractions([r[:size] for r in rows[:size]]) for size in range(1, n - 1))
-
-
-@_oracle_settings
-@given(st.one_of(_sparse_matrices, _hankel_matrices))
-@example(((0, 1, 1), (1, 1, 1), (1, 1, 2)))  # Hankel; the recursion divides by x_0 = 0
-@example(((1, 1, 0), (1, 0, 1), (0, 1, 1)))  # Hankel; no divisor is 0, so it completes
-@example(((1, 2, 10), (2, 10, 56), (10, 56, 346)))  # Hankel; the recursion completes
-def test_engines_match_fraction_oracle(rows):
-    expected = det_fractions(rows)
-    matrix = _m(rows)
-    assert det_laplace(matrix).value == expected
-    assert det_bareiss(matrix).value == expected
-    result = det_dodgson(matrix)
-    assert result.value == expected
-    assert result.fallback == (not _recursion_completes(rows))
-
-
 def _fraction_minors(terms):
     order = len(terms) // 2 + 1
     rows = [[terms[i + j] for j in range(order)] for i in range(order)]
     return [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, order + 1)]
+
+
+def _recursion_completes(values):
+    """Whether no leading minor of order 1..n-2 of the order-n Hankel matrix
+    on ``values`` (the divisors of the Hankel recursion) is 0, checked with
+    ``det_fractions`` and without the kernel."""
+    return all(_fraction_minors(values)[:-2])
+
+
+@_oracle_settings
+@given(_sparse_matrices)
+@example([[0, 1, 1], [1, 1, 1], [1, 1, 2]])  # a zero pivot at (0, 0): one row swap
+@example([[0, 0], [0, 5]])  # no pivot in the first column: singular
+def test_bareiss_kernel_matches_fraction_oracle(rows):
+    assert _kernels.bareiss_det(rows)[0] == det_fractions(rows)
+
+
+@_oracle_settings
+@given(_hankel_sequences(8))
+@example((0, 1, 1, 1, 2))  # the recursion divides by x_0 = 0
+@example((1, 1, 0, 1, 1))  # no divisor is 0, so it completes
+@example((1, 2, 10, 56, 346))  # the recursion completes
+def test_engines_match_fraction_oracle(values):
+    expected = det_fractions(hankel_rows(values, len(values) // 2))
+    assert det_laplace(values).value == expected
+    assert det_bareiss(values).value == expected
+    result = det_dodgson(values)
+    assert result.value == expected
+    assert result.fallback == (not _recursion_completes(values))
 
 
 def test_hankel_recursion_divides_only_by_leading_minors():
@@ -194,13 +189,12 @@ def test_hankel_zero_divisor_falls_back_to_bareiss():
     minors, _, _, ok = _kernels.hankel_leading_minors(terms)
     assert not ok and minors == expected[:3]
     assert hankel_minors(terms) == expected
-    result = det_dodgson(build_hankel(terms, 3))
+    result = det_dodgson(terms)
     assert result.fallback and result.value == -1
 
 
-def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
-    # Past a zero divisor only the blocks the recursion did not reach go to
-    # Bareiss, one call each, built from the values: no matrix, no sweep.
+def _count_bareiss_calls(monkeypatch):
+    """The order of every ``bareiss_det`` call the ``hankel`` module makes."""
     orders = []
     bareiss_det = _kernels.bareiss_det
 
@@ -208,14 +202,14 @@ def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
         orders.append(len(rows))
         return bareiss_det(rows)
 
-    matrix_new = IntegerMatrix.__new__
-
-    def counting_new(cls, *args):
-        orders.append(args)
-        return matrix_new(cls, *args)
-
     monkeypatch.setattr(hankel.kernels, "bareiss_det", counting_bareiss_det)
-    monkeypatch.setattr(IntegerMatrix, "__new__", counting_new)
+    return orders
+
+
+def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
+    # Past a zero divisor only the blocks the recursion did not reach go to
+    # Bareiss, one call each, built from the values: no sweep.
+    orders = _count_bareiss_calls(monkeypatch)
     assert hankel_minors((1, 1, 1, 1, 2, 3, 5)) == [1, 0, 0, -1]
     assert orders == [4]
     orders.clear()
@@ -226,10 +220,10 @@ def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
 @_oracle_settings
 @given(_hankel_sequences(40))
 def test_hankel_tagged_minors_match_bareiss_path(seq):
+    # The leading order-(s+1) block is the Hankel matrix on x_0..x_2s.
     order = (len(seq) + 1) // 2
-    assert _hankel_values(build_hankel(seq, order - 1)) == tuple(seq)
     minors = hankel_minors(seq)
-    assert minors == [det_bareiss(build_hankel(seq, s)).value for s in range(order)]
+    assert minors == [det_bareiss(seq[: 2 * s + 1]).value for s in range(order)]
     if order <= 7:
         rows = hankel_rows(seq, order - 1)
         assert minors == [det_fractions([r[:size] for r in rows[:size]]) for size in range(1, order + 1)]
@@ -252,15 +246,6 @@ def test_hankel_minors_match_matrix_route(seq):
     assert hankel_minors(seq) == expected
 
 
-def test_hankel_minors_refuse_even_count_and_inexact_values():
-    for values in ((), (1, 2), (1, 2, 3, 4)):
-        with pytest.raises(ValueError, match="2n\\+1"):
-            hankel_minors(values)
-    for values in ((1, 2.0, 3), (1.5,), (1, 2, "3")):
-        with pytest.raises(ValueError, match="exact integers"):  # IntegerMatrix's message
-            hankel_minors(values)
-
-
 # Every claim that takes Hankel minors: the four quotient and positivity
 # claims on sequence terms, and the parity claim on halved parity values.
 _HANKEL_CLAIMS = ("hankel-franel", "hankel-domb-clf", "hankel-apery", "apery-positivity",
@@ -269,22 +254,11 @@ _HANKEL_CLAIMS = ("hankel-franel", "hankel-domb-clf", "hankel-apery", "apery-pos
 
 @pytest.mark.parametrize("claim_id", _HANKEL_CLAIMS)
 def test_hankel_claims_build_no_matrix(monkeypatch, claim_id):
-    built = []
-
-    def counting_build(*args):
-        built.append(args)
-        return build_hankel(*args)
-
-    matrix_new = IntegerMatrix.__new__
-
-    def counting_new(cls, *args):
-        built.append(args)
-        return matrix_new(cls, *args)
-
-    monkeypatch.setattr(hankel, "build_hankel", counting_build)
-    monkeypatch.setattr(IntegerMatrix, "__new__", counting_new)
+    # At the default bounds every minor comes from the recursion on the
+    # values: no block's rows are built for Bareiss.
+    orders = _count_bareiss_calls(monkeypatch)
     report = verify.run_claim(claim_id)
-    assert report.entries and built == []
+    assert report.entries and orders == []
 
 
 def _assert_minors_match_modular_sweep(seq, n):
@@ -344,13 +318,12 @@ def test_antidiagonal_two_power_scaling():
         terms = prefix(seq, 16).terms
         scaled = [t << i for i, t in enumerate(terms)]
         for n in range(9):
-            base = det_bareiss(build_hankel(terms, n)).value
-            assert det_bareiss(build_hankel(scaled, n)).value == 2 ** (n * (n + 1)) * base
+            base = det_bareiss(terms[: 2 * n + 1]).value
+            assert det_bareiss(scaled[: 2 * n + 1]).value == 2 ** (n * (n + 1)) * base
 
 
 def test_instrumentation_is_populated():
-    matrix = build_hankel(prefix(franel(3), 12), 6)
-    result = det_bareiss(matrix)
+    result = det_bareiss(prefix(franel(3), 12).terms)
     assert result.steps > 0
     assert result.max_bits >= result.value.bit_length()
 
@@ -385,3 +358,14 @@ def test_kernels_do_not_mutate_input():
         snapshot = seq[:]
         _kernels.hankel_leading_minors(seq)
         assert seq == snapshot
+
+
+def test_kernel_divisions_are_checked(monkeypatch):
+    # Every interior division is exact for integer inputs, so a remainder is
+    # faked: each kernel must raise rather than keep the rounded quotient.
+    monkeypatch.setattr(_kernels, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(InexactDivisionError, match="bareiss"):
+        det_bareiss((1, 2, 10, 56, 346))
+    # x_0 = 2 is the first divisor other than +-1, at the step to order 3.
+    with pytest.raises(InexactDivisionError, match="chebyshev"):
+        det_dodgson((2, 1, 1, 1, 1))

@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,28 @@ def test_cli_import_loads_no_dataclasses_json_or_fork():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == ""
+
+
+def _readme_blocks(language):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+def test_readme_library_example_runs():
+    (block,) = _readme_blocks("python")
+    exec(block, {})
+
+
+def test_readme_cli_examples_print_what_their_comments_say(capsys):
+    # A command followed by a "# line 1 / line 2 / ..." comment is checked.
+    from hankelforge import cli
+
+    checked = 0
+    for block in _readme_blocks("sh"):
+        lines = block.splitlines()
+        for command, comment in zip(lines, lines[1:]):
+            if command.startswith("hankelforge ") and comment.startswith("# "):
+                assert cli.run(shlex.split(command)[1:]) == 0, command
+                assert " / ".join(capsys.readouterr().out.splitlines()) == comment[2:], command
+                checked += 1
+    assert checked == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hankelforge import binomial_transform, iterated_transform, prefix
-from hankelforge.hankel import build_hankel, det_bareiss
+from hankelforge.hankel import det_bareiss
 from hankelforge.sequences import G_SUM, franel
 
 from oracle_helpers import CATALOG, inverse_binomial_transform, iterated_transform_sum
@@ -74,8 +74,8 @@ def test_hankel_determinant_invariance(seq):
     terms = prefix(seq, 16).terms
     transformed = binomial_transform(terms)
     for n in range(9):
-        d0 = det_bareiss(build_hankel(terms, n)).value
-        d1 = det_bareiss(build_hankel(transformed, n)).value
+        d0 = det_bareiss(terms[: 2 * n + 1]).value
+        d1 = det_bareiss(transformed[: 2 * n + 1]).value
         assert d0 == d1
 
 
@@ -85,7 +85,7 @@ def test_hankel_determinant_invariance_random():
         x = [1] + [rng.randint(-50, 50) for _ in range(16)]
         y = binomial_transform(x)
         for n in range(9):
-            assert det_bareiss(build_hankel(x, n)).value == det_bareiss(build_hankel(y, n)).value
+            assert det_bareiss(x[: 2 * n + 1]).value == det_bareiss(y[: 2 * n + 1]).value
 
 
 # Transforms are Z-linear, so reducing the input mod m first must leave every

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import signal
 
 import pytest
@@ -391,3 +392,78 @@ def test_split_map_weighs_the_lighter_share(fork_refused):
     # dealt 5 | 4 + 3: the lighter share costs 5, below 6, although the
     # costs other than the largest add up to 7
     assert _fork.split_map(str, [5, 4, 3], [5, 4, 3], 6) == ["5", "4", "3"]
+
+
+# The first witness of each claim when term 1 of every prefix it builds is
+# one too large, at n_max = min(default, 12).  A claim missing here fails
+# test_every_claim_can_fail, so each new claim is shown to detect a wrong term.
+FIRST_WITNESS_OF_A_WRONG_TERM = {
+    "hankel-franel": "r=3 n=1",
+    "hankel-domb-clf": "D n=1",
+    "hankel-apery": "b n=1",
+    "calkin-divisibility": "r=1 n=1",
+    "parity-matrix-unimodular": "franel[r=3] i=1",
+    "domb-mod8": "m=1 n=1",
+    "domb-mod3": "n=1",
+    "domb-iterated-mod3": "n=1",
+    "apery-b-congruences": "apery-b-transform-mod2 n=1",
+    "apery-a-transform-mod24": "n=3",
+    "gessel-mod24": "n=1",
+    "barrucand-identity": "n=2",
+    "clf-doubling-identity": "n=1",
+    "gsum-mod3": "n=1",
+    "franel-prime-sums": "p=5 alt-sum",
+    "apery-positivity": "apery-b n=2",
+}
+
+
+@pytest.mark.parametrize("claim_id", verify.CLAIM_IDS)
+def test_every_claim_can_fail(monkeypatch, capsys, claim_id):
+    first_witness = FIRST_WITNESS_OF_A_WRONG_TERM[claim_id]
+    real = verify.prefix
+
+    def wrong_term_1(seq_id, n_max):
+        got = real(seq_id, n_max)
+        terms = list(got.terms)
+        terms[1] += 1
+        return sequences.SequenceTerms(got.id, tuple(terms))
+
+    monkeypatch.setattr(verify, "prefix", wrong_term_1)
+    c = verify.claim(claim_id)
+    argv = ["verify", "--claim", claim_id]
+    n_max = None
+    if c.n_max is not None:
+        n_max = min(c.n_max, 12)
+        argv += ["--n-max", str(n_max)]
+    report = c.run(n_max)
+    assert not report.passed
+    assert report.witnesses[0].index == first_witness
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert f"FAIL at {first_witness}:" in out
+    if c.experimental:
+        assert code == 0 and f"experimental claim {claim_id} reported failures" in err
+    else:
+        assert code == 1 and err == ""
+
+
+@pytest.mark.parametrize("claim_id", sorted(HANKEL_SETS))
+def test_hankel_claims_report_a_wrong_minor_from_either_process(forks, monkeypatch, claim_id):
+    # det H_1 of every sequence is replaced by -1, which no base divides and
+    # which is not positive, so every check at n=1 fails and no other does.
+    real = hankel.hankel_minors
+
+    def wrong_h1(values):
+        minors = real(values)
+        minors[1] = -1
+        return minors
+
+    monkeypatch.setattr(hankel, "hankel_minors", wrong_h1)
+    forked = run_claim(claim_id, 12)
+    assert len(forks) == 1
+    at_n1 = [e.index for e in forked.entries if re.search(r"\bn=1\b", e.index)]
+    assert len(at_n1) >= len(HANKEL_SETS[claim_id])
+    assert [w.index for w in forked.witnesses] == at_n1
+    monkeypatch.setattr(verify, "_FORK_MIN_COST", 10**30)
+    assert run_claim(claim_id, 12) == forked
+    assert len(forks) == 1
