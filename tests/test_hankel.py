@@ -29,6 +29,18 @@ def test_values_must_be_an_odd_count_of_exact_integers(func):
             func(values)
 
 
+def test_build_hankel_examples():
+    # Every engine reads the Hankel matrix (x_{i+j}) off its values as the
+    # rows of a leading block.
+    f = prefix(franel(3), 4).terms
+    assert hankel._order(f) == 3
+    assert hankel._block(f, 2) == [(1, 2), (2, 10)]
+    assert hankel._block(f, 1) == [(1,)]
+    d = prefix(domb(2), 2).terms
+    assert hankel._block(d, hankel._order(d)) == [(1, 4), (4, 28)]
+    assert hankel._block((5, 6, 7), 2) == [(5, 6), (6, 7)]
+
+
 def test_laplace_examples():
     assert det_laplace((1, 2, 10)).value == 6
     assert det_laplace((1,)).value == 1
