@@ -358,6 +358,10 @@ GOLDEN_VERIFY_CLAIM = {
         "e3b92c0e0238110ad01813d07aeba937b0fc5c6ab59c7b42715c477fae969f66",
     ("--claim", "hankel-apery", "--n-max", "50", "--format", "csv"):
         "55cde2629d92a9a7aa8384b60d5c333fc7934da15d24e49da22dd67b4e0d51ea",
+    # Recorded before a single minors run could be split by position between
+    # the process and a forked child; at n=50 this claim's runs take that path.
+    ("--claim", "apery-positivity", "--n-max", "50", "--format", "csv"):
+        "323d32583e0f74a1a4fb2d5ef916fa44eb47d7d6569e0afc03c100bdc334b102",
 }
 
 
