@@ -11,6 +11,11 @@ Instrumentation conventions:
   (the Hankel recursion).
 * ``max_bits`` is the largest absolute bit-length seen among inputs and
   every numerator before division.
+
+The Hankel recursion's update is written once, in :func:`tau_step`:
+:func:`hankel_leading_minors` runs it on every position of a step, and
+``_fork.split_leading_minors`` on the positions each of its two processes
+owns.
 """
 from __future__ import annotations
 
@@ -85,11 +90,11 @@ def hankel_leading_minors(seq):
         w(l)         = (c tau_k(l) - Delta_{k+1} tau_{k-1}(l)) / Delta_k
         tau_{k+1}(l) = (Delta_{k+1} (tau_k(l+1) + w(l)) - a tau_k(l)) / Delta_k
 
-    so each step costs two exact divisions per entry, n^2 entries in all.
-    The only divisors are the leading minors of order up to n-1: ``ok`` is
-    False when one of them is 0, and ``minors`` then stops at the last
-    order reached.  Those minors are exact; the caller finishes the higher
-    orders itself.
+    so each step (:func:`tau_step`) costs two exact divisions per entry, n^2
+    entries in all.  The only divisors are the leading minors of order up to
+    n-1: ``ok`` is False when one of them is 0, and ``minors`` then stops at
+    the last order reached.  Those minors are exact; the caller finishes the
+    higher orders itself.
     """
     if len(seq) % 2 == 0:
         raise ValueError(f"need 2n+1 antidiagonal values, got {len(seq)}")
@@ -103,34 +108,51 @@ def hankel_leading_minors(seq):
         if not divisor:
             return minors, steps, max_bits, False
         minor, a, c = cur[0], cur[1], prev[1]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k)
-        nxt = []
-        for t, t1, s in zip(cur[1:-1], cur[2:], prev[2:-2]):
-            u = c * t - minor * s
-            if divisor == 1:
-                w = u
-            elif divisor == -1:
-                w = -u
-            else:
-                w, rem = divmod(u, divisor)
-                if rem:
-                    raise InexactDivisionError("chebyshev recursion division left a remainder")
-            v = minor * (t1 + w) - a * t
-            if divisor == 1:
-                q = v
-            elif divisor == -1:
-                q = -v
-            else:
-                q, rem = divmod(v, divisor)
-                if rem:
-                    raise InexactDivisionError("chebyshev recursion division left a remainder")
-            b = u.bit_length()
-            if b > max_bits:
-                max_bits = b
-            b = v.bit_length()
-            if b > max_bits:
-                max_bits = b
-            nxt.append(q)
+        nxt, max_bits = tau_step(zip(cur[1:-1], cur[2:], prev[2:-2]),
+                                 divisor, minor, a, c, max_bits)
         steps += len(nxt)
         prev, cur, divisor = cur, nxt, minor
         minors.append(cur[0])
     return minors, steps, max_bits, True
+
+
+def tau_step(entries, divisor, minor, a, c, max_bits):
+    """One step k -> k+1 of the recursion in :func:`hankel_leading_minors`,
+    at the positions l that ``entries`` yields ``(tau_k(l), tau_k(l+1),
+    tau_{k-1}(l))`` for, in that order.  ``divisor`` is Delta_k, ``minor``
+    Delta_{k+1} = tau_k(k), ``a`` tau_k(k+1) and ``c`` tau_{k-1}(k).  Returns
+    ``(nxt, max_bits)``: the list of tau_{k+1}(l), and ``max_bits`` raised to
+    the bit-length of every numerator.
+
+    The position l enters only through its own three entries, so the
+    positions of one step can be taken in parts, here or in another process
+    (``_fork.split_leading_minors``), with the same result.
+    """
+    nxt = []
+    for t, t1, s in entries:
+        u = c * t - minor * s
+        if divisor == 1:
+            w = u
+        elif divisor == -1:
+            w = -u
+        else:
+            w, rem = divmod(u, divisor)
+            if rem:
+                raise InexactDivisionError("chebyshev recursion division left a remainder")
+        v = minor * (t1 + w) - a * t
+        if divisor == 1:
+            q = v
+        elif divisor == -1:
+            q = -v
+        else:
+            q, rem = divmod(v, divisor)
+            if rem:
+                raise InexactDivisionError("chebyshev recursion division left a remainder")
+        b = u.bit_length()
+        if b > max_bits:
+            max_bits = b
+        b = v.bit_length()
+        if b > max_bits:
+            max_bits = b
+        nxt.append(q)
+    return nxt, max_bits

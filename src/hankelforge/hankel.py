@@ -15,14 +15,17 @@ exact determinant on the values, and each caller names the one it runs:
 
 The claims need every leading principal minor.  ``hankel_minors`` takes them
 from the values by the same recursion (~n^2 exact updates); when a leading
-minor it divides by is zero, it keeps the minors the recursion reached and
-finishes the higher orders block by block.
+minor it divides by is zero, ``finish_minors`` keeps the minors the recursion
+reached and finishes the higher orders block by block.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
 Nothing here keeps state between calls, so everything here is safe to call
-from several threads at once or in a forked child; the Hankel claims in
-``verify`` run some of their independent ``hankel_minors`` calls in one.
+from several threads at once or in a forked child.  The Hankel claims in
+``verify`` run some of their independent ``hankel_minors`` calls in one; a run
+they divide by position with one (``_fork.split_leading_minors``) ends in
+``finish_minors`` here.  ``hankel_minors`` itself always runs in the calling
+process, and the tests compare the forked routes with it.
 """
 from __future__ import annotations
 
@@ -131,17 +134,27 @@ def hankel_minors(values: Sequence[int]) -> list[int]:
     """Leading principal minors, order 1 through n+1, of the order-(n+1)
     Hankel matrix whose entry (i, j) is ``values[i+j]``.
 
-    The Chebyshev recursion runs on the values.  When a leading minor it
-    divides by is zero, the minors it reached are kept, and each
-    higher-order block is evaluated by Bareiss on its own.  No claim's
+    The Chebyshev recursion runs on the values in this process, and
+    :func:`finish_minors` completes what it reached.  This is the reference
+    route: the Hankel claims' forked routes are tested against it.
+    """
+    _order(values)
+    minors, _, _, ok = kernels.hankel_leading_minors(values)
+    return finish_minors(values, minors, ok)
+
+
+def finish_minors(values: Sequence[int], minors: list[int], ok: bool) -> list[int]:
+    """``minors``, the leading minors the recursion reached on ``values``,
+    completed to order n+1 in place.
+
+    When a leading minor the recursion divides by is zero (``ok`` False),
+    each higher-order block is evaluated by Bareiss on its own.  No claim's
     matrix at its default bounds reaches that loop, so it stays simple
     (O(n^4) after an early zero) rather than fast; it is kept because a zero
     minor is what the claims test for.
     """
-    order = _order(values)
-    minors, _, _, ok = kernels.hankel_leading_minors(values)
     if not ok:
-        for size in range(len(minors) + 1, order + 1):
+        for size in range(len(minors) + 1, len(values) // 2 + 2):
             minors.append(kernels.bareiss_det(_block(values, size))[0])
     return minors
 

@@ -7,10 +7,11 @@ one status per checked index.  ``hankelforge verify --help`` and the README
 list the claims.
 
 Claims are independent and may run concurrently.  A Hankel claim computes
-the minors of all its sequences before it checks any of them, and when they
-are large it runs some of those independent minors runs in one forked child
-(see :func:`_hankel_dets` and ``_fork``).  Its checks are still yielded in
-one fixed order, so witness order is reproducible.
+the minors of all its sequences before it checks any of them.  When they are
+large it shares them with one forked child: a run that outweighs all the
+others is divided by position between the two processes, and the rest are
+dealt whole (see :func:`_hankel_dets` and ``_fork``).  Its checks are still
+yielded in one fixed order, so witness order is reproducible.
 """
 from __future__ import annotations
 
@@ -139,6 +140,19 @@ def _residues(seq_id: sequences.SequenceId,
 # 0.56-0.89x both times.  At the default n <= 12 the lighter shares stay
 # below 1.3e7.
 _FORK_MIN_COST = 200_000_000
+# The break-even of dividing one minors run by position with a forked child,
+# in _hankel_cost units of that run.  Measured on a 2-vCPU x86_64 VM under
+# CPython 3.11 (BENCH_split_run.json).  The kernel alone, warm, best of 7 per
+# side, split over in-process time on f(3), f(6), b, a and d(2) at n = 16..50:
+# up to 1.5e8 units 1.10-4.3x (each step sends a message each way),
+# 1.8e8-2.5e8 units 0.90-1.33x, 2.8e8-4.8e8 units 0.71-0.81x, 5e8 units and
+# up 0.55-0.95x; a at n=24 1.12x and at n=30 0.77x.  A process that forks for
+# the first time also imports _fork (~2.5 ms) and makes its first fork, so
+# `verify --claim hankel-apery` as a process, best of 9 against the code
+# before the split, measured 1.08-1.20x at n=29..32 with the break-even at
+# 2.5e8.  At 5e8 (a from n=34, b from n=41) it measured 0.96-1.06x at
+# n=28..40, within the noise, and 0.87x at n=50.
+_SPLIT_MIN_COST = 500_000_000
 
 
 def _hankel_cost(values: Sequence[int]) -> int:
@@ -147,20 +161,46 @@ def _hankel_cost(values: Sequence[int]) -> int:
     return len(values) ** 2 * values[-1].bit_length() ** 2
 
 
+def _split_runs(costs: Sequence[int], min_cost: int) -> list[int]:
+    """The minors runs to divide by position, costliest first: taken while
+    the costliest run left costs at least ``min_cost`` and at least all the
+    other runs left together, so that no deal of whole runs balances it."""
+    rest = sum(costs)
+    split = []
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        rest -= costs[i]
+        if costs[i] < min_cost or costs[i] < rest:
+            break
+        split.append(i)
+    return split
+
+
 def _hankel_dets(seq_ids: Sequence[sequences.SequenceId], n_max: int) -> list[list[int]]:
     """The leading Hankel minors, orders 1..n_max+1, of each sequence in turn.
 
-    All the prefixes are built here.  The minors runs are independent, so
-    when they are large :func:`._fork.split_map` runs some of them in a
-    forked child, split by :func:`_hankel_cost` against ``_FORK_MIN_COST``.
+    All the prefixes are built here, and the work is weighed by
+    :func:`_hankel_cost`.  A run that outweighs all the others is divided by
+    position with one forked child (:func:`._fork.split_leading_minors`,
+    chosen by :func:`_split_runs` against ``_SPLIT_MIN_COST``), one such run
+    after another.  The runs left are independent, so when they are large
+    :func:`._fork.split_map` deals some of them to a forked child, against
+    ``_FORK_MIN_COST``.
     """
     runs = [prefix(seq_id, 2 * n_max).terms for seq_id in seq_ids]
     costs = [_hankel_cost(values) for values in runs]
-    if sum(costs) - max(costs) < _FORK_MIN_COST:  # no split's lighter share costs more
+    split = _split_runs(costs, _SPLIT_MIN_COST)
+    if not split and sum(costs) - max(costs) < _FORK_MIN_COST:  # no deal's lighter share costs more
         return [hankel.hankel_minors(values) for values in runs]
     from . import _fork  # loaded only here, so that the CLI's start-up does not compile it
 
-    return _fork.split_map(hankel.hankel_minors, runs, costs, _FORK_MIN_COST)
+    dets: dict[int, list[int]] = {}
+    for i in split:
+        minors, _, _, ok = _fork.split_leading_minors(runs[i])
+        dets[i] = hankel.finish_minors(runs[i], minors, ok)
+    dealt = [i for i in range(len(runs)) if i not in dets]
+    dets.update(zip(dealt, _fork.split_map(hankel.hankel_minors, [runs[i] for i in dealt],
+                                           [costs[i] for i in dealt], _FORK_MIN_COST)))
+    return [dets[i] for i in range(len(runs))]
 
 
 def _hankel(*runs: _HankelRun) -> Checks:

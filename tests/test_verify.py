@@ -3,10 +3,11 @@ import os
 import pickle
 import re
 import signal
+import time
 
 import pytest
 
-from hankelforge import InexactDivisionError, _fork, cli, hankel, sequences, verify
+from hankelforge import InexactDivisionError, _fork, _kernels, cli, hankel, sequences, verify
 from hankelforge.reports import ReportBuilder, VerificationReport, decimal_str
 from hankelforge.sequences import APERY_A, APERY_B, CLF, domb, franel
 from hankelforge.verify import Claim, run_all, run_claim
@@ -291,12 +292,23 @@ HANKEL_SETS = {
 }
 
 
+def _take(route: str, monkeypatch):
+    """Send every minors run of a Hankel claim down one route: "dealt" deals
+    whole runs between the process and a forked child, "split" divides each
+    run by position with one, and "here" keeps them all in the process."""
+    split = route == "split"
+    monkeypatch.setattr(verify, "_split_runs",
+                        lambda costs, min_cost: list(range(len(costs))) if split else [])
+    monkeypatch.setattr(verify, "_FORK_MIN_COST", 1 if route == "dealt" else 10**30)
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """Force the minors split on (two usable CPUs, no break-even) and count
-    the forks made; a parent left waiting on its child fails the test."""
+    """Force the dealt route on (two usable CPUs, no break-even; ``_take``
+    changes the route) and count the forks made; a parent left waiting on
+    its child fails the test, and so does a child left unreaped."""
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(verify, "_FORK_MIN_COST", 1)
+    _take("dealt", monkeypatch)
     made = []
     real_fork = os.fork
 
@@ -319,16 +331,28 @@ def forks(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _fail_in(where: str, exc: BaseException, monkeypatch):
-    """Make hankel_minors raise ``exc`` in the forked child or in this process."""
-    parent, real = os.getpid(), hankel.hankel_minors
+def _in(where: str, real, act):
+    """``real``, except that in the forked child or in this process
+    (``where``) it calls ``act()`` instead."""
+    parent = os.getpid()
 
-    def minors(values):
+    def call(*args):
         if (os.getpid() == parent) == (where == "parent"):
-            raise exc
-        return real(values)
+            return act()
+        return real(*args)
 
-    monkeypatch.setattr(hankel, "hankel_minors", minors)
+    return call
+
+
+def _fail_in(where: str, exc: BaseException, monkeypatch):
+    """Make the minors runs raise ``exc`` in the forked child or in this
+    process, on either route: in hankel_minors, which runs a dealt run, and
+    in the step that both halves of a split run take."""
+    def fail():
+        raise exc
+
+    monkeypatch.setattr(hankel, "hankel_minors", _in(where, hankel.hankel_minors, fail))
+    monkeypatch.setattr(_fork, "tau_step", _in(where, _fork.tau_step, fail))
 
 
 @pytest.mark.parametrize("claim_id", sorted(HANKEL_SETS))
@@ -337,20 +361,26 @@ def test_forked_minors_match_in_process(forks, monkeypatch, claim_id):
     want = [hankel.hankel_minors(sequences.prefix(s, 60).terms) for s in seq_ids]
     assert verify._hankel_dets(seq_ids, 30) == want
     assert len(forks) == 1
-    forked = run_claim(claim_id, 30)
-    monkeypatch.setattr(verify, "_FORK_MIN_COST", 10**30)
-    assert forked == run_claim(claim_id, 30)
-    assert len(forks) == 2
+    dealt = run_claim(claim_id, 30)
+    _take("split", monkeypatch)
+    assert verify._hankel_dets(seq_ids, 30) == want
+    split = run_claim(claim_id, 30)
+    assert len(forks) == 2 + 2 * len(seq_ids)
+    _take("here", monkeypatch)
+    assert dealt == split == run_claim(claim_id, 30)
+    assert len(forks) == 2 + 2 * len(seq_ids)
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad values 7"),
                                  InexactDivisionError("31 is not divisible by 4")])
 def test_child_exception_is_raised_again(forks, monkeypatch, exc):
     _fail_in("child", exc, monkeypatch)
-    with pytest.raises(type(exc)) as raised:
-        verify._hankel_dets(HANKEL_SETS["hankel-franel"], 30)
-    assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-    assert len(forks) == 1
+    for route, seq_ids in (("dealt", HANKEL_SETS["hankel-franel"]), ("split", [APERY_A])):
+        _take(route, monkeypatch)
+        with pytest.raises(type(exc)) as raised:
+            verify._hankel_dets(seq_ids, 30)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    assert len(forks) == 2
 
 
 def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypatch):
@@ -360,7 +390,12 @@ def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypa
     _fail_in("parent", ValueError("parent side failed"), monkeypatch)
     with pytest.raises(ValueError, match="parent side failed"):
         verify._hankel_dets(seq_ids, 50)
-    assert len(forks) == 1
+    # split: the child's half would not end for a minute, so only a kill
+    # lets the parent reap it before the fixture's alarm
+    monkeypatch.setattr(_fork, "tau_step", _in("child", _fork.tau_step, lambda: time.sleep(60)))
+    with pytest.raises(ValueError, match="parent side failed"):
+        _fork.split_leading_minors(sequences.prefix(APERY_A, 60).terms)
+    assert len(forks) == 2
 
 
 @pytest.fixture
@@ -380,18 +415,97 @@ def test_default_bounds_and_parity_claim_stay_in_process(fork_refused, capsys):
 
 
 def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
-    parent, real = os.getpid(), hankel.hankel_minors
+    # the child leaves at once on the dealt route, and on the split route in
+    # its fourth step, after it has sent three entries
+    parent, real_step, calls = os.getpid(), _fork.tau_step, []
+
+    def step(*args):
+        if os.getpid() != parent:
+            calls.append(None)  # two calls per step
+            if len(calls) == 7:
+                os._exit(1)
+        return real_step(*args)
+
     monkeypatch.setattr(hankel, "hankel_minors",
-                        lambda values: real(values) if os.getpid() == parent else os._exit(1))
-    with pytest.raises(RuntimeError, match="ended without a result"):
-        verify._hankel_dets(HANKEL_SETS["hankel-apery"], 30)
-    assert len(forks) == 1
+                        _in("child", hankel.hankel_minors, lambda: os._exit(1)))
+    monkeypatch.setattr(_fork, "tau_step", step)
+    for route in ("dealt", "split"):
+        _take(route, monkeypatch)
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            verify._hankel_dets(HANKEL_SETS["hankel-apery"], 30)
+    assert len(forks) == 2
 
 
 def test_split_map_weighs_the_lighter_share(fork_refused):
     # dealt 5 | 4 + 3: the lighter share costs 5, below 6, although the
     # costs other than the largest add up to 7
     assert _fork.split_map(str, [5, 4, 3], [5, 4, 3], 6) == ["5", "4", "3"]
+
+
+def test_split_runs_take_a_run_that_outweighs_the_rest():
+    assert verify._split_runs([10, 3], 6) == [0]  # 3 is below the break-even
+    assert verify._split_runs([3, 10], 1) == [1, 0]  # then 3 is all that is left
+    assert verify._split_runs([5, 4, 3], 1) == []  # 5 < 4 + 3: dealt
+
+
+# The nine sequences of the hankel-deep workload.
+DEEP_SEQUENCES = [s for claim_id in ("hankel-franel", "hankel-domb-clf", "hankel-apery")
+                  for s in HANKEL_SETS[claim_id]]
+# An order-40 0/1 sequence (random, seed 2026) whose leading minor of order
+# 19 is 0: the recursion stops after 19 of its 39 steps, in both halves.
+ZERO_MINOR_AT_19 = tuple(int(c) for c in
+                         "1010001000011111110100000010011010001100111100001111010001011001011100011000100")
+
+
+def test_split_leading_minors_match_the_kernel(forks):
+    cases = [sequences.prefix(s, 2 * n).terms for s in DEEP_SEQUENCES for n in (1, 2, 3, 7, 30)]
+    cases += [(1, 1, 1, 1, 2, 3, 5), (0, 1, 1, 1, 2), ZERO_MINOR_AT_19]
+    for values in cases:
+        assert _fork.split_leading_minors(values) == _kernels.hankel_leading_minors(values)
+    assert len(forks) == sum(len(values) >= 5 for values in cases)  # n >= 2
+    minors, _, _, ok = _fork.split_leading_minors(ZERO_MINOR_AT_19)
+    assert not ok and len(minors) == 20 and minors[18] == 0
+
+
+def _unit_minor_moments(diagonal: int, count: int) -> list[int]:
+    """x_0..x_{count-1} with x_l the (0, 0) entry of J^l, where J is
+    tridiagonal with ``diagonal`` on its diagonal and 1 beside it: every
+    leading Hankel minor of these moments is 1 (Krattenthaler, *Advanced
+    Determinant Calculus*, 1999), so the recursion divides by nothing, while
+    tau_k(l) grows as ``diagonal`` ** (l - k)."""
+    size = count // 2 + 1
+    column = [1] + [0] * (size - 1)  # J^l e_0
+    moments = []
+    for _ in range(count):
+        moments.append(column[0])
+        column = [(column[i - 1] if i else 0) + diagonal * column[i]
+                  + (column[i + 1] if i + 1 < size else 0) for i in range(size)]
+    return moments
+
+
+def test_split_messages_wider_than_a_pipe_cross(forks, monkeypatch):
+    sent, received = [], []
+    send, recv = _fork.Channel.send, _fork.Channel.recv
+
+    def sending(channel, obj):
+        sent.append(len(pickle.dumps(obj)))
+        send(channel, obj)
+
+    def receiving(channel):
+        obj = recv(channel)
+        if isinstance(obj, int):  # an entry, not the child's closing (steps, max_bits)
+            received.append(len(pickle.dumps(obj)))
+        return obj
+
+    monkeypatch.setattr(_fork.Channel, "send", sending)
+    monkeypatch.setattr(_fork.Channel, "recv", receiving)
+    # tau_k(l) has about 600000 (l - k) bits, so every message of these two
+    # split runs, an entry or two, is wider than a pipe buffer (64 KiB)
+    for values in (_unit_minor_moments(1 << 600_000, count) for count in (7, 9)):  # n = 3, 4
+        assert _fork.split_leading_minors(values) == _kernels.hankel_leading_minors(values)
+    assert len(forks) == 2
+    assert len(sent) == 1 + 2 and len(received) == 2 + 3
+    assert min(sent + received) > 65536
 
 
 # The first witness of each claim when term 1 of every prefix it builds is
@@ -451,19 +565,24 @@ def test_every_claim_can_fail(monkeypatch, capsys, claim_id):
 def test_hankel_claims_report_a_wrong_minor_from_either_process(forks, monkeypatch, claim_id):
     # det H_1 of every sequence is replaced by -1, which no base divides and
     # which is not positive, so every check at n=1 fails and no other does.
-    real = hankel.hankel_minors
+    # Every route completes its minors in finish_minors: a dealt run in the
+    # process that ran it, a split run here.
+    real = hankel.finish_minors
 
-    def wrong_h1(values):
-        minors = real(values)
+    def wrong_h1(values, minors, ok):
+        minors = real(values, minors, ok)
         minors[1] = -1
         return minors
 
-    monkeypatch.setattr(hankel, "hankel_minors", wrong_h1)
+    monkeypatch.setattr(hankel, "finish_minors", wrong_h1)
     forked = run_claim(claim_id, 12)
     assert len(forks) == 1
     at_n1 = [e.index for e in forked.entries if re.search(r"\bn=1\b", e.index)]
     assert len(at_n1) >= len(HANKEL_SETS[claim_id])
     assert [w.index for w in forked.witnesses] == at_n1
-    monkeypatch.setattr(verify, "_FORK_MIN_COST", 10**30)
+    _take("split", monkeypatch)
     assert run_claim(claim_id, 12) == forked
-    assert len(forks) == 1
+    assert len(forks) == 1 + len(HANKEL_SETS[claim_id])
+    _take("here", monkeypatch)
+    assert run_claim(claim_id, 12) == forked
+    assert len(forks) == 1 + len(HANKEL_SETS[claim_id])
