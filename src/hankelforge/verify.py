@@ -146,12 +146,13 @@ _FORK_MIN_COST = 200_000_000
 # side, split over in-process time on f(3), f(6), b, a and d(2) at n = 16..50:
 # up to 1.5e8 units 1.10-4.3x (each step sends a message each way),
 # 1.8e8-2.5e8 units 0.90-1.33x, 2.8e8-4.8e8 units 0.71-0.81x, 5e8 units and
-# up 0.55-0.95x; a at n=24 1.12x and at n=30 0.77x.  A process that forks for
-# the first time also imports _fork (~2.5 ms) and makes its first fork, so
-# `verify --claim hankel-apery` as a process, best of 9 against the code
-# before the split, measured 1.08-1.20x at n=29..32 with the break-even at
-# 2.5e8.  At 5e8 (a from n=34, b from n=41) it measured 0.96-1.06x at
-# n=28..40, within the noise, and 0.87x at n=50.
+# up 0.55-0.95x; a at n=24 1.12x and at n=30 0.77x, f(6) at n=24 0.91x, f(3)
+# at n=30 1.21x.  A process that forks for the first time also imports _fork
+# (~2.5 ms) and makes its first fork, so `verify --claim hankel-apery` as a
+# process, best of 9 against the code before the split, measured 1.08-1.20x
+# at n=29..32 with the break-even at 2.5e8.  At 5e8 (a from n=34, b from
+# n=41) it measured 0.96-1.06x at n=28..40, within the noise, and 0.87x at
+# n=50.
 _SPLIT_MIN_COST = 500_000_000
 
 
