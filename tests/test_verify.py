@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import random
 import re
 import signal
 import time
@@ -460,6 +461,9 @@ ZERO_MINOR_AT_19 = tuple(int(c) for c in
 def test_split_leading_minors_match_the_kernel(forks):
     cases = [sequences.prefix(s, 2 * n).terms for s in DEEP_SEQUENCES for n in (1, 2, 3, 7, 30)]
     cases += [(1, 1, 1, 1, 2, 3, 5), (0, 1, 1, 1, 2), ZERO_MINOR_AT_19]
+    # entries in -1..1, so that zero minors stop the recursion at many steps
+    rng = random.Random(18)
+    cases += [tuple(rng.randint(-1, 1) for _ in range(2 * rng.randint(2, 12) + 1)) for _ in range(40)]
     for values in cases:
         assert _fork.split_leading_minors(values) == _kernels.hankel_leading_minors(values)
     assert len(forks) == sum(len(values) >= 5 for values in cases)  # n >= 2
