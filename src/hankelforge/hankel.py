@@ -22,10 +22,11 @@ All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
 Nothing here keeps state between calls, so everything here is safe to call
 from several threads at once or in a forked child.  The Hankel claims in
-``verify`` run some of their independent ``hankel_minors`` calls in one; a run
-they divide by position with one (``_fork.split_leading_minors``) ends in
-``finish_minors`` here.  ``hankel_minors`` itself always runs in the calling
-process, and the tests compare the forked routes with it.
+``verify`` run some of their independent ``hankel_minors`` calls in one, and a
+run they divide by position between the process and one
+(``_fork.split_leading_minors``) ends in ``finish_minors``.  ``hankel_minors``
+itself always runs in the calling process, and the tests compare the forked
+routes with it.
 """
 from __future__ import annotations
 
