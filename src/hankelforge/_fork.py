@@ -1,12 +1,11 @@
 """Work split between this process and one forked child.
 
-The Hankel claims in ``verify`` use it in two ways.  :func:`split_map` deals
-a claim's independent minors runs into two shares, one for each process.
-:func:`split_leading_minors` divides one minors run that outweighs all the
-others: each step of the recursion is taken by position, the process taking
-the positions l <= n and the child the rest, and the two exchange a few
-entries per step.  ``verify`` imports this module only when a claim's runs
-are large enough to fork, so the CLI's start-up does not load it.
+The Hankel claims in ``verify`` use it for their minors runs, when those are
+large: :func:`split_leading_minors` takes every step of the recursion on all
+of a claim's runs at once, the process taking the positions l <= n of each
+run and the child the rest, and the two exchange one message each way per
+step.  ``verify`` imports this module only when a claim's runs are large
+enough to fork, so the CLI's start-up does not load it.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from ._kernels import hankel_leading_minors, tau_step
 
-A = TypeVar("A")
 T = TypeVar("T")
 U = TypeVar("U")
 
@@ -150,109 +148,107 @@ def with_child(here: Callable[[Channel], T], there: Callable[[Channel], U]) -> t
     return mine, theirs
 
 
-def split_map(fn: Callable[[A], T], items: Sequence[A], costs: Sequence[int],
-              min_cost: int) -> list[T]:
-    """``[fn(x) for x in items]``, split between this process and one forked
-    child when that pays.
+def split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int, bool]]:
+    """``[hankel_leading_minors(values) for values in runs]``, each run's
+    same ``(minors, steps, max_bits, ok)``, with one forked child taking part
+    of every step of every run.
 
-    The items are dealt largest cost first to whichever of two shares costs
-    less so far.  When the lighter share costs at least ``min_cost`` and
-    :func:`can_fork` holds, a forked child maps it while this process maps
-    the other; otherwise everything runs here.  The results come back in the
-    order of ``items`` either way.
+    Each run holds x_0..x_2n, with the same n for all.  Step k -> k+1 updates
+    the positions l = k+1..2n-k-1, each from tau_k(l), tau_k(l+1),
+    tau_{k-1}(l) and four scalars read at the left end (see
+    ``_kernels.tau_step``).  This process takes the positions l <= n of every
+    run and the child those above.  Per step, the child needs only each run's
+    scalars, which it keeps up from this process's first two new entries, and
+    this process needs only the child's first new entry, tau_{k+1}(n+1).  The
+    runs go in lockstep: per step each side sends the other one message, with
+    those entries of every run still going, before the rest of its step.  A
+    run that meets a zero divisor leaves both sides' messages at the same
+    step.  The child sends each run's ``steps`` and ``max_bits`` home at the
+    end.  Below n = 2 the child would have no position, so the kernel runs
+    here alone, as it does when :func:`can_fork` does not hold and on an even
+    count of values, which it refuses.
     """
-    def load(share: list[int]) -> int:
-        return sum(costs[i] for i in share)
-
-    def run(share: Sequence[int]) -> list[T]:
-        return [fn(items[i]) for i in share]
-
-    shares: tuple[list[int], list[int]] = ([], [])
-    for i in sorted(range(len(items)), key=costs.__getitem__, reverse=True):
-        min(shares, key=load).append(i)
-    heavy, light = sorted(shares, key=load, reverse=True)
-    if load(light) < min_cost or not can_fork():
-        return run(range(len(items)))
-    mine, theirs = with_child(lambda _: run(heavy), lambda _: run(light))
-    results = dict(zip(heavy, mine)) | dict(zip(light, theirs))
-    return [results[i] for i in range(len(items))]
+    count = len(runs[0])
+    if any(len(values) != count for values in runs):
+        raise ValueError("the runs need the same count of values")
+    if count < 5 or count % 2 == 0 or not can_fork():
+        return [hankel_leading_minors(values) for values in runs]
+    mine, theirs = with_child(lambda child: _low_positions(runs, child),
+                              lambda parent: _high_positions(runs, parent))
+    return [(minors, steps + child_steps, max(max_bits, child_bits), ok)
+            for (minors, steps, max_bits, ok), (child_steps, child_bits) in zip(mine, theirs)]
 
 
-def split_leading_minors(values: Sequence[int]) -> tuple[list[int], int, int, bool]:
-    """``hankel_leading_minors(values)``, the same ``(minors, steps,
-    max_bits, ok)``, with a forked child taking part of every step.
-
-    ``values`` holds x_0..x_2n.  Step k -> k+1 updates the positions
-    l = k+1..2n-k-1, each from tau_k(l), tau_k(l+1), tau_{k-1}(l) and four
-    scalars read at the left end (see ``_kernels.tau_step``).  This process
-    takes the positions l <= n and the child those above.  Per step, the
-    child needs only the scalars, which it keeps up from this process's
-    first two new entries, and this process needs only the child's first
-    new entry, tau_{k+1}(n+1).  Each side sends what the other needs before
-    the rest of its step.  The child sends its ``steps`` and ``max_bits``
-    home at the end, and both stop at the same zero divisor.  Below n = 2
-    the child would have no position, so the kernel runs here alone, as it
-    does when :func:`can_fork` does not hold and on an even count of values,
-    which it refuses.
-    """
-    if len(values) < 5 or len(values) % 2 == 0 or not can_fork():
-        return hankel_leading_minors(values)
-    (minors, steps, max_bits, ok), (child_steps, child_bits) = with_child(
-        lambda child: _low_positions(values, child),
-        lambda parent: _high_positions(values, parent))
-    return minors, steps + child_steps, max(max_bits, child_bits), ok
-
-
-def _low_positions(values: Sequence[int],
-                   child: Channel) -> tuple[list[int], int, int, bool]:
-    """The recursion at the positions l <= n, where the minors are; returns
-    the kernel's tuple, with this process's ``steps`` and ``max_bits``."""
-    n = len(values) // 2
-    cur = list(values[: n + 2])  # tau_k(l) for l = k..n+1; the last is the child's
-    prev = [0] * (n + 2)  # tau_{k-1}(l) for l = k-1..n
-    divisor = 1  # Delta_k
-    max_bits = max(x.bit_length() for x in values)
-    steps = 0
-    minors = [cur[0]]
+def _low_positions(runs: Sequence[Sequence[int]],
+                   child: Channel) -> list[tuple[list[int], int, int, bool]]:
+    """The recursion at the positions l <= n of every run, where the minors
+    are; returns each run's kernel tuple, with this process's ``steps`` and
+    ``max_bits``."""
+    n = len(runs[0]) // 2
+    # tau_k(l) for l = k..n+1; the last is the child's
+    cur = [list(values[: n + 2]) for values in runs]
+    prev = [[0] * (n + 2) for _ in runs]  # tau_{k-1}(l) for l = k-1..n
+    divisor = [1] * len(runs)  # Delta_k
+    max_bits = [max(x.bit_length() for x in values) for values in runs]
+    steps = [0] * len(runs)
+    minors = [[values[0]] for values in runs]
+    live = list(range(len(runs)))
     for k in range(n):
-        if not divisor:
-            return minors, steps, max_bits, False
-        minor, a, c = cur[0], cur[1], prev[1]
-        h = min(3, len(cur) - 1)  # positions k+1, k+2 (or the one left) go first
-        head, max_bits = tau_step(zip(cur[1:h], cur[2 : h + 1], prev[2 : h + 1]),
-                                  divisor, minor, a, c, max_bits)
+        live = [r for r in live if divisor[r]]
+        if not live:
+            break
+        h = min(3, n + 1 - k)  # positions k+1, k+2 (or the one left) go first
+        heads = []
+        for r in live:
+            t, s = cur[r], prev[r]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k) are t[0], t[1], s[1]
+            head, max_bits[r] = tau_step(zip(t[1:h], t[2 : h + 1], s[2 : h + 1]),
+                                         divisor[r], t[0], t[1], s[1], max_bits[r])
+            heads.append(head)
         if k < n - 2:
-            child.send(head)  # tau_{k+1}(k+1), tau_{k+1}(k+2): the child's step k+1 scalars
-        rest, max_bits = tau_step(zip(cur[h:-1], cur[h + 1 :], prev[h + 1 :]),
-                                  divisor, minor, a, c, max_bits)
-        nxt = head + rest
-        steps += len(nxt)
+            child.send(heads)  # tau_{k+1}(k+1), tau_{k+1}(k+2): the child's step k+1 scalars
+        for r, head in zip(live, heads):
+            t, s = cur[r], prev[r]
+            rest, max_bits[r] = tau_step(zip(t[h:-1], t[h + 1 :], s[h + 1 :]),
+                                         divisor[r], t[0], t[1], s[1], max_bits[r])
+            head += rest
+            steps[r] += len(head)
         if k < n - 1:
-            nxt.append(child.recv())  # tau_{k+1}(n+1)
-        prev, cur, divisor = cur, nxt, minor
-        minors.append(cur[0])
-    return minors, steps, max_bits, True
+            for head, last in zip(heads, child.recv()):
+                head.append(last)  # tau_{k+1}(n+1)
+        for r, nxt in zip(live, heads):
+            prev[r], cur[r], divisor[r] = cur[r], nxt, cur[r][0]
+            minors[r].append(nxt[0])
+    return [(minors[r], steps[r], max_bits[r], r in live) for r in range(len(runs))]
 
 
-def _high_positions(values: Sequence[int], parent: Channel) -> tuple[int, int]:
-    """The recursion at the positions l > n; returns ``(steps, max_bits)``."""
-    n = len(values) // 2
-    cur = list(values[n + 1 :])  # tau_k(l) for l = n+1..2n-k
-    prev = [0] * (n + 1)  # tau_{k-1}(l) for l = n+1..2n-k+1
-    # Delta_k, Delta_{k+1} = tau_k(k), tau_k(k+1) and tau_{k-1}(k) at k = 0
-    divisor, minor, a, c = 1, values[0], values[1], 0
-    max_bits = steps = 0
+def _high_positions(runs: Sequence[Sequence[int]], parent: Channel) -> list[tuple[int, int]]:
+    """The recursion at the positions l > n of every run; returns each run's
+    ``(steps, max_bits)``."""
+    n = len(runs[0]) // 2
+    cur = [list(values[n + 1 :]) for values in runs]  # tau_k(l) for l = n+1..2n-k
+    prev = [[0] * (n + 1) for _ in runs]  # tau_{k-1}(l) for l = n+1..2n-k+1
+    # Delta_k, Delta_{k+1} = tau_k(k), tau_k(k+1) and tau_{k-1}(k), at k = 0
+    scalars = [(1, values[0], values[1], 0) for values in runs]
+    max_bits = [0] * len(runs)
+    steps = [0] * len(runs)
+    live = list(range(len(runs)))
     for k in range(n - 1):
         if k:
-            divisor, c = minor, a  # Delta_k = tau_{k-1}(k-1), tau_{k-1}(k)
-            minor, a = parent.recv()
-        if not divisor:
+            for r, (minor, a) in zip(live, parent.recv()):
+                _, divisor, c, _ = scalars[r]  # Delta_k = tau_{k-1}(k-1), tau_{k-1}(k)
+                scalars[r] = divisor, minor, a, c
+        live = [r for r in live if scalars[r][0]]
+        if not live:
             break
-        first, max_bits = tau_step(zip(cur[:1], cur[1:2], prev[:1]),
-                                   divisor, minor, a, c, max_bits)
-        parent.send(first[0])  # tau_{k+1}(n+1)
-        rest, max_bits = tau_step(zip(cur[1:-1], cur[2:], prev[1:]),
-                                  divisor, minor, a, c, max_bits)
-        prev, cur = cur, first + rest
-        steps += len(cur)
-    return steps, max_bits
+        firsts = []
+        for r in live:
+            first, max_bits[r] = tau_step(zip(cur[r][:1], cur[r][1:2], prev[r][:1]),
+                                          *scalars[r], max_bits[r])
+            firsts += first
+        parent.send(firsts)  # tau_{k+1}(n+1)
+        for r, first in zip(live, firsts):
+            rest, max_bits[r] = tau_step(zip(cur[r][1:-1], cur[r][2:], prev[r][1:]),
+                                         *scalars[r], max_bits[r])
+            prev[r], cur[r] = cur[r], [first] + rest
+            steps[r] += len(cur[r])
+    return [(steps[r], max_bits[r]) for r in range(len(runs))]

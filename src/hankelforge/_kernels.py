@@ -14,8 +14,8 @@ Instrumentation conventions:
 
 The Hankel recursion's update is written once, in :func:`tau_step`:
 :func:`hankel_leading_minors` runs it on every position of a step, and
-``_fork.split_leading_minors`` on the positions each of its two processes
-owns.
+``_fork.split_leading_minors``, which takes all of a claim's runs in
+lockstep, on the positions each of its two processes owns.
 """
 from __future__ import annotations
 

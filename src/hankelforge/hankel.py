@@ -21,12 +21,11 @@ reached and finishes the higher orders block by block.
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
 Nothing here keeps state between calls, so everything here is safe to call
-from several threads at once or in a forked child.  The Hankel claims in
-``verify`` run some of their independent ``hankel_minors`` calls in one, and a
-run they divide by position between the process and one
-(``_fork.split_leading_minors``) ends in ``finish_minors``.  ``hankel_minors``
-itself always runs in the calling process, and the tests compare the forked
-routes with it.
+from several threads at once or in a forked child.  When a Hankel claim in
+``verify`` is large, it divides the recursion on all its runs by position
+between the process and one forked child (``_fork.split_leading_minors``),
+and each run ends in ``finish_minors``.  ``hankel_minors`` itself always runs
+in the calling process, and the tests compare the forked route with it.
 """
 from __future__ import annotations
 
@@ -137,7 +136,7 @@ def hankel_minors(values: Sequence[int]) -> list[int]:
 
     The Chebyshev recursion runs on the values in this process, and
     :func:`finish_minors` completes what it reached.  This is the reference
-    route: the Hankel claims' forked routes are tested against it.
+    route: the Hankel claims' forked route is tested against it.
     """
     _order(values)
     minors, _, _, ok = kernels.hankel_leading_minors(values)

@@ -29,7 +29,7 @@ def test_values_must_be_an_odd_count_of_exact_integers(func):
             func(values)
 
 
-def test_build_hankel_examples():
+def test_blocks_read_the_matrix_off_its_values():
     # Every engine reads the Hankel matrix (x_{i+j}) off its values as the
     # rows of a leading block.
     f = prefix(franel(3), 4).terms
@@ -114,7 +114,7 @@ def test_engines_agree_on_random_matrices():
         assert det_dodgson(values).value == expected
 
 
-def test_leading_principal_minors():
+def test_hankel_minors_of_apery_b_match_fraction_oracle():
     terms = prefix(APERY_B, 12).terms
     minors = hankel_minors(terms)
     assert len(minors) == 7
@@ -231,7 +231,7 @@ def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
 
 @_oracle_settings
 @given(_hankel_sequences(40))
-def test_hankel_tagged_minors_match_bareiss_path(seq):
+def test_hankel_minors_match_bareiss_on_each_leading_block(seq):
     # The leading order-(s+1) block is the Hankel matrix on x_0..x_2s.
     order = (len(seq) + 1) // 2
     minors = hankel_minors(seq)

@@ -100,7 +100,7 @@ def test_parity_matrix_examples():
     assert parity_values(d, 2, 2) == [1, 0, 1]
 
 
-def test_parity_matrix_is_hankel_tagged():
+def test_parity_values_take_bit_1_of_the_terms():
     f = prefix(franel(3), 10).terms
     assert parity_values(f, 1, 5) == [(t // 2) & 1 for t in f[2:11]]
 

@@ -294,22 +294,19 @@ HANKEL_SETS = {
 
 
 def _take(route: str, monkeypatch):
-    """Send every minors run of a Hankel claim down one route: "dealt" deals
-    whole runs between the process and a forked child, "split" divides each
-    run by position with one, and "here" keeps them all in the process."""
-    split = route == "split"
-    monkeypatch.setattr(verify, "_split_runs",
-                        lambda costs, min_cost: list(range(len(costs))) if split else [])
-    monkeypatch.setattr(verify, "_FORK_MIN_COST", 1 if route == "dealt" else 10**30)
+    """Send the minors runs of a Hankel claim down one route: "forked"
+    divides them all by position with one forked child, and "here" keeps
+    them in the process."""
+    monkeypatch.setattr(verify, "_FORK_MIN_COST", 0 if route == "forked" else 10**30)
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Force the dealt route on (two usable CPUs, no break-even; ``_take``
+    """Force the forked route on (two usable CPUs, no break-even; ``_take``
     changes the route) and count the forks made; a parent left waiting on
     its child fails the test, and so does a child left unreaped."""
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
-    _take("dealt", monkeypatch)
+    _take("forked", monkeypatch)
     made = []
     real_fork = os.fork
 
@@ -347,12 +344,10 @@ def _in(where: str, real, act):
 
 def _fail_in(where: str, exc: BaseException, monkeypatch):
     """Make the minors runs raise ``exc`` in the forked child or in this
-    process, on either route: in hankel_minors, which runs a dealt run, and
-    in the step that both halves of a split run take."""
+    process, in the step that both of them take."""
     def fail():
         raise exc
 
-    monkeypatch.setattr(hankel, "hankel_minors", _in(where, hankel.hankel_minors, fail))
     monkeypatch.setattr(_fork, "tau_step", _in(where, _fork.tau_step, fail))
 
 
@@ -362,41 +357,42 @@ def test_forked_minors_match_in_process(forks, monkeypatch, claim_id):
     want = [hankel.hankel_minors(sequences.prefix(s, 60).terms) for s in seq_ids]
     assert verify._hankel_dets(seq_ids, 30) == want
     assert len(forks) == 1
-    dealt = run_claim(claim_id, 30)
-    _take("split", monkeypatch)
-    assert verify._hankel_dets(seq_ids, 30) == want
-    split = run_claim(claim_id, 30)
-    assert len(forks) == 2 + 2 * len(seq_ids)
+    forked = run_claim(claim_id, 30)
+    assert len(forks) == 2
     _take("here", monkeypatch)
-    assert dealt == split == run_claim(claim_id, 30)
-    assert len(forks) == 2 + 2 * len(seq_ids)
+    assert forked == run_claim(claim_id, 30)
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad values 7"),
                                  InexactDivisionError("31 is not divisible by 4")])
 def test_child_exception_is_raised_again(forks, monkeypatch, exc):
     _fail_in("child", exc, monkeypatch)
-    for route, seq_ids in (("dealt", HANKEL_SETS["hankel-franel"]), ("split", [APERY_A])):
-        _take(route, monkeypatch)
-        with pytest.raises(type(exc)) as raised:
-            verify._hankel_dets(seq_ids, 30)
-        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-    assert len(forks) == 2
+    with pytest.raises(type(exc)) as raised:
+        verify._hankel_dets(HANKEL_SETS["hankel-franel"], 30)
+    assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    assert len(forks) == 1
 
 
 def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypatch):
-    seq_ids = [franel(6)] * 6  # equal costs: the child takes three runs
-    one = hankel.hankel_minors(sequences.prefix(franel(6), 100).terms)
-    assert len(pickle.dumps([list(one) for _ in range(3)])) > 65536  # more than a pipe holds
-    _fail_in("parent", ValueError("parent side failed"), monkeypatch)
+    # The parent fails at once.  The child's first message, two entries of
+    # about 300 KB, is more than a pipe holds, so the child waits in it until
+    # read, and after it the child would not end for a minute: either way
+    # only a kill lets the parent reap it before the fixture's alarm.
+    parent, real_step, calls = os.getpid(), _fork.tau_step, []
+
+    def step(*args):
+        if os.getpid() == parent:
+            raise ValueError("parent side failed")
+        calls.append(None)
+        if len(calls) == 3:  # the child's first call after its first message
+            time.sleep(60)
+        return real_step(*args)
+
+    monkeypatch.setattr(_fork, "tau_step", step)
     with pytest.raises(ValueError, match="parent side failed"):
-        verify._hankel_dets(seq_ids, 50)
-    # split: the child's half would not end for a minute, so only a kill
-    # lets the parent reap it before the fixture's alarm
-    monkeypatch.setattr(_fork, "tau_step", _in("child", _fork.tau_step, lambda: time.sleep(60)))
-    with pytest.raises(ValueError, match="parent side failed"):
-        _fork.split_leading_minors(sequences.prefix(APERY_A, 60).terms)
-    assert len(forks) == 2
+        _fork.split_leading_minors([_unit_minor_moments(1 << 600_000, 9)] * 2)
+    assert len(forks) == 1
 
 
 @pytest.fixture
@@ -416,42 +412,25 @@ def test_default_bounds_and_parity_claim_stay_in_process(fork_refused, capsys):
 
 
 def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
-    # the child leaves at once on the dealt route, and on the split route in
-    # its fourth step, after it has sent three entries
+    # The child leaves at its first call of tau_step, and then at its
+    # seventh, after it has sent two messages: with two runs it makes four
+    # calls per step.
     parent, real_step, calls = os.getpid(), _fork.tau_step, []
 
     def step(*args):
         if os.getpid() != parent:
-            calls.append(None)  # two calls per step
-            if len(calls) == 7:
+            calls.append(None)
+            if len(calls) == leaves_at:
                 os._exit(1)
         return real_step(*args)
 
-    monkeypatch.setattr(hankel, "hankel_minors",
-                        _in("child", hankel.hankel_minors, lambda: os._exit(1)))
     monkeypatch.setattr(_fork, "tau_step", step)
-    for route in ("dealt", "split"):
-        _take(route, monkeypatch)
+    for leaves_at in (1, 7):
         with pytest.raises(RuntimeError, match="ended without a result"):
             verify._hankel_dets(HANKEL_SETS["hankel-apery"], 30)
     assert len(forks) == 2
 
 
-def test_split_map_weighs_the_lighter_share(fork_refused):
-    # dealt 5 | 4 + 3: the lighter share costs 5, below 6, although the
-    # costs other than the largest add up to 7
-    assert _fork.split_map(str, [5, 4, 3], [5, 4, 3], 6) == ["5", "4", "3"]
-
-
-def test_split_runs_take_a_run_that_outweighs_the_rest():
-    assert verify._split_runs([10, 3], 6) == [0]  # 3 is below the break-even
-    assert verify._split_runs([3, 10], 1) == [1, 0]  # then 3 is all that is left
-    assert verify._split_runs([5, 4, 3], 1) == []  # 5 < 4 + 3: dealt
-
-
-# The nine sequences of the hankel-deep workload.
-DEEP_SEQUENCES = [s for claim_id in ("hankel-franel", "hankel-domb-clf", "hankel-apery")
-                  for s in HANKEL_SETS[claim_id]]
 # An order-40 0/1 sequence (random, seed 2026) whose leading minor of order
 # 19 is 0: the recursion stops after 19 of its 39 steps, in both halves.
 ZERO_MINOR_AT_19 = tuple(int(c) for c in
@@ -459,16 +438,30 @@ ZERO_MINOR_AT_19 = tuple(int(c) for c in
 
 
 def test_split_leading_minors_match_the_kernel(forks):
-    cases = [sequences.prefix(s, 2 * n).terms for s in DEEP_SEQUENCES for n in (1, 2, 3, 7, 30)]
-    cases += [(1, 1, 1, 1, 2, 3, 5), (0, 1, 1, 1, 2), ZERO_MINOR_AT_19]
-    # entries in -1..1, so that zero minors stop the recursion at many steps
-    rng = random.Random(18)
-    cases += [tuple(rng.randint(-1, 1) for _ in range(2 * rng.randint(2, 12) + 1)) for _ in range(40)]
-    for values in cases:
-        assert _fork.split_leading_minors(values) == _kernels.hankel_leading_minors(values)
-    assert len(forks) == sum(len(values) >= 5 for values in cases)  # n >= 2
-    minors, _, _, ok = _fork.split_leading_minors(ZERO_MINOR_AT_19)
-    assert not ok and len(minors) == 20 and minors[18] == 0
+    # the three claims of the hankel-deep workload
+    batches = [[sequences.prefix(s, 2 * n).terms for s in HANKEL_SETS[claim_id]]
+               for claim_id in ("hankel-franel", "hankel-domb-clf", "hankel-apery")
+               for n in (1, 2, 3, 7, 30)]
+    batches += [[(1, 1, 1, 1, 2, 3, 5)], [(0, 1, 1, 1, 2)], [ZERO_MINOR_AT_19]]
+    # runs that stop at different steps: the all-ones run after 3 minors, the
+    # 0/1 run after 20, and a not at all
+    batches.append([ZERO_MINOR_AT_19, (1,) * 79, sequences.prefix(APERY_A, 78).terms])
+    # entries in -1..1, so that zero minors stop the runs at many steps
+    rng = random.Random(19)
+    for _ in range(60):
+        count = 2 * rng.randint(2, 12) + 1
+        batches.append([tuple(rng.randint(-1, 1) for _ in range(count))
+                        for _ in range(rng.randint(2, 4))])
+    stops = set()
+    for runs in batches:
+        got = _fork.split_leading_minors(runs)
+        assert got == [_kernels.hankel_leading_minors(values) for values in runs]
+        stops.add(tuple(len(minors) for minors, _, _, _ in got))
+    assert len(forks) == sum(len(runs[0]) >= 5 for runs in batches)  # n >= 2
+    assert (20, 3, 40) in stops
+    assert sum(len(set(lengths)) > 1 for lengths in stops) >= 20
+    with pytest.raises(ValueError, match="same count of values"):
+        _fork.split_leading_minors([(1, 2, 3, 4, 5), (1, 2, 3)])
 
 
 def _unit_minor_moments(diagonal: int, count: int) -> list[int]:
@@ -497,7 +490,7 @@ def test_split_messages_wider_than_a_pipe_cross(forks, monkeypatch):
 
     def receiving(channel):
         obj = recv(channel)
-        if isinstance(obj, int):  # an entry, not the child's closing (steps, max_bits)
+        if isinstance(obj[0], int):  # entries, not the child's closing (steps, max_bits)
             received.append(len(pickle.dumps(obj)))
         return obj
 
@@ -506,7 +499,7 @@ def test_split_messages_wider_than_a_pipe_cross(forks, monkeypatch):
     # tau_k(l) has about 600000 (l - k) bits, so every message of these two
     # split runs, an entry or two, is wider than a pipe buffer (64 KiB)
     for values in (_unit_minor_moments(1 << 600_000, count) for count in (7, 9)):  # n = 3, 4
-        assert _fork.split_leading_minors(values) == _kernels.hankel_leading_minors(values)
+        assert _fork.split_leading_minors([values]) == [_kernels.hankel_leading_minors(values)]
     assert len(forks) == 2
     assert len(sent) == 1 + 2 and len(received) == 2 + 3
     assert min(sent + received) > 65536
@@ -569,8 +562,8 @@ def test_every_claim_can_fail(monkeypatch, capsys, claim_id):
 def test_hankel_claims_report_a_wrong_minor_from_either_process(forks, monkeypatch, claim_id):
     # det H_1 of every sequence is replaced by -1, which no base divides and
     # which is not positive, so every check at n=1 fails and no other does.
-    # Every route completes its minors in finish_minors: a dealt run in the
-    # process that ran it, a split run here.
+    # Both routes complete their minors in finish_minors in this process: the
+    # forked route after the child's part, and hankel_minors.
     real = hankel.finish_minors
 
     def wrong_h1(values, minors, ok):
@@ -584,9 +577,6 @@ def test_hankel_claims_report_a_wrong_minor_from_either_process(forks, monkeypat
     at_n1 = [e.index for e in forked.entries if re.search(r"\bn=1\b", e.index)]
     assert len(at_n1) >= len(HANKEL_SETS[claim_id])
     assert [w.index for w in forked.witnesses] == at_n1
-    _take("split", monkeypatch)
-    assert run_claim(claim_id, 12) == forked
-    assert len(forks) == 1 + len(HANKEL_SETS[claim_id])
     _take("here", monkeypatch)
     assert run_claim(claim_id, 12) == forked
-    assert len(forks) == 1 + len(HANKEL_SETS[claim_id])
+    assert len(forks) == 1
