@@ -329,28 +329,6 @@ def forks(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _in(where: str, real, act):
-    """``real``, except that in the forked child or in this process
-    (``where``) it calls ``act()`` instead."""
-    parent = os.getpid()
-
-    def call(*args):
-        if (os.getpid() == parent) == (where == "parent"):
-            return act()
-        return real(*args)
-
-    return call
-
-
-def _fail_in(where: str, exc: BaseException, monkeypatch):
-    """Make the minors runs raise ``exc`` in the forked child or in this
-    process, in the step that both of them take."""
-    def fail():
-        raise exc
-
-    monkeypatch.setattr(_fork, "tau_step", _in(where, _fork.tau_step, fail))
-
-
 @pytest.mark.parametrize("claim_id", sorted(HANKEL_SETS))
 def test_forked_minors_match_in_process(forks, monkeypatch, claim_id):
     seq_ids = HANKEL_SETS[claim_id]
@@ -367,7 +345,14 @@ def test_forked_minors_match_in_process(forks, monkeypatch, claim_id):
 @pytest.mark.parametrize("exc", [ValueError("bad values 7"),
                                  InexactDivisionError("31 is not divisible by 4")])
 def test_child_exception_is_raised_again(forks, monkeypatch, exc):
-    _fail_in("child", exc, monkeypatch)
+    parent, real_step = os.getpid(), _fork.tau_step
+
+    def step(*args):
+        if os.getpid() != parent:
+            raise exc
+        return real_step(*args)
+
+    monkeypatch.setattr(_fork, "tau_step", step)
     with pytest.raises(type(exc)) as raised:
         verify._hankel_dets(HANKEL_SETS["hankel-franel"], 30)
     assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
