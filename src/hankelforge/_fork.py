@@ -1,11 +1,11 @@
 """Work split between this process and one forked child.
 
-The Hankel claims in ``verify`` use it for their minors runs, when those are
-large: :func:`split_leading_minors` takes every step of the recursion on all
-of a claim's runs at once, the process taking the positions l <= n of each
-run and the child the rest, and the two exchange one message each way per
-step.  ``verify`` imports this module only when a claim's runs are large
-enough to fork, so the CLI's start-up does not load it.
+``hankel.hankel_minors`` uses it for its minors runs, when those are large:
+:func:`split_leading_minors` takes every step of the recursion on all the
+runs at once, the process taking the positions l <= n of each run and the
+child the rest, and the two exchange one message each way per step.
+``hankel`` imports this module only when the runs are large enough to fork,
+so the CLI's start-up does not load it.
 """
 from __future__ import annotations
 

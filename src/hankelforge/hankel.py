@@ -2,8 +2,8 @@
 matrix, and the quotient check the Hankel claims apply to them.
 
 Every function here takes the order-(n+1) Hankel matrix ``(x_{i+j})`` as its
-2n+1 antidiagonal values x_0..x_2n; an even count or a value that is not an
-exact integer is a ValueError.  Three independent engines return the same
+2n+1 antidiagonal values x_0..x_2n (``hankel_minors`` a list of them); an even
+count or a value that is not an exact integer is a ValueError.  Three independent engines return the same
 exact determinant on the values, and each caller names the one it runs:
 
 * ``LAPLACE``  minor expansion with memoization, the small-order oracle
@@ -13,19 +13,18 @@ exact determinant on the values, and each caller names the one it runs:
   which falls back to Bareiss on the whole matrix when a leading minor the
   recursion divides by is zero (the result is tagged ``fallback=True``).
 
-The claims need every leading principal minor.  ``hankel_minors`` takes them
-from the values by the same recursion (~n^2 exact updates); when a leading
-minor it divides by is zero, ``finish_minors`` keeps the minors the recursion
-reached and finishes the higher orders block by block.
+The claims need every leading principal minor.  ``hankel_minors`` is the one
+route to them: it takes runs of 2n+1 values and returns each run's minors by
+the same recursion (~n^2 exact updates per run).  When the runs are large
+together, it divides every step of that recursion on all of them by position
+between the process and one forked child (``_fork.split_leading_minors``);
+otherwise each runs here.  A run whose recursion meets a zero leading minor
+keeps the minors it reached and finishes the higher orders block by block.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
 Nothing here keeps state between calls, so everything here is safe to call
-from several threads at once or in a forked child.  When a Hankel claim in
-``verify`` is large, it divides the recursion on all its runs by position
-between the process and one forked child (``_fork.split_leading_minors``),
-and each run ends in ``finish_minors``.  ``hankel_minors`` itself always runs
-in the calling process, and the tests compare the forked route with it.
+from several threads at once or in a forked child.
 """
 from __future__ import annotations
 
@@ -130,33 +129,52 @@ def det_dodgson(values: Sequence[int]) -> DetResult:
     return DetResult(value, "DODGSON", steps + b_steps, max(max_bits, b_bits), fallback=True)
 
 
-def hankel_minors(values: Sequence[int]) -> list[int]:
-    """Leading principal minors, order 1 through n+1, of the order-(n+1)
-    Hankel matrix whose entry (i, j) is ``values[i+j]``.
+# The break-even of forking a child for the minors, in _hankel_cost units
+# summed over all the runs of one call.  Measured on a 2-vCPU x86_64 VM
+# under CPython 3.11 as fresh `hankelforge verify --claim C --n-max N`
+# processes, forked over in-process time, best of 7 or 11, three separate
+# times (BENCH_lockstep.json): up to 6.7e8 units 1.01-1.36x (a process that
+# forks also imports _fork, and each step sends a message each way),
+# 7.8e8-9.9e8 units 0.99-1.11x, 1.0e9-1.5e9 units 0.89-1.07x (the noise),
+# and from 1.6e9 units 0.78-0.99x.  At the default n <= 12 the claims stay
+# below 2.6e7 units.
+_FORK_MIN_COST = 1_000_000_000
 
-    The Chebyshev recursion runs on the values in this process, and
-    :func:`finish_minors` completes what it reached.  This is the reference
-    route: the Hankel claims' forked route is tested against it.
+
+def _hankel_cost(values: Sequence[int]) -> int:
+    """The big-int work of the recursion on ``values`` up to a constant: it
+    makes ~(2n+1)^2 updates on entries of ~bits(x_2n) bits."""
+    return len(values) ** 2 * values[-1].bit_length() ** 2
+
+
+def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """For each run of 2n+1 values, the leading principal minors, order 1
+    through n+1, of the order-(n+1) Hankel matrix whose entry (i, j) is
+    ``values[i+j]``; one list per run, in order.
+
+    The runs are weighed by :func:`_hankel_cost`.  Below ``_FORK_MIN_COST``
+    in sum, or when the runs differ in length, the Chebyshev recursion runs
+    on each in this process; otherwise one forked child takes part of every
+    step of all of them (:func:`._fork.split_leading_minors`), with the same
+    result.  When a leading minor the recursion divides by is zero, the
+    minors it reached are kept and each higher-order block is evaluated by
+    Bareiss on its own, in this process on either route.  No claim's matrix at its default bounds
+    reaches that loop, so it stays simple (O(n^4) after an early zero) rather
+    than fast; it is kept because a zero minor is what the claims test for.
     """
-    _order(values)
-    minors, _, _, ok = kernels.hankel_leading_minors(values)
-    return finish_minors(values, minors, ok)
+    for values in runs:
+        _order(values)
+    if sum(map(_hankel_cost, runs)) < _FORK_MIN_COST or len(set(map(len, runs))) > 1:
+        results = [kernels.hankel_leading_minors(values) for values in runs]
+    else:
+        from . import _fork  # loaded only here, so that the CLI's start-up does not compile it
 
-
-def finish_minors(values: Sequence[int], minors: list[int], ok: bool) -> list[int]:
-    """``minors``, the leading minors the recursion reached on ``values``,
-    completed to order n+1 in place.
-
-    When a leading minor the recursion divides by is zero (``ok`` False),
-    each higher-order block is evaluated by Bareiss on its own.  No claim's
-    matrix at its default bounds reaches that loop, so it stays simple
-    (O(n^4) after an early zero) rather than fast; it is kept because a zero
-    minor is what the claims test for.
-    """
-    if not ok:
-        for size in range(len(minors) + 1, len(values) // 2 + 2):
-            minors.append(kernels.bareiss_det(_block(values, size))[0])
-    return minors
+        results = _fork.split_leading_minors(runs)
+    for values, (minors, _, _, ok) in zip(runs, results):
+        if not ok:
+            for size in range(len(minors) + 1, len(values) // 2 + 2):
+                minors.append(kernels.bareiss_det(_block(values, size))[0])
+    return [minors for minors, _, _, _ in results]
 
 
 def quotient_check(det_value: int, base: int, exponent: int) -> QuotientCheck:

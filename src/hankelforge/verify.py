@@ -6,12 +6,11 @@ stable claim id, and each run produces a :class:`VerificationReport` with
 one status per checked index.  ``hankelforge verify --help`` and the README
 list the claims.
 
-Claims are independent and may run concurrently.  A Hankel claim computes
-the minors of all its sequences before it checks any of them.  When they are
-large it shares every run with one forked child, dividing each step of the
-recursion by position between the two processes (see :func:`_hankel_dets`
-and ``_fork``).  Its checks are still yielded in one fixed order, so witness
-order is reproducible.
+Claims are independent and may run concurrently.  A Hankel claim hands the
+prefixes of all its sequences to one ``hankel.hankel_minors`` call, which
+decides whether a forked child shares the work, before it checks any minor.
+Its checks are yielded in one fixed order either way, so witness order is
+reproducible.
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ class Claim:
     (twice ``hi``) and ``primes``.  ``n_max`` is the default index bound, and
     None for a claim whose checks take no index bound (they get ``hi`` 0).
     ``primes`` is the default prime list of a claim that takes one, and None
-    for every other claim.  Two claims are equal when all their fields are.
+    for every other claim.
     """
 
     def __init__(self, claim_id: str, description: str, scope: str, checks: Checks,
@@ -60,17 +59,6 @@ class Claim:
         self.n_min = n_min
         self.primes = primes
         self.experimental = experimental
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Claim:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return f"Claim({self.claim_id!r})"
 
     def bounds(self, n_max: int | None = None,
                primes: Sequence[int] | None = None) -> tuple[int, tuple[int, ...]]:
@@ -132,46 +120,12 @@ def _residues(seq_id: sequences.SequenceId,
     return checks
 
 
-# The break-even of forking a child for a claim's minors, in _hankel_cost
-# units summed over all the claim's runs.  Measured on a 2-vCPU x86_64 VM
-# under CPython 3.11 as fresh `hankelforge verify --claim C --n-max N`
-# processes, forked over in-process time, best of 7 or 11, three separate
-# times (BENCH_lockstep.json): up to 6.7e8 units 1.01-1.36x (a process that
-# forks also imports _fork, and each step sends a message each way),
-# 7.8e8-9.9e8 units 0.99-1.11x, 1.0e9-1.5e9 units 0.89-1.07x (the noise),
-# and from 1.6e9 units 0.78-0.99x.  At the default n <= 12 the claims stay
-# below 2.6e7 units.
-_FORK_MIN_COST = 1_000_000_000
-
-
-def _hankel_cost(values: Sequence[int]) -> int:
-    """The big-int work of ``hankel_minors(values)`` up to a constant: the
-    recursion makes ~(2n+1)^2 updates on entries of ~bits(x_2n) bits."""
-    return len(values) ** 2 * values[-1].bit_length() ** 2
-
-
-def _hankel_dets(seq_ids: Sequence[sequences.SequenceId], n_max: int) -> list[list[int]]:
-    """The leading Hankel minors, orders 1..n_max+1, of each sequence in turn.
-
-    All the prefixes are built here, and the work is weighed by
-    :func:`_hankel_cost`.  When the runs together cost at least
-    ``_FORK_MIN_COST``, all of them are divided by position with one forked
-    child (:func:`._fork.split_leading_minors`); otherwise each runs here.
-    """
-    runs = [prefix(seq_id, 2 * n_max).terms for seq_id in seq_ids]
-    if sum(map(_hankel_cost, runs)) < _FORK_MIN_COST:
-        return [hankel.hankel_minors(values) for values in runs]
-    from . import _fork  # loaded only here, so that the CLI's start-up does not compile it
-
-    return [hankel.finish_minors(values, minors, ok)
-            for values, (minors, _, _, ok) in zip(runs, _fork.split_leading_minors(runs))]
-
-
 def _hankel(*runs: _HankelRun) -> Checks:
     """For each run ``(seq_id, check)`` in turn, the checks ``check(n, det
-    H_n)`` for ``n = 0..hi``; one :func:`_hankel_dets` takes all the minors."""
+    H_n)`` for ``n = 0..hi``; one ``hankel.hankel_minors`` call takes the
+    minors of all the runs' prefixes."""
     def checks(hi, primes):
-        dets = _hankel_dets([seq_id for seq_id, _ in runs], hi)
+        dets = hankel.hankel_minors([prefix(seq_id, 2 * hi).terms for seq_id, _ in runs])
         for (_, check), minors in zip(runs, dets):
             for n, d in enumerate(minors):
                 yield from check(n, d)
@@ -233,7 +187,7 @@ def _parity_matrix(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
             yield f"{name} {label}", value, ok, expected
         if not all(ok for _, _, ok, _ in hypotheses):
             continue  # B is defined only under the hypotheses; their witnesses are the failure
-        minors = hankel.hankel_minors(numtheory.parity_values(terms, k, hi))
+        minors = hankel.hankel_minors([numtheory.parity_values(terms, k, hi)])[0]
         for n in range(1, hi + 1):
             v = minors[n - 1]
             yield f"{name} |B_{n}|", v, v in (1, -1), "in {+1, -1}"

@@ -62,7 +62,7 @@ def test_criterion_05_parity_matrix_machinery():
         terms = prefix(seq, 128).terms
         if not all(ok for _, _, ok, _ in lemma23_hypothesis_check(terms, k, 128)):
             ok = False
-        for minor in hankel_minors(parity_values(terms, k, 64)):
+        for minor in hankel_minors([parity_values(terms, k, 64)])[0]:
             if minor not in (1, -1):
                 ok = False
     _report(5, ok, "hypothesis scan to index 128 and |B_n| in {+-1} for n<=64")

@@ -138,6 +138,13 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "error:" in err and "Traceback" not in err, argv
+    for argv, message in (
+        (("seq", "--family", "franel", "--n", "x"), "invalid int value: 'x'"),
+        (("bench", "--family", "franel", "--n", "2", "--repeat", "0"), "--repeat must be at least 1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err and "Traceback" not in err, argv
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -18,8 +18,11 @@ from hankelforge.sequences import APERY_A, APERY_B, CLF, domb, franel
 from oracle_helpers import det_fractions, det_permutation, hankel_rows, leading_minors_mod_p
 
 
-@pytest.mark.parametrize("func", (det_laplace, det_bareiss, det_dodgson, hankel_minors),
-                         ids=lambda f: f.__name__)
+# hankel_minors takes runs of values and checks every one: here the bad run
+# comes after a good one.
+@pytest.mark.parametrize("func", (det_laplace, det_bareiss, det_dodgson,
+                                  lambda values: hankel_minors([(1, 2, 3), values])),
+                         ids=("det_laplace", "det_bareiss", "det_dodgson", "hankel_minors"))
 def test_values_must_be_an_odd_count_of_exact_integers(func):
     for values in ((), (1, 2), (1, 2, 3, 4)):
         with pytest.raises(ValueError, match="need 2n\\+1 antidiagonal values, got"):
@@ -116,7 +119,7 @@ def test_engines_agree_on_random_matrices():
 
 def test_hankel_minors_of_apery_b_match_fraction_oracle():
     terms = prefix(APERY_B, 12).terms
-    minors = hankel_minors(terms)
+    minors = hankel_minors([terms])[0]
     assert len(minors) == 7
     rows = hankel_rows(terms, 6)
     for size in range(1, 8):
@@ -200,7 +203,7 @@ def test_hankel_zero_divisor_falls_back_to_bareiss():
     assert expected == [1, 0, 0, -1]
     minors, _, _, ok = _kernels.hankel_leading_minors(terms)
     assert not ok and minors == expected[:3]
-    assert hankel_minors(terms) == expected
+    assert hankel_minors([terms])[0] == expected
     result = det_dodgson(terms)
     assert result.fallback and result.value == -1
 
@@ -222,10 +225,10 @@ def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
     # Past a zero divisor only the blocks the recursion did not reach go to
     # Bareiss, one call each, built from the values: no sweep.
     orders = _count_bareiss_calls(monkeypatch)
-    assert hankel_minors((1, 1, 1, 1, 2, 3, 5)) == [1, 0, 0, -1]
+    assert hankel_minors([(1, 1, 1, 1, 2, 3, 5)])[0] == [1, 0, 0, -1]
     assert orders == [4]
     orders.clear()
-    assert hankel_minors((0, 1, 1, 1, 2)) == _fraction_minors((0, 1, 1, 1, 2))
+    assert hankel_minors([(0, 1, 1, 1, 2)])[0] == _fraction_minors((0, 1, 1, 1, 2))
     assert orders == [3]
 
 
@@ -234,7 +237,7 @@ def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
 def test_hankel_minors_match_bareiss_on_each_leading_block(seq):
     # The leading order-(s+1) block is the Hankel matrix on x_0..x_2s.
     order = (len(seq) + 1) // 2
-    minors = hankel_minors(seq)
+    minors = hankel_minors([seq])[0]
     assert minors == [det_bareiss(seq[: 2 * s + 1]).value for s in range(order)]
     if order <= 7:
         rows = hankel_rows(seq, order - 1)
@@ -255,7 +258,7 @@ def test_hankel_minors_match_matrix_route(seq):
     if not ok:
         # hankel_minors returns these minors as they are, so they must be exact.
         assert minors == expected[: len(minors)]
-    assert hankel_minors(seq) == expected
+    assert hankel_minors([seq])[0] == expected
 
 
 # Every claim that takes Hankel minors: the four quotient and positivity
@@ -275,7 +278,7 @@ def test_hankel_claims_build_no_matrix(monkeypatch, claim_id):
 
 def _assert_minors_match_modular_sweep(seq, n):
     terms = prefix(seq, 2 * n).terms
-    minors = hankel_minors(terms)
+    minors = hankel_minors([terms])[0]
     assert len(minors) == n + 1
     rows = hankel_rows(terms, n)
     for p in (2**61 - 1, 2**89 - 1):
@@ -381,3 +384,16 @@ def test_kernel_divisions_are_checked(monkeypatch):
     # x_0 = 2 is the first divisor other than +-1, at the step to order 3.
     with pytest.raises(InexactDivisionError, match="chebyshev"):
         det_dodgson((2, 1, 1, 1, 1))
+    # Each update of the recursion divides twice; here only the second leaves
+    # a remainder.
+    calls = []
+
+    def second_inexact(a, b):
+        calls.append(None)
+        q, r = divmod(a, b)
+        return q, r + (len(calls) == 2)
+
+    monkeypatch.setattr(_kernels, "divmod", second_inexact, raising=False)
+    with pytest.raises(InexactDivisionError, match="chebyshev"):
+        det_dodgson((2, 1, 1, 1, 1))
+    assert len(calls) == 2

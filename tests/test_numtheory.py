@@ -160,8 +160,13 @@ def test_hypothesis_check_requires_enough_terms():
         lemma23_hypothesis_check([1, 2], 1, 2)
 
 
+def test_hypothesis_check_refuses_a_scale_below_1():
+    with pytest.raises(ValueError, match="k must be positive"):
+        lemma23_hypothesis_check([1, 2, 4], 0, 2)
+
+
 def test_parity_matrix_dets_are_unimodular():
     for seq, k in ((franel(3), 1), (domb(2), 2)):
         terms = prefix(seq, 48).terms
-        for minor in hankel_minors(parity_values(terms, k, 24)):
+        for minor in hankel_minors([parity_values(terms, k, 24)])[0]:
             assert minor in (1, -1)

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shlex
@@ -12,6 +13,16 @@ def test_all_names_resolve():
     for name in hankelforge.__all__:
         getattr(hankelforge, name)  # AttributeError on a stale entry
     exec("from hankelforge import *", {})
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: syntax newer than that,
+    # such as 3.11's except*, fails to parse here.  This reads syntax only; a
+    # stdlib function added after 3.10 is not caught.
+    sources = sorted(Path(hankelforge.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def test_cli_import_loads_no_dataclasses_json_or_fork():

@@ -294,10 +294,15 @@ HANKEL_SETS = {
 
 
 def _take(route: str, monkeypatch):
-    """Send the minors runs of a Hankel claim down one route: "forked"
-    divides them all by position with one forked child, and "here" keeps
-    them in the process."""
-    monkeypatch.setattr(verify, "_FORK_MIN_COST", 0 if route == "forked" else 10**30)
+    """Send the runs of every ``hankel.hankel_minors`` call down one route:
+    "forked" divides them all by position with one forked child, and "here"
+    keeps them in the process."""
+    monkeypatch.setattr(hankel, "_FORK_MIN_COST", 0 if route == "forked" else 10**30)
+
+
+def _runs(claim_id: str, n_max: int) -> list[tuple[int, ...]]:
+    """The prefixes whose minors a Hankel claim takes at ``n_max``."""
+    return [sequences.prefix(s, 2 * n_max).terms for s in HANKEL_SETS[claim_id]]
 
 
 @pytest.fixture
@@ -331,9 +336,12 @@ def forks(monkeypatch):
 
 @pytest.mark.parametrize("claim_id", sorted(HANKEL_SETS))
 def test_forked_minors_match_in_process(forks, monkeypatch, claim_id):
-    seq_ids = HANKEL_SETS[claim_id]
-    want = [hankel.hankel_minors(sequences.prefix(s, 60).terms) for s in seq_ids]
-    assert verify._hankel_dets(seq_ids, 30) == want
+    runs = _runs(claim_id, 30)
+    _take("here", monkeypatch)
+    want = hankel.hankel_minors(runs)
+    assert len(forks) == 0
+    _take("forked", monkeypatch)
+    assert hankel.hankel_minors(runs) == want
     assert len(forks) == 1
     forked = run_claim(claim_id, 30)
     assert len(forks) == 2
@@ -354,7 +362,7 @@ def test_child_exception_is_raised_again(forks, monkeypatch, exc):
 
     monkeypatch.setattr(_fork, "tau_step", step)
     with pytest.raises(type(exc)) as raised:
-        verify._hankel_dets(HANKEL_SETS["hankel-franel"], 30)
+        hankel.hankel_minors(_runs("hankel-franel", 30))
     assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
     assert len(forks) == 1
 
@@ -396,6 +404,14 @@ def test_default_bounds_and_parity_claim_stay_in_process(fork_refused, capsys):
     capsys.readouterr()
 
 
+def test_runs_of_different_lengths_stay_in_process(fork_refused, monkeypatch):
+    # The split needs one n for all the runs, so mixed lengths never fork,
+    # whatever their cost.
+    _take("forked", monkeypatch)
+    runs = [sequences.prefix(APERY_A, 2 * n).terms for n in (3, 30)]
+    assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0] for values in runs]
+
+
 def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
     # The child leaves at its first call of tau_step, and then at its
     # seventh, after it has sent two messages: with two runs it makes four
@@ -412,7 +428,7 @@ def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
     monkeypatch.setattr(_fork, "tau_step", step)
     for leaves_at in (1, 7):
         with pytest.raises(RuntimeError, match="ended without a result"):
-            verify._hankel_dets(HANKEL_SETS["hankel-apery"], 30)
+            hankel.hankel_minors(_runs("hankel-apery", 30))
     assert len(forks) == 2
 
 
@@ -447,6 +463,18 @@ def test_split_leading_minors_match_the_kernel(forks):
     assert sum(len(set(lengths)) > 1 for lengths in stops) >= 20
     with pytest.raises(ValueError, match="same count of values"):
         _fork.split_leading_minors([(1, 2, 3, 4, 5), (1, 2, 3)])
+
+
+def test_forked_route_finishes_the_stopped_runs(forks, monkeypatch):
+    # Both runs stop at a zero divisor, in both processes; hankel_minors
+    # finishes them in this process on either route.
+    runs = [ZERO_MINOR_AT_19, (1,) * 79]
+    _take("here", monkeypatch)
+    want = hankel.hankel_minors(runs)
+    _take("forked", monkeypatch)
+    assert hankel.hankel_minors(runs) == want
+    assert [len(minors) for minors in want] == [40, 40]
+    assert len(forks) == 1
 
 
 def _unit_minor_moments(diagonal: int, count: int) -> list[int]:
@@ -547,16 +575,16 @@ def test_every_claim_can_fail(monkeypatch, capsys, claim_id):
 def test_hankel_claims_report_a_wrong_minor_from_either_process(forks, monkeypatch, claim_id):
     # det H_1 of every sequence is replaced by -1, which no base divides and
     # which is not positive, so every check at n=1 fails and no other does.
-    # Both routes complete their minors in finish_minors in this process: the
-    # forked route after the child's part, and hankel_minors.
-    real = hankel.finish_minors
+    # Both routes return through hankel_minors, which the claims call.
+    real = hankel.hankel_minors
 
-    def wrong_h1(values, minors, ok):
-        minors = real(values, minors, ok)
-        minors[1] = -1
-        return minors
+    def wrong_h1(runs):
+        dets = real(runs)
+        for minors in dets:
+            minors[1] = -1
+        return dets
 
-    monkeypatch.setattr(hankel, "finish_minors", wrong_h1)
+    monkeypatch.setattr(hankel, "hankel_minors", wrong_h1)
     forked = run_claim(claim_id, 12)
     assert len(forks) == 1
     at_n1 = [e.index for e in forked.entries if re.search(r"\bn=1\b", e.index)]
