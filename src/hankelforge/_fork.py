@@ -16,7 +16,7 @@ import signal
 import threading
 from typing import Any, Callable, Sequence, TypeVar
 
-from ._kernels import hankel_leading_minors, tau_step
+from ._kernels import tau_step
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -148,39 +148,33 @@ def with_child(here: Callable[[Channel], T], there: Callable[[Channel], U]) -> t
     return mine, theirs
 
 
-def split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int, bool]]:
-    """``[hankel_leading_minors(values) for values in runs]``, each run's
-    same ``(minors, steps, max_bits, ok)``, with one forked child taking part
-    of every step of every run.
+def split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int]]:
+    """Each run's ``_kernels.hankel_leading_minors(values)``, the same
+    ``(minors, steps, max_bits)``, with one forked child taking part of every
+    step of every run.
 
-    Each run holds x_0..x_2n, with the same n for all.  Step k -> k+1 updates
-    the positions l = k+1..2n-k-1, each from tau_k(l), tau_k(l+1),
-    tau_{k-1}(l) and four scalars read at the left end (see
-    ``_kernels.tau_step``).  This process takes the positions l <= n of every
-    run and the child those above.  Per step, the child needs only each run's
-    scalars, which it keeps up from this process's first two new entries, and
-    this process needs only the child's first new entry, tau_{k+1}(n+1).  The
-    runs go in lockstep: per step each side sends the other one message, with
-    those entries of every run still going, before the rest of its step.  A
-    run that meets a zero divisor leaves both sides' messages at the same
-    step.  The child sends each run's ``steps`` and ``max_bits`` home at the
-    end.  Below n = 2 the child would have no position, so the kernel runs
-    here alone, as it does when :func:`can_fork` does not hold and on an even
-    count of values, which it refuses.
+    Each run holds x_0..x_2n, with one n >= 2 for all (below, the child would
+    have no position), and :func:`can_fork` holds: ``hankel.hankel_minors``,
+    which picks this route, checks both.  Step k -> k+1 updates the positions
+    l = k+1..2n-k-1, each from tau_k(l), tau_k(l+1), tau_{k-1}(l) and four
+    scalars read at the left end (see ``_kernels.tau_step``).  This process
+    takes the positions l <= n of every run and the child those above.  Per
+    step, the child needs only each run's scalars, which it keeps up from this
+    process's first two new entries, and this process needs only the child's
+    first new entry, tau_{k+1}(n+1).  The runs go in lockstep: per step each
+    side sends the other one message, with those entries of every run still
+    going, before the rest of its step.  A run that meets a zero divisor leaves
+    both sides' messages at the same step.  The child sends each run's
+    ``steps`` and ``max_bits`` home at the end.
     """
-    count = len(runs[0])
-    if any(len(values) != count for values in runs):
-        raise ValueError("the runs need the same count of values")
-    if count < 5 or count % 2 == 0 or not can_fork():
-        return [hankel_leading_minors(values) for values in runs]
     mine, theirs = with_child(lambda child: _low_positions(runs, child),
                               lambda parent: _high_positions(runs, parent))
-    return [(minors, steps + child_steps, max(max_bits, child_bits), ok)
-            for (minors, steps, max_bits, ok), (child_steps, child_bits) in zip(mine, theirs)]
+    return [(minors, steps + child_steps, max(max_bits, child_bits))
+            for (minors, steps, max_bits), (child_steps, child_bits) in zip(mine, theirs)]
 
 
 def _low_positions(runs: Sequence[Sequence[int]],
-                   child: Channel) -> list[tuple[list[int], int, int, bool]]:
+                   child: Channel) -> list[tuple[list[int], int, int]]:
     """The recursion at the positions l <= n of every run, where the minors
     are; returns each run's kernel tuple, with this process's ``steps`` and
     ``max_bits``."""
@@ -218,7 +212,7 @@ def _low_positions(runs: Sequence[Sequence[int]],
         for r, nxt in zip(live, heads):
             prev[r], cur[r], divisor[r] = cur[r], nxt, cur[r][0]
             minors[r].append(nxt[0])
-    return [(minors[r], steps[r], max_bits[r], r in live) for r in range(len(runs))]
+    return [(minors[r], steps[r], max_bits[r]) for r in range(len(runs))]
 
 
 def _high_positions(runs: Sequence[Sequence[int]], parent: Channel) -> list[tuple[int, int]]:

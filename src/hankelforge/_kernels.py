@@ -72,8 +72,7 @@ def bareiss_det(rows):
 
 def hankel_leading_minors(seq):
     """Leading principal minors of the Hankel matrix ``(seq[i+j])`` by the
-    fraction-free Chebyshev recursion.  Returns ``(minors, steps, max_bits,
-    ok)``.
+    fraction-free Chebyshev recursion.  Returns ``(minors, steps, max_bits)``.
 
     ``seq`` holds the 2n+1 antidiagonal values x_0..x_2n of the order-(n+1)
     matrix.  tau_k(l) is the determinant of the rows (x_i .. x_{i+k}) for
@@ -92,9 +91,9 @@ def hankel_leading_minors(seq):
 
     so each step (:func:`tau_step`) costs two exact divisions per entry, n^2
     entries in all.  The only divisors are the leading minors of order up to
-    n-1: ``ok`` is False when one of them is 0, and ``minors`` then stops at
-    the last order reached.  Those minors are exact; the caller finishes the
-    higher orders itself.
+    n-1: when one of them is 0, ``minors`` stops at the last order reached,
+    short of n+1.  Those minors are exact; the caller finishes the higher
+    orders itself.
     """
     if len(seq) % 2 == 0:
         raise ValueError(f"need 2n+1 antidiagonal values, got {len(seq)}")
@@ -104,16 +103,14 @@ def hankel_leading_minors(seq):
     max_bits = max(x.bit_length() for x in cur)
     steps = 0
     minors = [cur[0]]
-    while len(cur) > 1:
-        if not divisor:
-            return minors, steps, max_bits, False
+    while len(cur) > 1 and divisor:
         minor, a, c = cur[0], cur[1], prev[1]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k)
         nxt, max_bits = tau_step(zip(cur[1:-1], cur[2:], prev[2:-2]),
                                  divisor, minor, a, c, max_bits)
         steps += len(nxt)
         prev, cur, divisor = cur, nxt, minor
         minors.append(cur[0])
-    return minors, steps, max_bits, True
+    return minors, steps, max_bits
 
 
 def tau_step(entries, divisor, minor, a, c, max_bits):

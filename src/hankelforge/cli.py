@@ -4,8 +4,8 @@ Subcommands: ``seq`` (print terms), ``hankel`` (evaluate one Hankel
 determinant from the sequence's 2n+1 terms), ``verify`` (run claim
 harnesses), ``bench`` (time the determinant engines).  Exit codes: 0 all
 requested checks pass, 1 a proven claim failed, 2 usage error, 3 internal
-error (an exception raised inside the program, whose traceback goes to
-stderr).  Failures of EXPERIMENTAL claims warn on stderr and exit 0.
+error (an exception inside the program, traceback on stderr), 4 stdout could
+not be written (one line on stderr).  EXPERIMENTAL claims' failures warn, exit 0.
 
 All big integers are rendered as decimal strings, never floats, and
 identical inputs produce byte-identical CSV/JSON output.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 from typing import Sequence
@@ -241,8 +242,7 @@ def _cmd_verify(args) -> int:
         reports = verify.run_all(args.n_max, args.primes)
     else:
         reports = [verify.run_claim(args.claim, args.n_max, args.primes)]
-    sys.stdout.buffer.write(emit_reports(reports, args.format))
-    sys.stdout.buffer.flush()
+    _write(emit_reports(reports, args.format))
     exit_code = 0
     for report in reports:
         if report.passed:
@@ -280,8 +280,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _write(text: str) -> None:
-    sys.stdout.write(text)
+def _write(data: str | bytes = "") -> None:
+    """Write ``data`` to stdout and flush it.  A write that fails (a full
+    device, a closed pipe) is no fault of the program: exit 4, saying why."""
+    try:
+        (sys.stdout.buffer if isinstance(data, bytes) else sys.stdout).write(data)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write to standard output: {exc.strerror or exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit: what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(4) from None
 
 
 def run(argv: Sequence[str]) -> int:
@@ -301,6 +310,7 @@ def run(argv: Sequence[str]) -> int:
 def main() -> None:
     try:
         code = run(sys.argv[1:])
+        _write()  # what argparse printed, before the interpreter's flush at exit
     except Exception:  # a bug, not a refuted claim: keep the traceback as its report
         import traceback
 

@@ -15,11 +15,12 @@ exact determinant on the values, and each caller names the one it runs:
 
 The claims need every leading principal minor.  ``hankel_minors`` is the one
 route to them: it takes runs of 2n+1 values and returns each run's minors by
-the same recursion (~n^2 exact updates per run).  When the runs are large
-together, it divides every step of that recursion on all of them by position
-between the process and one forked child (``_fork.split_leading_minors``);
-otherwise each runs here.  A run whose recursion meets a zero leading minor
-keeps the minors it reached and finishes the higher orders block by block.
+the same recursion (~n^2 exact updates per run).  It alone picks where:
+when the runs are large together, it divides every step on all of them by
+position between the process and one forked child
+(``_fork.split_leading_minors``); otherwise each runs here.  A run whose
+recursion meets a zero leading minor keeps the minors it reached and
+finishes the higher orders block by block.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
@@ -122,11 +123,11 @@ def det_dodgson(values: Sequence[int]) -> DetResult:
     below ``order - 1`` is zero; ``steps``/``max_bits`` then cover both
     attempts."""
     order = _order(values)
-    minors, steps, max_bits, ok = kernels.hankel_leading_minors(values)
-    if ok:
-        return DetResult(minors[-1], "DODGSON", steps, max_bits)
-    value, b_steps, b_bits = kernels.bareiss_det(_block(values, order))
-    return DetResult(value, "DODGSON", steps + b_steps, max(max_bits, b_bits), fallback=True)
+    minors, steps, max_bits = kernels.hankel_leading_minors(values)
+    if len(minors) < order:
+        value, b_steps, b_bits = kernels.bareiss_det(_block(values, order))
+        return DetResult(value, "DODGSON", steps + b_steps, max(max_bits, b_bits), fallback=True)
+    return DetResult(minors[-1], "DODGSON", steps, max_bits)
 
 
 # The break-even of forking a child for the minors, in _hankel_cost units
@@ -152,29 +153,31 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
     through n+1, of the order-(n+1) Hankel matrix whose entry (i, j) is
     ``values[i+j]``; one list per run, in order.
 
-    The runs are weighed by :func:`_hankel_cost`.  Below ``_FORK_MIN_COST``
-    in sum, or when the runs differ in length, the Chebyshev recursion runs
-    on each in this process; otherwise one forked child takes part of every
-    step of all of them (:func:`._fork.split_leading_minors`), with the same
-    result.  When a leading minor the recursion divides by is zero, the
-    minors it reached are kept and each higher-order block is evaluated by
-    Bareiss on its own, in this process on either route.  No claim's matrix at its default bounds
-    reaches that loop, so it stays simple (O(n^4) after an early zero) rather
-    than fast; it is kept because a zero minor is what the claims test for.
+    This alone picks the route: one forked child takes part of every step of
+    all the runs (:func:`._fork.split_leading_minors`) when their summed
+    :func:`_hankel_cost` reaches ``_FORK_MIN_COST``, they have one length n >= 2
+    (so that the child has a position) and :func:`._fork.can_fork` holds;
+    otherwise the Chebyshev recursion runs on each here, with the same result.
+    When a leading minor the recursion divides by is zero, the minors it
+    reached are kept and each higher-order block is evaluated by Bareiss on its
+    own, here on either route.  No claim's matrix at its default bounds reaches
+    that loop, so it stays simple (O(n^4) after an early zero) rather than
+    fast; it is kept because a zero minor is what the claims test for.
     """
     for values in runs:
         _order(values)
-    if sum(map(_hankel_cost, runs)) < _FORK_MIN_COST or len(set(map(len, runs))) > 1:
-        results = [kernels.hankel_leading_minors(values) for values in runs]
-    else:
+    forks = (sum(map(_hankel_cost, runs)) >= _FORK_MIN_COST and len(runs[0]) >= 5
+             and len(set(map(len, runs))) == 1)
+    if forks:
         from . import _fork  # loaded only here, so that the CLI's start-up does not compile it
 
-        results = _fork.split_leading_minors(runs)
-    for values, (minors, _, _, ok) in zip(runs, results):
-        if not ok:
-            for size in range(len(minors) + 1, len(values) // 2 + 2):
-                minors.append(kernels.bareiss_det(_block(values, size))[0])
-    return [minors for minors, _, _, _ in results]
+        forks = _fork.can_fork()
+    results = (_fork.split_leading_minors(runs) if forks
+               else [kernels.hankel_leading_minors(values) for values in runs])
+    for values, (minors, _, _) in zip(runs, results):
+        for size in range(len(minors) + 1, len(values) // 2 + 2):
+            minors.append(kernels.bareiss_det(_block(values, size))[0])
+    return [minors for minors, _, _ in results]
 
 
 def quotient_check(det_value: int, base: int, exponent: int) -> QuotientCheck:

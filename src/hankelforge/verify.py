@@ -195,8 +195,8 @@ def _parity_matrix(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
 
 def _domb_mod8(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
     # Both depend on n alone.  They stay two computations, the 2-adic valuation
-    # of C(2n-1, n-1) tracked along n and a bit test, so that
-    # ``central_odd == pow2`` checks one against the other.
+    # of C(2n-1, n-1) tracked along n and a bit test: v % 8 == want reads one
+    # and (v % 8 == 0) == (not pow2) the other, so both hold only if they agree.
     parities = list(zip(numtheory.central_binom_parities(hi),
                         [is_power_of_two(n) for n in range(1, hi + 1)]))
     for m in (1, 2, 3):
@@ -204,12 +204,7 @@ def _domb_mod8(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
         for n, (central_odd, pow2) in enumerate(parities, 1):
             v = terms[n]
             want = 4 if central_odd else 0
-            ok = (
-                v % 8 == want
-                and v % 4 == 0
-                and (v % 8 == 0) == (not pow2)
-                and central_odd == pow2
-            )
+            ok = v % 8 == want and (v % 8 == 0) == (not pow2)
             yield (f"m={m} n={n}", v % 8, ok,
                    "= 4 C(2n-1,n-1) (mod 8); 8 | d(m) iff n not a power of two")
 

@@ -1,6 +1,11 @@
+import errno
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +176,23 @@ def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert info.value.code == 3
     assert "Traceback" in err and "InexactDivisionError: boom" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("args", [("verify", "--all", "--format", "csv"),
+                                  ("seq", "--family", "franel", "--n", "5"),
+                                  ("--help",)],  # printed by argparse, flushed at exit
+                         ids=["verify", "seq", "help"])
+def test_failed_write_to_stdout_exits_4_with_one_line(args):
+    # Every write to /dev/full fails with ENOSPC: not a bug, so no traceback,
+    # and nothing more when the interpreter flushes stdout on its way out.
+    src = Path(cli.__file__).resolve().parents[1]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-c", "from hankelforge.cli import main; main()", *args],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 4
+    assert done.stderr == f"error: cannot write to standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_verify_empty_range_exits_2(capsys):

@@ -84,10 +84,10 @@ def test_dodgson_zero_pivot_falls_back():
     # DODGSON falls back, and steps/max_bits cover both attempts.
     for values in ((0, 1, 1, 1, 2), (1, 1, 1, 1, 2, 3, 5)):
         order = len(values) // 2 + 1
-        _, steps, max_bits, ok = _kernels.hankel_leading_minors(values)
+        minors, steps, max_bits = _kernels.hankel_leading_minors(values)
         _, b_steps, b_bits = _kernels.bareiss_det(hankel_rows(values, order - 1))
         result = det_dodgson(values)
-        assert not ok and result.fallback and result.algorithm == "DODGSON"
+        assert len(minors) < order and result.fallback and result.algorithm == "DODGSON"
         assert result.value == det_fractions(hankel_rows(values, order - 1))
         assert (result.steps, result.max_bits) == (steps + b_steps, max(max_bits, b_bits))
 
@@ -186,13 +186,13 @@ def test_hankel_recursion_divides_only_by_leading_minors():
     # x_2 = 0 is no leading minor, so the recursion never divides by it.
     terms = (1, 1, 0, 1, 1)
     assert _fraction_minors(terms) == [1, -1, -2]
-    assert _kernels.hankel_leading_minors(terms) == ([1, -1, -2], 4, 2, True)
+    assert _kernels.hankel_leading_minors(terms) == ([1, -1, -2], 4, 2)
     # The zero order-2 minor of an order-3 matrix is no divisor either: only
     # orders 1..n-2 of an order-n matrix are.
     terms = (1, 1, 1, 1, 2)
     assert _fraction_minors(terms) == [1, 0, 0]
-    minors, _, _, ok = _kernels.hankel_leading_minors(terms)
-    assert ok and minors == [1, 0, 0]
+    minors, _, _ = _kernels.hankel_leading_minors(terms)
+    assert minors == [1, 0, 0]
 
 
 def test_hankel_zero_divisor_falls_back_to_bareiss():
@@ -201,8 +201,8 @@ def test_hankel_zero_divisor_falls_back_to_bareiss():
     terms = (1, 1, 1, 1, 2, 3, 5)
     expected = _fraction_minors(terms)
     assert expected == [1, 0, 0, -1]
-    minors, _, _, ok = _kernels.hankel_leading_minors(terms)
-    assert not ok and minors == expected[:3]
+    minors, _, _ = _kernels.hankel_leading_minors(terms)
+    assert minors == expected[:3]
     assert hankel_minors([terms])[0] == expected
     result = det_dodgson(terms)
     assert result.fallback and result.value == -1
@@ -254,8 +254,8 @@ def test_hankel_minors_match_bareiss_on_each_leading_block(seq):
 @example((0, 0, 0, 0, 0))  # the recursion stops at order 2; order 3 comes from Bareiss
 def test_hankel_minors_match_matrix_route(seq):
     expected = _fraction_minors(seq)
-    minors, _, _, ok = _kernels.hankel_leading_minors(seq)
-    if not ok:
+    minors, _, _ = _kernels.hankel_leading_minors(seq)
+    if len(minors) < len(expected):
         # hankel_minors returns these minors as they are, so they must be exact.
         assert minors == expected[: len(minors)]
     assert hankel_minors([seq])[0] == expected
@@ -347,8 +347,8 @@ def test_kernels_on_spec_values():
     f = prefix(franel(3), 4).terms
     rows = [[f[i + j] for j in range(3)] for i in range(3)]
     assert _kernels.bareiss_det(rows)[0] == 180
-    minors, steps, max_bits, ok = _kernels.hankel_leading_minors(f)
-    assert ok and minors == [1, 6, 180]
+    minors, steps, max_bits = _kernels.hankel_leading_minors(f)
+    assert minors == [1, 6, 180]
     # Step 0 (Delta_0 = 1, c = 0, so w = 0): tau_1 = (10 - 2*2, 56 - 2*10,
     # 346 - 2*56) = (6, 36, 234).  Step 1 (Delta_1 = 1, Delta_2 = 6, a = 36,
     # c = 2): w = 2*36 - 6*10 = 12 and tau_2(2) = 6*(234 + 12) - 36*36 = 180.
@@ -358,7 +358,7 @@ def test_kernels_on_spec_values():
     assert max_bits == 9
     # (3, 5, 3): one entry, whose numerator 3*3 - 5*5 = -16 (5 bits) is wider
     # than every input.
-    assert _kernels.hankel_leading_minors((3, 5, 3)) == ([3, -16], 1, 5, True)
+    assert _kernels.hankel_leading_minors((3, 5, 3)) == ([3, -16], 1, 5)
     with pytest.raises(ValueError):
         _kernels.hankel_leading_minors(f[:4])
 

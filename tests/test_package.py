@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import shlex
@@ -35,6 +36,19 @@ def test_cli_import_loads_no_dataclasses_json_or_fork():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == ""
+
+
+def test_benchmark_worker_sets_up_and_its_warmup_matches_the_reference():
+    # Every benchmark run starts with this step, so a package edit that
+    # crashes it (say, deleting a module the worker imports) fails here.
+    # warmup_ok: the warm-up pass matched hfbench/reference.json.
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "hfbench/worker.py", "--mode", "setup", "--workload", "claims-long"],
+                         cwd=root, capture_output=True, text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    (line,) = out.stdout.splitlines()
+    event = json.loads(line)
+    assert event["event"] == "ready" and event["warmup_ok"] is True
 
 
 def _readme_blocks(language):

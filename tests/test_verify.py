@@ -440,9 +440,10 @@ ZERO_MINOR_AT_19 = tuple(int(c) for c in
 
 def test_split_leading_minors_match_the_kernel(forks):
     # the three claims of the hankel-deep workload
-    batches = [[sequences.prefix(s, 2 * n).terms for s in HANKEL_SETS[claim_id]]
-               for claim_id in ("hankel-franel", "hankel-domb-clf", "hankel-apery")
-               for n in (1, 2, 3, 7, 30)]
+    deep = [[sequences.prefix(s, 2 * n).terms for s in HANKEL_SETS[claim_id]]
+            for claim_id in ("hankel-franel", "hankel-domb-clf", "hankel-apery")
+            for n in (1, 2, 3, 7, 30)]
+    batches = [runs for runs in deep if len(runs[0]) >= 5]  # n >= 2, the split's precondition
     batches += [[(1, 1, 1, 1, 2, 3, 5)], [(0, 1, 1, 1, 2)], [ZERO_MINOR_AT_19]]
     # runs that stop at different steps: the all-ones run after 3 minors, the
     # 0/1 run after 20, and a not at all
@@ -457,12 +458,43 @@ def test_split_leading_minors_match_the_kernel(forks):
     for runs in batches:
         got = _fork.split_leading_minors(runs)
         assert got == [_kernels.hankel_leading_minors(values) for values in runs]
-        stops.add(tuple(len(minors) for minors, _, _, _ in got))
-    assert len(forks) == sum(len(runs[0]) >= 5 for runs in batches)  # n >= 2
+        stops.add(tuple(len(minors) for minors, _, _ in got))
+    assert len(forks) == len(batches)
     assert (20, 3, 40) in stops
     assert sum(len(set(lengths)) > 1 for lengths in stops) >= 20
-    with pytest.raises(ValueError, match="same count of values"):
-        _fork.split_leading_minors([(1, 2, 3, 4, 5), (1, 2, 3)])
+    # at n = 1 the child would have no position, so hankel_minors keeps the
+    # runs in this process, above the break-even
+    for runs in deep:
+        if len(runs[0]) < 5:
+            assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0]
+                                                  for values in runs]
+    assert len(forks) == len(batches)
+
+
+@pytest.fixture
+def split_refused(monkeypatch):
+    """The break-even at 0, and a call of _fork.split_leading_minors fails
+    the test."""
+    def no_split(runs):
+        raise AssertionError("split")
+
+    _take("forked", monkeypatch)
+    monkeypatch.setattr(_fork, "split_leading_minors", no_split)
+
+
+def test_runs_with_n_below_2_stay_in_process(split_refused, monkeypatch):
+    monkeypatch.setattr(_fork, "can_fork", lambda: True)
+    for runs in ([(7,)], [(3, 5, 3), (1, 2, 10)], [sequences.prefix(APERY_A, 2).terms] * 3):
+        assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0]
+                                              for values in runs]
+
+
+def test_no_fork_where_can_fork_fails(split_refused, monkeypatch):
+    asked = []
+    monkeypatch.setattr(_fork, "can_fork", lambda: asked.append(None) or False)
+    runs = _runs("hankel-franel", 7)
+    assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0] for values in runs]
+    assert len(asked) == 1
 
 
 def test_forked_route_finishes_the_stopped_runs(forks, monkeypatch):
@@ -569,6 +601,83 @@ def test_every_claim_can_fail(monkeypatch, capsys, claim_id):
         assert code == 0 and f"experimental claim {claim_id} reported failures" in err
     else:
         assert code == 1 and err == ""
+
+
+def _minors_patch(n: int, change, run: int | None = None):
+    """Patch ``hankel.hankel_minors``: det H_n of run ``run``, or of every
+    run, becomes ``change(det H_n)``."""
+    def patch(monkeypatch):
+        real = hankel.hankel_minors
+
+        def corrupt(runs):
+            dets = real(runs)
+            for r, minors in enumerate(dets):
+                if run in (None, r):
+                    minors[n] = change(minors[n])
+            return dets
+
+        monkeypatch.setattr(hankel, "hankel_minors", corrupt)
+
+    return patch
+
+
+def _terms_patch(deltas: dict[int, int]):
+    """Patch ``verify.prefix``: term i of every prefix a claim builds is
+    raised by ``deltas[i]``."""
+    def patch(monkeypatch):
+        real = verify.prefix
+
+        def corrupt(seq_id, n_max):
+            got = real(seq_id, n_max)
+            terms = list(got.terms)
+            for i, delta in deltas.items():
+                terms[i] += delta
+            return sequences.SequenceTerms(got.id, tuple(terms))
+
+        monkeypatch.setattr(verify, "prefix", corrupt)
+
+    return patch
+
+
+# One entry per predicate inside a claim that a wrong term does not single
+# out: (claim, n_max, primes, a corruption that breaks that predicate and no
+# other, every witness it gives).  Weakening the predicate drops a witness.
+PREDICATE_CORRUPTIONS = {
+    # det H_2 of f(3) doubled: both its quotients stay integers and positive
+    # where asked, and turn even
+    "quotient-odd": ("hankel-franel", 3, None, _minors_patch(2, lambda d: 2 * d, run=0),
+                     ["r=3 n=2", "r=3 n=2 base=6"]),
+    # det H_2 of f(3) negated: 2^-n asks no sign, 6^-n a positive quotient
+    "quotient-positive": ("hankel-franel", 3, None, _minors_patch(2, lambda d: -d, run=0),
+                          ["r=3 n=2 base=6"]),
+    "apery-positivity-nonzero": ("apery-positivity", 3, None, _minors_patch(2, lambda d: 0, run=0),
+                                 ["apery-b n=2"]),
+    # |B_2| = 2 for every case: nonzero, but not a unit
+    "parity-unimodular": ("parity-matrix-unimodular", 3, None, _minors_patch(1, lambda d: 2),
+                          [f"{s.label()} |B_2|" for s, _ in verify.PARITY_CASES]),
+    # x_0 = 2 for every case: the parity values do not read x_0, so only the
+    # hypothesis x_0 = 1 sees it
+    "lemma23-x0": ("parity-matrix-unimodular", 3, None, _terms_patch({0: 1}),
+                   [f"{s.label()} i=0" for s, _ in verify.PARITY_CASES]),
+    # f_1 + p and f_2 - 2p: the alt-sum moves by -3p = 0 (mod p) and the
+    # half-weight sum by p/2 - 2p/4 = 0 (mod p^2); only the weighted
+    # alternating sum moves, by -p/1 - 2p/2 = -2p
+    "franel-weighted-alt-sum": ("franel-prime-sums", None, (5,), _terms_patch({1: 5, 2: -10}),
+                                ["p=5 weighted-alt-sum"]),
+    # f_0 + p: the alt-sum moves by p = 0 (mod p), and of the two mod-p^2
+    # sums only the half-weight sum reads f_0
+    "franel-half-weight-sum": ("franel-prime-sums", None, (5,), _terms_patch({0: 5}),
+                               ["p=5 half-weight-sum"]),
+}
+
+
+@pytest.mark.parametrize("claim_id, n_max, primes, patch, witnesses",
+                         PREDICATE_CORRUPTIONS.values(), ids=list(PREDICATE_CORRUPTIONS))
+def test_every_predicate_can_fail(monkeypatch, claim_id, n_max, primes, patch, witnesses):
+    patch(monkeypatch)
+    report = run_claim(claim_id, n_max, primes)
+    assert not report.passed
+    assert [w.index for w in report.witnesses] == witnesses
 
 
 @pytest.mark.parametrize("claim_id", sorted(HANKEL_SETS))
