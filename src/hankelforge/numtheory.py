@@ -1,20 +1,19 @@
-"""Arithmetic predicates and the halved-sequence parity-matrix machinery.
+"""Arithmetic predicates and the hypothesis check of the parity-matrix lemma.
 
 The parity matrix of a sequence x with scale k is the (0,1)-matrix
 ``B[i][j] = (x[i+j] / (2k)) mod 2`` for ``1 <= i, j <= n``.  For sequences
 whose terms satisfy ``x_0 = 1``, ``2k | x_i`` for i >= 1, and
 ``4k | x_i`` exactly when i is not a power of two, the determinant of B
 over the integers is +1 or -1, which is what makes the Hankel-quotient
-oddness claims tick.  B is Hankel, so :func:`parity_values` gives it as
-its 2n-1 antidiagonal values, which is what the parity claim hands to
-``hankel.hankel_minors``; the matrix itself is never built.
-:func:`lemma23_hypothesis_check` tests those three hypotheses index by index
-and returns one check per index, in the form :meth:`verify.Claim.run`
-records.
+oddness claims tick.  Those hypotheses fix every entry of B: ``(x_i/2k) mod 2``
+is 1 exactly when i is a power of two.  So :func:`lemma23_hypothesis_check`,
+which tests them index by index and returns one check per index in the form
+:meth:`verify.Claim.run` records, is the only code that reads those bits;
+the parity claim factors the Hankel matrix of the power-of-two indicator.
 """
 from __future__ import annotations
 
-from .reports import Check, decimal_str
+from .reports import Check
 
 
 def nu2(x: int) -> int:
@@ -65,31 +64,6 @@ def central_binom_parities(hi: int) -> list[bool]:
         out.append(v == 0)
         v += 1 - nu2(n + 1)
     return out
-
-
-def parity_values(x: list[int] | tuple[int, ...], k: int, n: int) -> list[int]:
-    """The 2n-1 values ``(x[i]/(2k)) mod 2`` for ``2 <= i <= 2n``: the
-    antidiagonals of the n x n parity matrix B, whose entry (i, j), indices
-    from 1, is the value at i+j.
-
-    Requires ``2k | x[i]`` for every ``1 <= i <= 2n``.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if len(x) < 2 * n + 1:
-        raise ValueError(f"need at least {2 * n + 1} terms, got {len(x)}")
-    scale = 2 * k
-    halved = []
-    for i in range(1, 2 * n + 1):
-        q, r = divmod(x[i], scale)
-        if r:
-            raise ValueError(f"{scale} does not divide x[{i}] = {decimal_str(x[i])}")
-        halved.append(q & 1)
-    # halved[t] holds x[t+1]/(2k) mod 2; x[1] is checked but lies on no
-    # antidiagonal of B
-    return halved[1:]
 
 
 def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int, n_max: int) -> list[Check]:

@@ -63,9 +63,9 @@ class Claim:
     def bounds(self, n_max: int | None = None,
                primes: Sequence[int] | None = None) -> tuple[int, tuple[int, ...]]:
         """The index bound and primes a run uses; ValueError on an empty
-        range, a prime the claim cannot take or a prime given twice.  A claim
-        without an index bound ignores ``n_max``, as one without primes
-        ignores ``primes``."""
+        range, an empty prime list, a prime the claim cannot take or a prime
+        given twice.  A claim without an index bound ignores ``n_max``, as
+        one without primes ignores ``primes``."""
         if self.n_max is None:
             hi = 0
         else:
@@ -75,6 +75,8 @@ class Claim:
         if self.primes is None:
             return hi, ()
         ps = self.primes if primes is None else tuple(primes)
+        if not ps:
+            raise ValueError(f"no primes given for {self.claim_id}")
         for i, p in enumerate(ps):
             if p > MAX_PRIME:  # before is_prime, whose trial division grows as sqrt(p)
                 raise ValueError(f"prime {p} is above the limit {MAX_PRIME} for {self.claim_id}")
@@ -172,22 +174,25 @@ def _calkin(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
             yield f"r={r} n={n}", v, v >= need, f"nu2 >= {need}"
 
 
-# (sequence, scale k) pairs whose halved parity matrices are checked
+# (sequence, scale k) pairs whose hypotheses are checked; each case that
+# meets them gets the same halved parity matrix B, so it is factored once
 PARITY_CASES: tuple[tuple[sequences.SequenceId, int], ...] = (
     (franel(3), 1), (franel(4), 1), (franel(5), 1), (franel(6), 1), (domb(2), 2),
 )
 
 
 def _parity_matrix(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
+    minors = None
     for seq_id, k in PARITY_CASES:
         name = seq_id.label()
-        terms = prefix(seq_id, 2 * hi).terms
-        hypotheses = numtheory.lemma23_hypothesis_check(terms, k, 2 * hi)
+        hypotheses = numtheory.lemma23_hypothesis_check(prefix(seq_id, 2 * hi).terms, k, 2 * hi)
         for label, value, ok, expected in hypotheses:
             yield f"{name} {label}", value, ok, expected
         if not all(ok for _, _, ok, _ in hypotheses):
             continue  # B is defined only under the hypotheses; their witnesses are the failure
-        minors = hankel.hankel_minors([numtheory.parity_values(terms, k, hi)])[0]
+        if minors is None:
+            # the hypotheses just checked force (x_i/2k) mod 2 = 1 exactly when i is a power of two
+            minors = hankel.hankel_minors([[int(is_power_of_two(i)) for i in range(2, 2 * hi + 1)]])[0]
         for n in range(1, hi + 1):
             v = minors[n - 1]
             yield f"{name} |B_{n}|", v, v in (1, -1), "in {+1, -1}"
@@ -241,8 +246,6 @@ def _repr_x2_3y2(p: int) -> tuple[int, int]:
 
 
 def _franel_primes(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
-    if not primes:
-        return
     terms = prefix(franel(3), max(primes) - 1).terms
     for p in primes:
         p2 = p * p

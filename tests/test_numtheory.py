@@ -11,7 +11,6 @@ from hankelforge.numtheory import (
     lemma23_hypothesis_check,
     nu2,
     ones_count,
-    parity_values,
 )
 from hankelforge.sequences import domb, franel
 
@@ -90,58 +89,25 @@ def test_domb_mod8_congruence():
             assert (terms[n] % 8 == 0) == (not is_power_of_two(n))
 
 
-def test_parity_matrix_examples():
-    # B = ((1, 0, 1), (0, 1, 0), (1, 0, 0)), ((1,),) and ((1, 0), (0, 1)),
-    # given by their antidiagonals
-    f = prefix(franel(3), 6).terms
-    assert parity_values(f, 1, 3) == [1, 0, 1, 0, 0]
-    assert parity_values(f, 1, 1) == [1]
-    d = prefix(domb(2), 4).terms
-    assert parity_values(d, 2, 2) == [1, 0, 1]
-
-
-def test_parity_values_take_bit_1_of_the_terms():
-    f = prefix(franel(3), 10).terms
-    assert parity_values(f, 1, 5) == [(t // 2) & 1 for t in f[2:11]]
-
-
 @pytest.mark.parametrize("case", verify.PARITY_CASES, ids=lambda c: f"{c[0].label()} k={c[1]}")
-def test_parity_matrices_take_no_fallback(case):
-    # Every leading minor of these matrices is +-1, so the Hankel recursion
-    # never divides by 0 and Bareiss is never run for them.
+def test_halved_terms_are_the_power_of_two_indicator(case):
+    # The parity claim factors the Hankel matrix of the power-of-two
+    # indicator in place of B for every case that meets the hypotheses.  Here
+    # B's bits are read from the terms themselves, to i = 256 (n = 128).
     seq_id, k = case
+    terms = prefix(seq_id, 256).terms
+    for i in range(1, 257):
+        assert (terms[i] // (2 * k)) & 1 == is_power_of_two(i), i
+
+
+def test_parity_matrices_take_no_fallback():
+    # Every leading minor of the indicator's Hankel matrix is +-1, so the
+    # Hankel recursion never divides by 0 and Bareiss is never run for it.
     n = verify.PARITY_N_MAX
-    values = parity_values(prefix(seq_id, 2 * n).terms, k, n)
+    values = [int(is_power_of_two(i)) for i in range(2, 2 * n + 1)]
     minors, _, _ = _kernels.hankel_leading_minors(values)
     assert len(minors) == n
     assert minors == [det_bareiss(values[: 2 * s + 1]).value for s in range(n)]
-
-
-def test_parity_values_errors():
-    for args, message in (
-        (([1, 2, 10], 1, 3), "need at least 7 terms, got 3"),
-        (([1, 3, 5], 1, 1), "2 does not divide x[1] = 3"),
-        (([1, 10**5000 + 1, 4, 4, 4], 1, 2), "2 does not divide x[1] = 1" + "0" * 4999 + "1"),
-        (([1, 2, 4], 0, 1), "k must be positive"),
-        (([1, 2, 4], 1, 0), "n must be positive"),
-    ):
-        with pytest.raises(ValueError) as info:
-            parity_values(*args)
-        assert str(info.value) == message
-
-
-@pytest.mark.parametrize("case", verify.PARITY_CASES, ids=lambda c: f"{c[0].label()} k={c[1]}")
-def test_parity_values_are_the_antidiagonals_of_B(case):
-    seq_id, k = case
-    terms = prefix(seq_id, 40).terms
-    for n in (1, 2, 5, 20):
-        values = parity_values(terms, k, n)
-        assert len(values) == 2 * n - 1
-        # B[i][j] = (x[i+j] / 2k) mod 2 for 1 <= i, j <= n, so entry (i, j)
-        # lies on antidiagonal i + j - 2 of the values
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                assert values[i + j - 2] == (terms[i + j] // (2 * k)) & 1
 
 
 def test_hypothesis_check_passes_for_qualifying_sequences():
@@ -168,5 +134,5 @@ def test_hypothesis_check_refuses_a_scale_below_1():
 def test_parity_matrix_dets_are_unimodular():
     for seq, k in ((franel(3), 1), (domb(2), 2)):
         terms = prefix(seq, 48).terms
-        for minor in hankel_minors([parity_values(terms, k, 24)])[0]:
+        for minor in hankel_minors([[(terms[i] // (2 * k)) & 1 for i in range(2, 49)]])[0]:
             assert minor in (1, -1)

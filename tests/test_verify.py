@@ -161,6 +161,10 @@ def test_franel_prime_validation():
     for bad in (3, 4, 9, -5):
         with pytest.raises(ValueError, match=f"invalid prime {bad}"):
             run_claim("franel-prime-sums", primes=(5, bad))
+    # a claim that checked nothing must not read as refuted either
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="no primes given for franel-prime-sums"):
+            run_claim("franel-prime-sums", primes=empty)
 
 
 def test_franel_primes_given_twice_are_refused():
@@ -218,6 +222,24 @@ def test_parity_hypothesis_failure_is_a_witness(monkeypatch):
     assert not any(e.index.startswith("apery-b |B_") for e in report.entries)
     # the qualifying sequence after it is still checked in full
     assert [e.status for e in report.entries if e.index.startswith("franel[r=3] |B_")] == ["pass"] * 4
+
+
+def test_parity_claim_takes_the_minors_once(monkeypatch):
+    # Every case that meets the hypotheses has the same B, so one
+    # hankel_minors call serves them all, and none is made if no case does.
+    calls = []
+    real = hankel.hankel_minors
+
+    def counted(runs):
+        calls.append(runs)
+        return real(runs)
+
+    monkeypatch.setattr(hankel, "hankel_minors", counted)
+    assert run_claim("parity-matrix-unimodular", 64).passed
+    assert len(calls) == 1
+    monkeypatch.setattr(verify, "PARITY_CASES", ((APERY_B, 1),))
+    assert not run_claim("parity-matrix-unimodular", 64).passed
+    assert len(calls) == 1
 
 
 _HYPOTHESES = "2k | x_i and (4k | x_i iff i not a power of two), k=1"
@@ -621,9 +643,9 @@ def _minors_patch(n: int, change, run: int | None = None):
     return patch
 
 
-def _terms_patch(deltas: dict[int, int]):
+def _terms_patch(deltas: dict[int, int], scale=lambda seq_id: 1):
     """Patch ``verify.prefix``: term i of every prefix a claim builds is
-    raised by ``deltas[i]``."""
+    raised by ``deltas[i] * scale(seq_id)``."""
     def patch(monkeypatch):
         real = verify.prefix
 
@@ -631,7 +653,7 @@ def _terms_patch(deltas: dict[int, int]):
             got = real(seq_id, n_max)
             terms = list(got.terms)
             for i, delta in deltas.items():
-                terms[i] += delta
+                terms[i] += delta * scale(seq_id)
             return sequences.SequenceTerms(got.id, tuple(terms))
 
         monkeypatch.setattr(verify, "prefix", corrupt)
@@ -655,10 +677,20 @@ PREDICATE_CORRUPTIONS = {
     # |B_2| = 2 for every case: nonzero, but not a unit
     "parity-unimodular": ("parity-matrix-unimodular", 3, None, _minors_patch(1, lambda d: 2),
                           [f"{s.label()} |B_2|" for s, _ in verify.PARITY_CASES]),
-    # x_0 = 2 for every case: the parity values do not read x_0, so only the
-    # hypothesis x_0 = 1 sees it
+    # x_0 = 2 for every case: B does not read x_0, so only the hypothesis
+    # x_0 = 1 sees it
     "lemma23-x0": ("parity-matrix-unimodular", 3, None, _terms_patch({0: 1}),
                    [f"{s.label()} i=0" for s, _ in verify.PARITY_CASES]),
+    # x_2 + 1 is odd for every case: 2k no longer divides it, and 4k still
+    # does not, as 2 is a power of two
+    "lemma23-2k-divides": ("parity-matrix-unimodular", 3, None, _terms_patch({2: 1}),
+                           [f"{s.label()} i=2" for s, _ in verify.PARITY_CASES]),
+    # x_3 + 2k with each case's own k: 2k still divides it, but 4k no longer
+    # does, though 3 is not a power of two.  B is never read from the terms,
+    # so only the hypothesis check sees these bits.
+    "lemma23-4k-iff-not-power": ("parity-matrix-unimodular", 3, None,
+                                 _terms_patch({3: 2}, scale=dict(verify.PARITY_CASES).__getitem__),
+                                 [f"{s.label()} i=3" for s, _ in verify.PARITY_CASES]),
     # f_1 + p and f_2 - 2p: the alt-sum moves by -3p = 0 (mod p) and the
     # half-weight sum by p/2 - 2p/4 = 0 (mod p^2); only the weighted
     # alternating sum moves, by -p/1 - 2p/2 = -2p
