@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from hankelforge import _kernels, prefix, verify
+from hankelforge import _kernels, hankel, prefix, verify
 from hankelforge.hankel import det_bareiss, hankel_minors
 from hankelforge.numtheory import (
     central_binom_parities,
@@ -89,25 +89,56 @@ def test_domb_mod8_congruence():
             assert (terms[n] % 8 == 0) == (not is_power_of_two(n))
 
 
+def test_parity_matrix_examples():
+    # B = ((1, 0, 1), (0, 1, 0), (1, 0, 0)), ((1,),) and ((1, 0), (0, 1)),
+    # given by their antidiagonals, read from the terms
+    f = prefix(franel(3), 6).terms
+    assert [(f[i] // 2) & 1 for i in range(2, 7)] == [1, 0, 1, 0, 0]
+    assert [(f[i] // 2) & 1 for i in range(2, 3)] == [1]
+    d = prefix(domb(2), 4).terms
+    assert [(d[i] // 4) & 1 for i in range(2, 5)] == [1, 0, 1]
+    # and they are the power-of-two indicator the claim factors in their place
+    assert [int(is_power_of_two(i)) for i in range(2, 7)] == [1, 0, 1, 0, 0]
+
+
+def test_parity_values_take_bit_1_of_the_terms(monkeypatch):
+    # The values the parity claim factors are bit 1 of f(3)'s terms (k = 1)
+    runs = []
+    real = hankel.hankel_minors
+
+    def recorded(got):
+        runs.append(got)
+        return real(got)
+
+    monkeypatch.setattr(hankel, "hankel_minors", recorded)
+    assert verify.run_claim("parity-matrix-unimodular", 5).passed
+    f = prefix(franel(3), 10).terms
+    assert runs == [[[(t // 2) & 1 for t in f[2:11]]]]
+
+
 @pytest.mark.parametrize("case", verify.PARITY_CASES, ids=lambda c: f"{c[0].label()} k={c[1]}")
-def test_halved_terms_are_the_power_of_two_indicator(case):
-    # The parity claim factors the Hankel matrix of the power-of-two
-    # indicator in place of B for every case that meets the hypotheses.  Here
-    # B's bits are read from the terms themselves, to i = 256 (n = 128).
+def test_parity_matrices_take_no_fallback(case):
+    # Every leading minor of these matrices is +-1, so the Hankel recursion
+    # never divides by 0 and Bareiss is never run for them.
+    seq_id, k = case
+    n = verify.PARITY_N_MAX
+    terms = prefix(seq_id, 2 * n).terms
+    values = [(terms[i] // (2 * k)) & 1 for i in range(2, 2 * n + 1)]
+    minors, _, _ = _kernels.hankel_leading_minors(values)
+    assert len(minors) == n
+    assert minors == [det_bareiss(values[: 2 * s + 1]).value for s in range(n)]
+
+
+@pytest.mark.parametrize("case", verify.PARITY_CASES, ids=lambda c: f"{c[0].label()} k={c[1]}")
+def test_parity_values_are_the_antidiagonals_of_B(case):
+    # B[i][j] = (x[i+j] / 2k) mod 2 for 1 <= i, j <= n lies on antidiagonal
+    # i + j - 2 of the values.  The parity claim factors the Hankel matrix of
+    # the power-of-two indicator in place of B for every case that meets the
+    # hypotheses; here B's bits are read from the terms, to i = 256 (n = 128).
     seq_id, k = case
     terms = prefix(seq_id, 256).terms
     for i in range(1, 257):
         assert (terms[i] // (2 * k)) & 1 == is_power_of_two(i), i
-
-
-def test_parity_matrices_take_no_fallback():
-    # Every leading minor of the indicator's Hankel matrix is +-1, so the
-    # Hankel recursion never divides by 0 and Bareiss is never run for it.
-    n = verify.PARITY_N_MAX
-    values = [int(is_power_of_two(i)) for i in range(2, 2 * n + 1)]
-    minors, _, _ = _kernels.hankel_leading_minors(values)
-    assert len(minors) == n
-    assert minors == [det_bareiss(values[: 2 * s + 1]).value for s in range(n)]
 
 
 def test_hypothesis_check_passes_for_qualifying_sequences():
