@@ -24,13 +24,6 @@ def nu2(x: int) -> int:
     return (a & -a).bit_length() - 1
 
 
-def ones_count(n: int) -> int:
-    """Number of 1 digits in the binary expansion of n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return n.bit_count()
-
-
 def is_power_of_two(n: int) -> bool:
     if n < 1:
         raise ValueError("n must be positive")

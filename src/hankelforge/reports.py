@@ -4,13 +4,14 @@ A report records one status per checked index; a failing index also yields
 a witness with the observed value and the violated condition.  Reports,
 entries and witnesses are named tuples: immutable, equal when their fields
 are, and deterministic: same inputs, same entries in the same order.
+:meth:`verify.Claim.run` is the one place that builds them.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 # One check: (label, observed value, ok, expected condition).
-Check = tuple[str, object, bool, str]
+Check = tuple[str, int, bool, str]
 
 # Integers of up to 600 digits go straight through ``str``: 600 is under the
 # smallest digit limit an interpreter can be configured with (640).
@@ -62,30 +63,3 @@ class VerificationReport(NamedTuple):
         """(pass count, fail count)."""
         fails = sum(1 for e in self.entries if e.status == "fail")
         return len(self.entries) - fails, fails
-
-
-class ReportBuilder:
-    """Accumulates entries and witnesses in evaluation order."""
-
-    def __init__(self, claim_id: str, index_range: str, experimental: bool = False) -> None:
-        self.claim_id = claim_id
-        self.index_range = index_range
-        self.experimental = experimental
-        self._entries: list[ReportEntry] = []
-        self._witnesses: list[Witness] = []
-
-    def check(self, index: str, value: object, ok: bool, expected: str) -> bool:
-        value_s = decimal_str(value) if isinstance(value, int) else str(value)
-        self._entries.append(ReportEntry(index, value_s, "pass" if ok else "fail"))
-        if not ok:
-            self._witnesses.append(Witness(index, value_s, expected))
-        return ok
-
-    def build(self) -> VerificationReport:
-        return VerificationReport(
-            self.claim_id,
-            self.index_range,
-            tuple(self._entries),
-            tuple(self._witnesses),
-            self.experimental,
-        )

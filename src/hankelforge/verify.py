@@ -18,8 +18,8 @@ import math
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import hankel, numtheory, sequences, transforms
-from .numtheory import is_power_of_two, is_prime, nu2, ones_count
-from .reports import Check, ReportBuilder, VerificationReport, decimal_str
+from .numtheory import is_power_of_two, is_prime, nu2
+from .reports import Check, ReportEntry, VerificationReport, Witness, decimal_str
 from .sequences import APERY_A, APERY_B, CLF, G_SUM, domb, franel, prefix
 
 DET_N_MAX = 12
@@ -87,12 +87,16 @@ class Claim:
         return hi, ps
 
     def run(self, n_max: int | None = None, primes: Sequence[int] | None = None) -> VerificationReport:
+        """One entry per check, and a witness per failing one, in check order."""
         hi, ps = self.bounds(n_max, primes)
-        rep = ReportBuilder(self.claim_id, self.scope.format(hi=hi, hi2=2 * hi, primes=list(ps)),
-                            self.experimental)
+        entries, witnesses = [], []
         for label, value, ok, expected in self.checks(hi, ps):
-            rep.check(label, value, ok, expected)
-        return rep.build()
+            value_s = decimal_str(value)
+            entries.append(ReportEntry(label, value_s, "pass" if ok else "fail"))
+            if not ok:
+                witnesses.append(Witness(label, value_s, expected))
+        return VerificationReport(self.claim_id, self.scope.format(hi=hi, hi2=2 * hi, primes=list(ps)),
+                                  tuple(entries), tuple(witnesses), self.experimental)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,7 @@ def _calkin(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
         terms = prefix(franel(r), hi).terms
         for n in range(1, hi + 1):
             v = nu2(terms[n])
-            need = ones_count(n)
+            need = n.bit_count()
             yield f"r={r} n={n}", v, v >= need, f"nu2 >= {need}"
 
 

@@ -9,7 +9,7 @@ import time
 
 from hankelforge import _kernels, binomial_transform, prefix
 from hankelforge.hankel import det_bareiss, det_dodgson, det_laplace, hankel_minors
-from hankelforge.numtheory import lemma23_hypothesis_check, nu2, ones_count
+from hankelforge.numtheory import lemma23_hypothesis_check, nu2
 from hankelforge.sequences import domb, franel
 from hankelforge.verify import run_claim
 
@@ -50,7 +50,7 @@ def test_criterion_04_calkin_divisibility():
     for r in range(1, 7):
         terms = prefix(franel(r), 512).terms
         for n in range(1, 513):
-            if nu2(terms[n]) < ones_count(n):
+            if nu2(terms[n]) < bin(n).count("1"):
                 ok = False
                 break
     _report(4, ok, "2^(binary ones of n) divides f(r)_n for n<=512, r<=6")

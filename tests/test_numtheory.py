@@ -10,7 +10,6 @@ from hankelforge.numtheory import (
     is_prime,
     lemma23_hypothesis_check,
     nu2,
-    ones_count,
 )
 from hankelforge.sequences import domb, franel
 
@@ -24,14 +23,6 @@ def test_nu2_examples():
     assert nu2(-48) == 4
     with pytest.raises(ValueError):
         nu2(0)
-
-
-def test_ones_count():
-    assert ones_count(3) == 2
-    assert ones_count(0) == 0
-    assert ones_count(11) == 3
-    with pytest.raises(ValueError):
-        ones_count(-1)
 
 
 def test_is_power_of_two():
@@ -69,7 +60,7 @@ def test_calkin_divisibility_shape():
     for r in range(1, 4):
         terms = prefix(franel(r), 128).terms
         for n in range(1, 129):
-            assert nu2(terms[n]) >= ones_count(n)
+            assert nu2(terms[n]) >= bin(n).count("1")
 
 
 def test_power_of_two_refinement():

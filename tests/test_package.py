@@ -51,6 +51,22 @@ def test_benchmark_worker_sets_up_and_its_warmup_matches_the_reference():
     assert event["event"] == "ready" and event["warmup_ok"] is True
 
 
+def test_benchmark_traced_pass_succeeds(tmp_path):
+    # The tracer wraps package functions by name and reads what they return,
+    # so a package edit it does not expect (say, prefix returning a bare
+    # tuple) makes every traced pass fail.  Untraced and traced passes
+    # alternate, so a result with two passes holds one traced pass.
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "hfbench/worker.py", "--mode", "trace", "--workload", "parity-wide",
+                          "--seconds", "0", "--trace-out", str(tmp_path / "t.json")],
+                         cwd=root, capture_output=True, text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    ready, result = (json.loads(line) for line in out.stdout.splitlines())
+    assert ready["event"] == "ready" and ready["warmup_ok"] is True
+    assert result["event"] == "result" and len(result["passes"]) >= 2
+    assert all(p["ok"] for p in result["passes"])
+
+
 def _readme_blocks(language):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.M | re.S)

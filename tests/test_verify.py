@@ -8,9 +8,9 @@ import time
 
 import pytest
 
-from hankelforge import InexactDivisionError, _fork, _kernels, cli, hankel, sequences, verify
-from hankelforge.reports import ReportBuilder, VerificationReport, decimal_str
-from hankelforge.sequences import APERY_A, APERY_B, CLF, domb, franel
+from hankelforge import InexactDivisionError, _fork, _kernels, cli, hankel, numtheory, sequences, verify
+from hankelforge.reports import VerificationReport, decimal_str
+from hankelforge.sequences import APERY_A, APERY_B, CLF, G_SUM, domb, franel
 from hankelforge.verify import Claim, run_all, run_claim
 
 EXPECTED_CLAIM_IDS = (
@@ -273,10 +273,9 @@ def test_failing_identity_and_parity_witness_text(monkeypatch):
 
 def test_report_values_render_above_str_digit_limit():
     big = 10**5000
-    rep = ReportBuilder("big", "n=0")
-    rep.check("n=0", big + 7, True, "")
-    rep.check("n=1", -big, False, "> 0")
-    report = rep.build()
+    report = Claim("big", "values above the digit limit", "n=0..{hi}",
+                   lambda hi, primes: [("n=0", big + 7, True, ""), ("n=1", -big, False, "> 0")],
+                   n_max=1).run()
     assert report.entries[0].value == "1" + "0" * 4999 + "7"
     assert report.witnesses[0].observed == "-1" + "0" * 5000
     assert decimal_str(12345) == "12345"
@@ -598,15 +597,7 @@ FIRST_WITNESS_OF_A_WRONG_TERM = {
 @pytest.mark.parametrize("claim_id", verify.CLAIM_IDS)
 def test_every_claim_can_fail(monkeypatch, capsys, claim_id):
     first_witness = FIRST_WITNESS_OF_A_WRONG_TERM[claim_id]
-    real = verify.prefix
-
-    def wrong_term_1(seq_id, n_max):
-        got = real(seq_id, n_max)
-        terms = list(got.terms)
-        terms[1] += 1
-        return sequences.SequenceTerms(got.id, tuple(terms))
-
-    monkeypatch.setattr(verify, "prefix", wrong_term_1)
+    _terms_patch({1: 1})(monkeypatch)
     c = verify.claim(claim_id)
     argv = ["verify", "--claim", claim_id]
     n_max = None
@@ -643,28 +634,48 @@ def _minors_patch(n: int, change, run: int | None = None):
     return patch
 
 
-def _terms_patch(deltas: dict[int, int], scale=lambda seq_id: 1):
-    """Patch ``verify.prefix``: term i of every prefix a claim builds is
-    raised by ``deltas[i] * scale(seq_id)``."""
+def _prefix_patch(change):
+    """Patch ``verify.prefix``: the terms of every prefix a claim builds
+    become ``change(seq_id, terms)``."""
     def patch(monkeypatch):
         real = verify.prefix
 
         def corrupt(seq_id, n_max):
             got = real(seq_id, n_max)
-            terms = list(got.terms)
-            for i, delta in deltas.items():
-                terms[i] += delta * scale(seq_id)
-            return sequences.SequenceTerms(got.id, tuple(terms))
+            return sequences.SequenceTerms(got.id, tuple(change(seq_id, got.terms)))
 
         monkeypatch.setattr(verify, "prefix", corrupt)
 
     return patch
 
 
-# One entry per predicate inside a claim that a wrong term does not single
-# out: (claim, n_max, primes, a corruption that breaks that predicate and no
-# other, every witness it gives).  Weakening the predicate drops a witness.
+def _terms_patch(deltas: dict[int, int], scale=lambda seq_id: 1):
+    """Patch ``verify.prefix``: term i of every prefix a claim builds is
+    raised by ``deltas[i] * scale(seq_id)``."""
+    def change(seq_id, terms):
+        terms = list(terms)
+        for i, delta in deltas.items():
+            terms[i] += delta * scale(seq_id)
+        return terms
+
+    return _prefix_patch(change)
+
+
+def _only(seq_id):
+    """A ``_terms_patch`` scale that changes the terms of ``seq_id`` alone."""
+    return lambda s: int(s == seq_id)
+
+
+# One entry per predicate inside each claim: (claim, n_max, primes, a
+# corruption that breaks that predicate and no other, every witness it
+# gives).  Weakening the predicate drops a witness.
 PREDICATE_CORRUPTIONS = {
+    # det H_2 + 1 of b and a: no longer divisible by 10^2 or 24^2.  A claim
+    # that asks for an odd quotient reads a non-integer one as not odd too
+    # (quotient_check's flags are all False), so only this claim, which asks
+    # for an integer alone, separates the integer test from the odd test.
+    "quotient-integer": ("hankel-apery", 3, None, _minors_patch(2, lambda d: d + 1),
+                         ["b n=2", "a n=2"]),
     # det H_2 of f(3) doubled: both its quotients stay integers and positive
     # where asked, and turn even
     "quotient-odd": ("hankel-franel", 3, None, _minors_patch(2, lambda d: 2 * d, run=0),
@@ -672,6 +683,11 @@ PREDICATE_CORRUPTIONS = {
     # det H_2 of f(3) negated: 2^-n asks no sign, 6^-n a positive quotient
     "quotient-positive": ("hankel-franel", 3, None, _minors_patch(2, lambda d: -d, run=0),
                           ["r=3 n=2 base=6"]),
+    # det H_2 of D, P and d(1) doubled, then negated, as for f(3) above
+    "domb-clf-odd": ("hankel-domb-clf", 3, None, _minors_patch(2, lambda d: 2 * d),
+                     ["D n=2", "P n=2", "D1 n=2"]),
+    "domb-clf-positive": ("hankel-domb-clf", 3, None, _minors_patch(2, lambda d: -d),
+                          ["D n=2", "P n=2", "D1 n=2"]),
     "apery-positivity-nonzero": ("apery-positivity", 3, None, _minors_patch(2, lambda d: 0, run=0),
                                  ["apery-b n=2"]),
     # |B_2| = 2 for every case: nonzero, but not a unit
@@ -691,6 +707,49 @@ PREDICATE_CORRUPTIONS = {
     "lemma23-4k-iff-not-power": ("parity-matrix-unimodular", 3, None,
                                  _terms_patch({3: 2}, scale=dict(verify.PARITY_CASES).__getitem__),
                                  [f"{s.label()} i=3" for s, _ in verify.PARITY_CASES]),
+    # f(r)_3 = 2(1 + 3^r) has 2-adic valuation 2 or 3, and 3 has two binary
+    # ones; f(r)_3 + 2 is still even, with valuation 1
+    "calkin-ones": ("calkin-divisibility", 3, None, _terms_patch({3: 2}),
+                    [f"r={r} n=3" for r in range(1, 7)]),
+    # d(m)_2 = 4 (mod 8), as C(3,1) is odd; d(m)_2 + 2 = 6 (mod 8) is still
+    # nonzero mod 8, as it must be at a power of two
+    "domb-mod8-residue": ("domb-mod8", 3, None, _terms_patch({2: 2}),
+                          [f"m={m} n=2" for m in (1, 2, 3)]),
+    # The power-of-two test agrees with the residue for every term, so it can
+    # fail only where the claim reads is_power_of_two: 3 called a power of two
+    "domb-mod8-power-of-two": ("domb-mod8", 3, None,
+                               lambda mp: mp.setattr(verify, "is_power_of_two",
+                                                     lambda n: n == 3 or numtheory.is_power_of_two(n)),
+                               [f"m={m} n=3" for m in (1, 2, 3)]),
+    "domb-mod3": ("domb-mod3", 3, None, _terms_patch({2: 1}), ["n=2"]),
+    # d(2)_2 + 1 moves the twice-transformed term n >= 2 by C(n,2) 2^(n-2):
+    # 1 at n = 2, 6 = 0 (mod 3) at n = 3
+    "domb-iterated-mod3": ("domb-iterated-mod3", 3, None, _terms_patch({2: 1}), ["n=2"]),
+    # b_1 + 5 moves b'_n by 5n, odd at n = 1, and leaves every term mod 5
+    "apery-b-transform-mod2": ("apery-b-congruences", 2, None, _terms_patch({1: 5}),
+                               ["apery-b-transform-mod2 n=1"]),
+    # b'' = 0 (mod 5) from n = 1 holds exactly when b_n = 3^n b_0 (mod 5), so
+    # with b_0 = 1 the two mod-5 congruences stand or fall together.  b_1 + 2
+    # leaves b' even and breaks both: b''_n moves by n 2^n.
+    "apery-b-iterated-mod5": ("apery-b-congruences", 2, None, _terms_patch({1: 2}),
+                              ["apery-b-iterated-mod5 n=1", "apery-b-iterated-mod5 n=2",
+                               "apery-b-powers-mod5 n=1"]),
+    # 3b: b' stays even and b'' = 0 (mod 5), but b_n = 3^(n+1) (mod 5)
+    "apery-b-powers-mod5": ("apery-b-congruences", 2, None,
+                            _prefix_patch(lambda seq_id, terms: [3 * t for t in terms]),
+                            [f"apery-b-powers-mod5 n={n}" for n in range(3)]),
+    "apery-a-transform-mod24": ("apery-a-transform-mod24", 3, None, _terms_patch({3: 1}), ["n=3"]),
+    "gessel-mod24": ("gessel-mod24", 3, None, _terms_patch({2: 1}), ["n=2"]),
+    "gsum-mod3": ("gsum-mod3", 3, None, _terms_patch({2: 1}), ["n=2"]),
+    "barrucand-identity": ("barrucand-identity", 3, None, _terms_patch({2: 1}, scale=_only(G_SUM)),
+                           ["n=2"]),
+    "clf-doubling-identity": ("clf-doubling-identity", 3, None, _terms_patch({2: 1}, scale=_only(CLF)),
+                              ["n=2"]),
+    # f_0 + 3, f_2 + 1 and f_4 - 2: the weighted alternating sum moves by
+    # 1/2 - 2/4 = 0 and the half-weight sum by 3 + 1/4 - 2/16 = 3 + 1/8 = 0
+    # (mod 25); only the alt-sum moves, by 2 (mod 5)
+    "franel-alt-sum": ("franel-prime-sums", None, (5,), _terms_patch({0: 3, 2: 1, 4: -2}),
+                       ["p=5 alt-sum"]),
     # f_1 + p and f_2 - 2p: the alt-sum moves by -3p = 0 (mod p) and the
     # half-weight sum by p/2 - 2p/4 = 0 (mod p^2); only the weighted
     # alternating sum moves, by -p/1 - 2p/2 = -2p
