@@ -22,22 +22,12 @@ from __future__ import annotations
 from .exact import InexactDivisionError
 
 
-def _input_bits(rows) -> int:
-    b = 0
-    for r in rows:
-        for e in r:
-            eb = e.bit_length()
-            if eb > b:
-                b = eb
-    return b
-
-
 def bareiss_det(rows):
     """Fraction-free elimination (Bareiss 1968) with a row swap at each zero
     pivot.  Returns ``(det, steps, max_bits)``."""
     n = len(rows)
     m = [list(r) for r in rows]
-    max_bits = _input_bits(m)
+    max_bits = max((e.bit_length() for r in m for e in r), default=0)
     steps = 0
     sign = 1
     prev = 1

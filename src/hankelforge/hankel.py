@@ -29,6 +29,7 @@ from several threads at once or in a forked child.
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from . import _kernels as kernels
@@ -72,7 +73,10 @@ def _block(values: Sequence[int], size: int) -> list[Sequence[int]]:
 
 
 def det_laplace(values: Sequence[int], max_order: int = LAPLACE_ORDER_CAP) -> DetResult:
-    """Minor expansion along the top rows, memoized over column subsets.
+    """Minor expansion along the top rows, reading entry (i, j) as
+    ``values[i + j]``.  The minor on each set of columns is expanded once:
+    the inner expansion is wrapped in :func:`functools.cache`, a memo made
+    afresh by each call and emptied before it returns.
 
     Refuses orders above ``max_order``; meant as the independent oracle, not
     the workhorse.
@@ -80,21 +84,17 @@ def det_laplace(values: Sequence[int], max_order: int = LAPLACE_ORDER_CAP) -> De
     n = _order(values)
     if n > max_order:
         raise ValueError(f"laplace engine capped at order {max_order}, got {n}")
-    e = _block(values, n)
     stats = [0, max(x.bit_length() for x in values)]  # steps, max_bits
-    memo: dict[tuple[int, ...], int] = {}
 
+    @cache
     def expand(cols: tuple[int, ...]) -> int:
         row = n - len(cols)
         if len(cols) == 1:
-            return e[row][cols[0]]
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
+            return values[row + cols[0]]
         total = 0
         negate = False
         for idx in range(len(cols)):
-            a = e[row][cols[idx]]
+            a = values[row + cols[idx]]
             if a:
                 t = a * expand(cols[:idx] + cols[idx + 1 :])
                 stats[0] += 1
@@ -103,10 +103,10 @@ def det_laplace(values: Sequence[int], max_order: int = LAPLACE_ORDER_CAP) -> De
                     stats[1] = tb
                 total = total - t if negate else total + t
             negate = not negate
-        memo[cols] = total
         return total
 
     value = expand(tuple(range(n)))
+    expand.cache_clear()  # expand refers to itself, so only a full gc pass would free the memo
     return DetResult(value, "LAPLACE", stats[0], stats[1])
 
 

@@ -76,26 +76,11 @@ class SequenceId(namedtuple("SequenceId", "family param")):
         return self.family.value
 
 
-class SequenceTerms:
-    """An id plus the exact terms at positions ``0..len-1``."""
+class SequenceTerms(NamedTuple):
+    """An id plus its exact terms at positions ``0..n_max``."""
 
-    def __init__(self, id: SequenceId, terms: tuple[int, ...]) -> None:
-        self.id = id
-        self.terms = terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SequenceTerms:
-            return NotImplemented
-        return self.id == other.id and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.terms))
-
-    def __repr__(self) -> str:
-        return f"SequenceTerms(id={self.id!r}, terms={self.terms!r})"
+    id: SequenceId
+    terms: tuple[int, ...]
 
 
 def franel(r: int = 3) -> SequenceId:

@@ -15,7 +15,7 @@ reproducible.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import hankel, numtheory, sequences, transforms
 from .numtheory import is_power_of_two, is_prime, nu2
@@ -37,7 +37,7 @@ Checks = Callable[[int, tuple[int, ...]], Iterable[Check]]
 _HankelRun = tuple[sequences.SequenceId, Callable[[int, int], Iterable[Check]]]
 
 
-class Claim:
+class Claim(NamedTuple):
     """One registered claim: its default bounds and the checks it makes.
 
     ``checks(hi, primes)`` yields the checks for indices ``n_min..hi``.
@@ -48,17 +48,14 @@ class Claim:
     for every other claim.
     """
 
-    def __init__(self, claim_id: str, description: str, scope: str, checks: Checks,
-                 n_max: int | None, n_min: int = 0, primes: tuple[int, ...] | None = None,
-                 experimental: bool = False) -> None:
-        self.claim_id = claim_id
-        self.description = description
-        self.scope = scope
-        self.checks = checks
-        self.n_max = n_max
-        self.n_min = n_min
-        self.primes = primes
-        self.experimental = experimental
+    claim_id: str
+    description: str
+    scope: str
+    checks: Checks
+    n_max: int | None
+    n_min: int = 0
+    primes: tuple[int, ...] | None = None
+    experimental: bool = False
 
     def bounds(self, n_max: int | None = None,
                primes: Sequence[int] | None = None) -> tuple[int, tuple[int, ...]]:

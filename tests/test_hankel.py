@@ -47,7 +47,9 @@ def test_blocks_read_the_matrix_off_its_values():
 def test_laplace_examples():
     assert det_laplace((1, 2, 10)).value == 6
     assert det_laplace((1,)).value == 1
-    assert det_laplace((1, 2, 10, 56, 346)).value == 180
+    # f(3)'s order-3 matrix: two products for each of the three 2x2 minors
+    # and three for the top row, the widest 10 * 346 = 3460 (12 bits).
+    assert det_laplace((1, 2, 10, 56, 346)) == (180, "LAPLACE", 9, 12, False)
 
 
 def test_laplace_cap():
@@ -346,7 +348,9 @@ def test_instrumentation_is_populated():
 def test_kernels_on_spec_values():
     f = prefix(franel(3), 4).terms
     rows = [[f[i + j] for j in range(3)] for i in range(3)]
-    assert _kernels.bareiss_det(rows)[0] == 180
+    # Four updates at k = 0 and one at k = 1; every numerator is narrower
+    # than the 9-bit input 346.
+    assert _kernels.bareiss_det(rows) == (180, 5, 9)
     minors, steps, max_bits = _kernels.hankel_leading_minors(f)
     assert minors == [1, 6, 180]
     # Step 0 (Delta_0 = 1, c = 0, so w = 0): tau_1 = (10 - 2*2, 56 - 2*10,

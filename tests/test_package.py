@@ -26,6 +26,33 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
+def test_exported_records_are_named_tuples():
+    # Every record the package exports is a named tuple; the enum and the
+    # exception are its only other classes.
+    for name in hankelforge.__all__:
+        obj = getattr(hankelforge, name)
+        if isinstance(obj, type) and name not in ("Family", "InexactDivisionError"):
+            assert issubclass(obj, tuple) and hasattr(obj, "_fields"), name
+
+
+def test_no_function_is_cached_for_the_life_of_the_process():
+    # A functools cache on a module-level function or a method keeps every
+    # argument and result until the process ends, so none is kept unless a
+    # measurement shows it pays.  One on a function nested in a call (as in
+    # det_laplace) goes with the call.
+    cachers = {"cache", "lru_cache", "cached_property"}
+    for path in sorted(Path(hankelforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in (node for scope in scopes for node in scope.body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+                assert name not in cachers, f"{path.name}:{node.lineno} {node.name}"
+
+
 def test_cli_import_loads_no_dataclasses_json_or_fork():
     # Each would add start-up time to every CLI run that does not need it:
     # json is imported by its format alone, and _fork past a cost bound.

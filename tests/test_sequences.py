@@ -49,6 +49,10 @@ def test_prefix_examples():
     assert prefix(APERY_A, 2).terms == (1, 5, 73)
     assert prefix(CLF, 1).terms == (1, 8)
     assert prefix(CENTRAL_BINOM, 3).terms == (1, 2, 6, 20)
+    # A named tuple of (id, terms): equal to the plain tuple of its fields.
+    f = prefix(franel(3), 4)
+    assert f == (franel(3), (1, 2, 10, 56, 346))
+    assert f.id == franel(3) and f.terms == (1, 2, 10, 56, 346)
 
 
 def test_prefix_matches_term():

@@ -40,6 +40,9 @@ def test_registry_completeness():
 def test_registry_experimental_flags():
     for c in verify.REGISTRY:
         assert c.experimental == (c.claim_id == "apery-positivity")
+    # Built from its five required fields, a claim takes the defaults.
+    c = Claim("c", "a claim", "n=0..{hi}", lambda hi, primes: (), 3)
+    assert c.n_min == 0 and c.primes is None and c.experimental is False
 
 
 def test_unknown_claim_rejected():
