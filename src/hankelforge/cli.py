@@ -18,7 +18,7 @@ import io
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import verify
 from .hankel import LAPLACE_ORDER_CAP, det_bareiss, det_dodgson, det_laplace, quotient_check
@@ -31,12 +31,10 @@ _ENGINES = {"laplace": det_laplace, "bareiss": det_bareiss, "dodgson": det_dodgs
 def emit_reports(reports: Sequence[VerificationReport], fmt: str = "text") -> bytes:
     """Render several reports as one document (single CSV header, JSON array)."""
     if fmt == "csv":
-        return _reports_csv(reports)
+        return _csv(["claim_id", "n", "value", "status"],
+                    ([r.claim_id, e.index, e.value, e.status] for r in reports for e in r.entries)).encode()
     if fmt == "json":
-        import json
-
-        objs = [_report_obj(r) for r in reports]
-        return (json.dumps(objs, separators=(",", ":")) + "\n").encode()
+        return _json([_report_obj(r) for r in reports]).encode()
     if fmt == "text":
         return "".join(_report_text(r) for r in reports).encode()
     raise ValueError(f"unknown format {fmt!r}")
@@ -57,14 +55,20 @@ def _report_obj(report: VerificationReport) -> dict:
     }
 
 
-def _reports_csv(reports: Sequence[VerificationReport]) -> bytes:
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header line, then one line per row; newline-terminated."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["claim_id", "n", "value", "status"])
-    for report in reports:
-        for e in report.entries:
-            writer.writerow([report.claim_id, e.index, e.value, e.status])
-    return buf.getvalue().encode()
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _json(obj) -> str:
+    """Compact JSON, newline-terminated."""
+    import json  # loaded only by a JSON run, so that the CLI's start-up does not
+
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def _report_text(report: VerificationReport) -> str:
@@ -185,22 +189,14 @@ def _cmd_seq(args) -> int:
     if args.format == "text":
         _write(" ".join(decimal_str(t) for t in terms) + "\n")
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "value"])
-        for i, t in enumerate(terms):
-            writer.writerow([i, decimal_str(t)])
-        _write(buf.getvalue())
+        _write(_csv(["index", "value"], enumerate(map(decimal_str, terms))))
     else:
-        import json
-
-        obj = {
+        _write(_json({
             "family": seq_id.family.value,
             "param": seq_id.param or None,
             "n_max": args.n,
             "terms": [decimal_str(t) for t in terms],
-        }
-        _write(json.dumps(obj, separators=(",", ":")) + "\n")
+        }))
     return 0
 
 
@@ -233,15 +229,13 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--primes applies to {takers} only, not {args.claim}")
     if args.claim and args.n_max is not None and verify.claim(args.claim).n_max is None:
         raise _UsageError(f"--n-max does not apply to {args.claim}, which takes no index bound")
-    for claim in verify.REGISTRY if args.all else (verify.claim(args.claim),):
+    claims = verify.REGISTRY if args.all else (verify.claim(args.claim),)
+    for claim in claims:
         try:
             claim.bounds(args.n_max, args.primes)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    if args.all:
-        reports = verify.run_all(args.n_max, args.primes)
-    else:
-        reports = [verify.run_claim(args.claim, args.n_max, args.primes)]
+    reports = [claim.run(args.n_max, args.primes) for claim in claims]
     _write(emit_reports(reports, args.format))
     exit_code = 0
     for report in reports:

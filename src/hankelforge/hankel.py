@@ -20,7 +20,8 @@ when the runs are large together, it divides every step on all of them by
 position between the process and one forked child
 (``_fork.split_leading_minors``); otherwise each runs here.  A run whose
 recursion meets a zero leading minor keeps the minors it reached and
-finishes the higher orders block by block.
+finishes the higher orders block by block, each by ``det_bareiss`` on a
+prefix of the values.
 
 All of them except Laplace run on the kernels in ``_kernels``; Laplace is
 written out here, apart from them, so that it stays an independent check.
@@ -67,11 +68,6 @@ def _order(values: Sequence[int]) -> int:
     return len(values) // 2 + 1
 
 
-def _block(values: Sequence[int], size: int) -> list[Sequence[int]]:
-    """The rows of the leading order-``size`` block ``(x_{i+j})``."""
-    return [values[i : i + size] for i in range(size)]
-
-
 def det_laplace(values: Sequence[int], max_order: int = LAPLACE_ORDER_CAP) -> DetResult:
     """Minor expansion along the top rows, reading entry (i, j) as
     ``values[i + j]``.  The minor on each set of columns is expanded once:
@@ -112,21 +108,22 @@ def det_laplace(values: Sequence[int], max_order: int = LAPLACE_ORDER_CAP) -> De
 
 def det_bareiss(values: Sequence[int]) -> DetResult:
     """Fraction-free elimination on the whole matrix; no order limit."""
-    value, steps, max_bits = kernels.bareiss_det(_block(values, _order(values)))
+    size = _order(values)
+    value, steps, max_bits = kernels.bareiss_det([values[i : i + size] for i in range(size)])
     return DetResult(value, "BAREISS", steps, max_bits)
 
 
 def det_dodgson(values: Sequence[int]) -> DetResult:
     """The engine named DODGSON: the last minor of the fraction-free
     Chebyshev recursion on the values (``kernels.hankel_leading_minors``).
-    Falls back to Bareiss on the whole matrix when a leading minor of order
-    below ``order - 1`` is zero; ``steps``/``max_bits`` then cover both
-    attempts."""
+    Falls back to :func:`det_bareiss` on the whole matrix when a leading
+    minor of order below ``order - 1`` is zero; ``steps``/``max_bits`` then
+    cover both attempts."""
     order = _order(values)
     minors, steps, max_bits = kernels.hankel_leading_minors(values)
     if len(minors) < order:
-        value, b_steps, b_bits = kernels.bareiss_det(_block(values, order))
-        return DetResult(value, "DODGSON", steps + b_steps, max(max_bits, b_bits), fallback=True)
+        b = det_bareiss(values)
+        return DetResult(b.value, "DODGSON", steps + b.steps, max(max_bits, b.max_bits), fallback=True)
     return DetResult(minors[-1], "DODGSON", steps, max_bits)
 
 
@@ -159,10 +156,11 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
     (so that the child has a position) and :func:`._fork.can_fork` holds;
     otherwise the Chebyshev recursion runs on each here, with the same result.
     When a leading minor the recursion divides by is zero, the minors it
-    reached are kept and each higher-order block is evaluated by Bareiss on its
-    own, here on either route.  No claim's matrix at its default bounds reaches
-    that loop, so it stays simple (O(n^4) after an early zero) rather than
-    fast; it is kept because a zero minor is what the claims test for.
+    reached are kept and each higher-order block is evaluated by
+    :func:`det_bareiss` on its prefix of the values, here on either route.
+    No claim's matrix at its default bounds reaches that loop, so it stays
+    simple (O(n^4) after an early zero) rather than fast; it is kept because
+    a zero minor is what the claims test for.
     """
     for values in runs:
         _order(values)
@@ -176,7 +174,7 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
                else [kernels.hankel_leading_minors(values) for values in runs])
     for values, (minors, _, _) in zip(runs, results):
         for size in range(len(minors) + 1, len(values) // 2 + 2):
-            minors.append(kernels.bareiss_det(_block(values, size))[0])
+            minors.append(det_bareiss(values[: 2 * size - 1]).value)
     return [minors for minors, _, _ in results]
 
 

@@ -7,9 +7,10 @@ whose terms satisfy ``x_0 = 1``, ``2k | x_i`` for i >= 1, and
 over the integers is +1 or -1, which is what makes the Hankel-quotient
 oddness claims tick.  Those hypotheses fix every entry of B: ``(x_i/2k) mod 2``
 is 1 exactly when i is a power of two.  So :func:`lemma23_hypothesis_check`,
-which tests them index by index and returns one check per index in the form
-:meth:`verify.Claim.run` records, is the only code that reads those bits;
-the parity claim factors the Hankel matrix of the power-of-two indicator.
+which tests them at every index of the terms it is given, one check per
+index in the form :meth:`verify.Claim.run` records, is the only code that
+reads those bits; the parity claim factors the Hankel matrix of the
+power-of-two indicator.
 """
 from __future__ import annotations
 
@@ -59,20 +60,18 @@ def central_binom_parities(hi: int) -> list[bool]:
     return out
 
 
-def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int, n_max: int) -> list[Check]:
+def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int) -> list[Check]:
     """Per-index checks of the parity-matrix hypotheses for x with scale k.
 
-    Index 0 must be 1; for ``1 <= i <= n_max``, ``2k`` must divide ``x[i]``
-    and ``4k`` must divide it exactly when i is not a power of two.  Each
-    check is ``(label, value, ok, expected)``, labelled ``i=<index>``.
+    Index 0 must be 1; at every later index i of x, ``2k`` must divide
+    ``x[i]`` and ``4k`` must divide it exactly when i is not a power of two.
+    Each check is ``(label, value, ok, expected)``, labelled ``i=<index>``.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if len(x) < n_max + 1:
-        raise ValueError(f"need {n_max + 1} terms, got {len(x)}")
     expected = f"2k | x_i and (4k | x_i iff i not a power of two), k={k}"
     checks: list[Check] = [("i=0", x[0], x[0] == 1, "x_0 = 1")]
-    for i in range(1, n_max + 1):
+    for i in range(1, len(x)):
         xi = x[i]
         ok = xi % (2 * k) == 0 and (xi % (4 * k) == 0) == (not is_power_of_two(i))
         checks.append((f"i={i}", xi, ok, expected))

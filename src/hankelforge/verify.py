@@ -59,14 +59,17 @@ class Claim(NamedTuple):
 
     def bounds(self, n_max: int | None = None,
                primes: Sequence[int] | None = None) -> tuple[int, tuple[int, ...]]:
-        """The index bound and primes a run uses; ValueError on an empty
-        range, an empty prime list, a prime the claim cannot take or a prime
-        given twice.  A claim without an index bound ignores ``n_max``, as
-        one without primes ignores ``primes``."""
+        """The index bound and primes a run uses; ValueError on a bound or
+        prime whose type is not ``int``, an empty range, an empty prime list, a
+        prime the claim cannot take or a prime given twice.  A claim without
+        an index bound ignores ``n_max``, as one without primes ignores
+        ``primes``."""
         if self.n_max is None:
             hi = 0
         else:
             hi = self.n_max if n_max is None else n_max
+            if type(hi) is not int:  # a bool too would reach the report's index range
+                raise ValueError(f"index bound {hi!r} is not an integer for {self.claim_id}")
             if hi < self.n_min:
                 raise ValueError(f"range n={self.n_min}..{hi} is empty for {self.claim_id}")
         if self.primes is None:
@@ -75,6 +78,8 @@ class Claim(NamedTuple):
         if not ps:
             raise ValueError(f"no primes given for {self.claim_id}")
         for i, p in enumerate(ps):
+            if type(p) is not int:
+                raise ValueError(f"prime {p!r} is not an integer for {self.claim_id}")
             if p > MAX_PRIME:  # before is_prime, whose trial division grows as sqrt(p)
                 raise ValueError(f"prime {p} is above the limit {MAX_PRIME} for {self.claim_id}")
             if p <= 3 or not is_prime(p):
@@ -186,7 +191,7 @@ def _parity_matrix(hi: int, primes: tuple[int, ...]) -> Iterator[Check]:
     minors = None
     for seq_id, k in PARITY_CASES:
         name = seq_id.label()
-        hypotheses = numtheory.lemma23_hypothesis_check(prefix(seq_id, 2 * hi).terms, k, 2 * hi)
+        hypotheses = numtheory.lemma23_hypothesis_check(prefix(seq_id, 2 * hi).terms, k)
         for label, value, ok, expected in hypotheses:
             yield f"{name} {label}", value, ok, expected
         if not all(ok for _, _, ok, _ in hypotheses):

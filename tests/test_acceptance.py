@@ -60,7 +60,7 @@ def test_criterion_05_parity_matrix_machinery():
     ok = True
     for seq, k in ((franel(3), 1), (franel(4), 1), (franel(5), 1), (franel(6), 1), (domb(2), 2)):
         terms = prefix(seq, 128).terms
-        if not all(ok for _, _, ok, _ in lemma23_hypothesis_check(terms, k, 128)):
+        if not all(ok for _, _, ok, _ in lemma23_hypothesis_check(terms, k)):
             ok = False
         for minor in hankel_minors([[(terms[i] // (2 * k)) & 1 for i in range(2, 129)]])[0]:
             if minor not in (1, -1):

@@ -156,7 +156,7 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(verify, "run_claim", boom)
+    monkeypatch.setattr(verify.Claim, "run", boom)
     with pytest.raises(ValueError, match="boom"):
         cli.run(["verify", "--claim", "domb-mod3", "--n-max", "3"])
 
@@ -264,7 +264,7 @@ def test_experimental_failure_warns_but_exits_zero(capsys, monkeypatch):
         (Witness("n=0", "-5", "> 0"),),
         experimental=True,
     )
-    monkeypatch.setattr(verify, "run_claim", lambda *a, **k: failing)
+    monkeypatch.setattr(verify.Claim, "run", lambda *a, **k: failing)
     code, out, err = run_cli(capsys, "verify", "--claim", "apery-positivity")
     assert code == 0
     assert "EXPERIMENTAL:FAIL" in out
@@ -278,7 +278,7 @@ def test_proven_failure_exits_one(capsys, monkeypatch):
         (ReportEntry("n=0", "2", "fail"),),
         (Witness("n=0", "2", "= 1 (mod 3)"),),
     )
-    monkeypatch.setattr(verify, "run_claim", lambda *a, **k: failing)
+    monkeypatch.setattr(verify.Claim, "run", lambda *a, **k: failing)
     code, out, _ = run_cli(capsys, "verify", "--claim", "domb-mod3")
     assert code == 1
     assert "FAIL at n=0" in out
@@ -336,6 +336,17 @@ def test_verify_all_output_matches_golden_digest(capsys, args):
     code, out, _ = run_cli(capsys, "verify", "--all", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_ALL[args]
+
+
+def test_verify_all_csv_as_a_process_matches_golden_digest():
+    # The command the benchmark's verify-all workload times: -S keeps site's
+    # imports out, and -W error turns a warning on the import path into a fault.
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-S", "-W", "error", "-m", "hankelforge.cli",
+                           "verify", "--all", "--format", "csv"],
+                          capture_output=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_VERIFY_ALL[("--format", "csv")]
 
 
 # SHA-256 of the full stdout of single claims at bounds above their defaults.
@@ -447,3 +458,20 @@ GOLDEN_ENGINES = {
 def test_hankel_and_bench_output_match_golden_digest(capsys, command):
     runs, expected = GOLDEN_ENGINES[command]
     assert _golden_engine_digest(capsys, runs) == expected
+
+
+# SHA-256 over every `seq` run's argv, exit code and stdout; recorded while
+# `seq` still built its own CSV writer and made its own json.dumps call.
+_SEQ_ORDERS = (0, 1, 5, 40)
+GOLDEN_SEQ = "4c3e7378323855371f4c00e13ca5046a3b10666e61653191b4825133499c85e1"
+
+
+def test_seq_output_matches_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for seq_id in _GOLDEN_SEQUENCES:
+        for n in _SEQ_ORDERS:
+            for fmt in ("text", "csv", "json"):
+                argv = ("seq", *_family_args(seq_id), "--n", str(n), "--format", fmt)
+                code, out, _ = run_cli(capsys, *argv)
+                digest.update(f"{argv} {code}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_SEQ

@@ -32,16 +32,20 @@ def test_values_must_be_an_odd_count_of_exact_integers(func):
             func(values)
 
 
-def test_blocks_read_the_matrix_off_its_values():
-    # Every engine reads the Hankel matrix (x_{i+j}) off its values as the
-    # rows of a leading block.
+def test_blocks_read_the_matrix_off_its_values(monkeypatch):
+    # det_bareiss reads the Hankel matrix (x_{i+j}) off its values as the
+    # rows it hands the kernel; a prefix of the values is a leading block.
+    seen = []
+    bareiss_det = _kernels.bareiss_det
+    monkeypatch.setattr(hankel.kernels, "bareiss_det", lambda rows: seen.append(rows) or bareiss_det(rows))
     f = prefix(franel(3), 4).terms
     assert hankel._order(f) == 3
-    assert hankel._block(f, 2) == [(1, 2), (2, 10)]
-    assert hankel._block(f, 1) == [(1,)]
+    assert det_bareiss(f[:3]).value == 6
+    assert det_bareiss(f[:1]).value == 1
     d = prefix(domb(2), 2).terms
-    assert hankel._block(d, hankel._order(d)) == [(1, 4), (4, 28)]
-    assert hankel._block((5, 6, 7), 2) == [(5, 6), (6, 7)]
+    assert det_bareiss(d).value == 12
+    assert det_bareiss((5, 6, 7)).value == -1
+    assert seen == [[(1, 2), (2, 10)], [(1,)], [(1, 4), (4, 28)], [(5, 6), (6, 7)]]
 
 
 def test_laplace_examples():

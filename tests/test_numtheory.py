@@ -134,23 +134,25 @@ def test_parity_values_are_the_antidiagonals_of_B(case):
 
 def test_hypothesis_check_passes_for_qualifying_sequences():
     for seq, k in ((franel(3), 1), (franel(4), 1), (domb(2), 2)):
-        assert all(ok for _, _, ok, _ in lemma23_hypothesis_check(prefix(seq, 16).terms, k, 16))
+        assert all(ok for _, _, ok, _ in lemma23_hypothesis_check(prefix(seq, 16).terms, k))
 
 
 def test_hypothesis_check_catches_counterexample():
-    checks = lemma23_hypothesis_check([1, 2, 4], 1, 2)
+    checks = lemma23_hypothesis_check([1, 2, 4], 1)
     # 4 | x_2 but 2 is a power of two
     assert [label for label, _, ok, _ in checks if not ok] == ["i=2"]
-
-
-def test_hypothesis_check_requires_enough_terms():
-    with pytest.raises(ValueError):
-        lemma23_hypothesis_check([1, 2], 1, 2)
+    # Every index of x is checked: f(3)_16 + 2 is divisible by 4 although 16
+    # is a power of two, and only that last index breaks the hypotheses.
+    terms = list(prefix(franel(3), 16).terms)
+    terms[16] += 2
+    checks = lemma23_hypothesis_check(terms, 1)
+    assert [label for label, _, _, _ in checks] == [f"i={i}" for i in range(17)]
+    assert [label for label, _, ok, _ in checks if not ok] == ["i=16"]
 
 
 def test_hypothesis_check_refuses_a_scale_below_1():
     with pytest.raises(ValueError, match="k must be positive"):
-        lemma23_hypothesis_check([1, 2, 4], 0, 2)
+        lemma23_hypothesis_check([1, 2, 4], 0)
 
 
 def test_parity_matrix_dets_are_unimodular():

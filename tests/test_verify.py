@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pickle
@@ -168,6 +169,19 @@ def test_franel_prime_validation():
     for empty in ((), []):
         with pytest.raises(ValueError, match="no primes given for franel-prime-sums"):
             run_claim("franel-prime-sums", primes=empty)
+
+
+def test_bounds_and_primes_must_be_integers():
+    # is_prime(5.5) holds by trial division, and a float reached prefix
+    # before bounds refused it.
+    for prime in (5.5, 7.0):
+        with pytest.raises(ValueError, match=f"prime {prime} is not an integer for franel-prime-sums"):
+            run_claim("franel-prime-sums", primes=[prime])
+    with pytest.raises(ValueError, match="index bound 2.5 is not an integer for domb-mod3"):
+        run_claim("domb-mod3", n_max=2.5)
+    # a bool is an int, but would read "n=0..True" in the report
+    with pytest.raises(ValueError, match="index bound True is not an integer for domb-mod3"):
+        run_claim("domb-mod3", n_max=True)
 
 
 def test_franel_primes_given_twice_are_refused():
@@ -434,6 +448,21 @@ def test_runs_of_different_lengths_stay_in_process(fork_refused, monkeypatch):
     _take("forked", monkeypatch)
     runs = [sequences.prefix(APERY_A, 2 * n).terms for n in (3, 30)]
     assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0] for values in runs]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd on this platform")
+def test_failed_fork_closes_its_pipes(monkeypatch):
+    # with_child opens two pipes before it forks; a fork that fails (too many
+    # processes) leaves nothing open and is raised again as it came.
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError) as raised:
+        _fork.with_child(lambda channel: None, lambda channel: None)
+    assert raised.value.errno == errno.EAGAIN
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
