@@ -9,7 +9,6 @@ parity, congruence, and positivity claims about them.
 from .exact import InexactDivisionError, exact_div
 from .hankel import (
     DetResult,
-    QuotientCheck,
     det_bareiss,
     det_dodgson,
     det_laplace,
@@ -38,7 +37,6 @@ __all__ = [
     "DetResult",
     "Family",
     "InexactDivisionError",
-    "QuotientCheck",
     "REGISTRY",
     "ReportEntry",
     "SequenceId",

@@ -209,17 +209,17 @@ def _cmd_hankel(args) -> int:
         raise _UsageError("--base must be at least 2")
     result = _ENGINES[args.engine](prefix(seq_id, 2 * args.n).terms)
     _write(f"det {decimal_str(result.value)}\n")
-    _write(f"engine {result.algorithm}{' (bareiss fallback)' if result.fallback else ''}\n")
+    _write(f"engine {args.engine.upper()}{' (bareiss fallback)' if result.fallback else ''}\n")
     _write(f"steps {result.steps}\n")
     _write(f"max_bits {result.max_bits}\n")
     if args.base is not None:
         exponent = args.n if args.exp is None else args.exp
         q = quotient_check(result.value, args.base, exponent)
-        if q.is_integer:
-            flags = f"odd={'yes' if q.is_odd else 'no'} positive={'yes' if q.is_positive else 'no'}"
-            _write(f"quotient {decimal_str(q.quotient)} ({flags})\n")
-        else:
+        if q is None:
             _write(f"quotient none ({decimal_str(result.value)} not divisible by {args.base}^{exponent})\n")
+        else:
+            flags = f"odd={'yes' if q % 2 else 'no'} positive={'yes' if q > 0 else 'no'}"
+            _write(f"quotient {decimal_str(q)} ({flags})\n")
     return 0
 
 

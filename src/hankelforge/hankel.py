@@ -3,13 +3,14 @@ matrix, and the quotient check the Hankel claims apply to them.
 
 Every function here takes the order-(n+1) Hankel matrix ``(x_{i+j})`` as its
 2n+1 antidiagonal values x_0..x_2n (``hankel_minors`` a list of them); an even
-count or a value that is not an exact integer is a ValueError.  Three independent engines return the same
-exact determinant on the values, and each caller names the one it runs:
+count or a value whose type is not ``int`` (a bool included) is a ValueError.
+Three independent engines return the same exact determinant on the values, as
+a ``DetResult`` that does not name its engine: each caller names the one it runs.
 
-* ``LAPLACE``  minor expansion with memoization, the small-order oracle
+* ``det_laplace``  minor expansion with memoization, the small-order oracle
   (capped, factorial/2^n cost);
-* ``BAREISS``  fraction-free elimination and the CLI's default;
-* ``DODGSON``  the Hankel recursion on the values, the cross-check engine,
+* ``det_bareiss``  fraction-free elimination and the CLI's default;
+* ``det_dodgson``  the Hankel recursion on the values, the cross-check engine,
   which falls back to Bareiss on the whole matrix when a leading minor the
   recursion divides by is zero (the result is tagged ``fallback=True``).
 
@@ -39,22 +40,12 @@ LAPLACE_ORDER_CAP = 10
 
 
 class DetResult(NamedTuple):
-    """Exact determinant plus which engine produced it and at what cost."""
+    """Exact determinant plus what it cost the engine that the caller chose."""
 
     value: int
-    algorithm: str  # LAPLACE | BAREISS | DODGSON
     steps: int
     max_bits: int
     fallback: bool = False
-
-
-class QuotientCheck(NamedTuple):
-    """Outcome of dividing a determinant by ``base**exponent``."""
-
-    quotient: int | None
-    is_integer: bool
-    is_odd: bool
-    is_positive: bool
 
 
 def _order(values: Sequence[int]) -> int:
@@ -63,7 +54,7 @@ def _order(values: Sequence[int]) -> int:
     if len(values) % 2 == 0:
         raise ValueError(f"need 2n+1 antidiagonal values, got {len(values)}")
     for x in values:
-        if not isinstance(x, int):
+        if type(x) is not int:  # isinstance would let a bool through
             raise ValueError("entries must be exact integers")
     return len(values) // 2 + 1
 
@@ -103,14 +94,14 @@ def det_laplace(values: Sequence[int], max_order: int = LAPLACE_ORDER_CAP) -> De
 
     value = expand(tuple(range(n)))
     expand.cache_clear()  # expand refers to itself, so only a full gc pass would free the memo
-    return DetResult(value, "LAPLACE", stats[0], stats[1])
+    return DetResult(value, stats[0], stats[1])
 
 
 def det_bareiss(values: Sequence[int]) -> DetResult:
     """Fraction-free elimination on the whole matrix; no order limit."""
     size = _order(values)
     value, steps, max_bits = kernels.bareiss_det([values[i : i + size] for i in range(size)])
-    return DetResult(value, "BAREISS", steps, max_bits)
+    return DetResult(value, steps, max_bits)
 
 
 def det_dodgson(values: Sequence[int]) -> DetResult:
@@ -123,8 +114,8 @@ def det_dodgson(values: Sequence[int]) -> DetResult:
     minors, steps, max_bits = kernels.hankel_leading_minors(values)
     if len(minors) < order:
         b = det_bareiss(values)
-        return DetResult(b.value, "DODGSON", steps + b.steps, max(max_bits, b.max_bits), fallback=True)
-    return DetResult(minors[-1], "DODGSON", steps, max_bits)
+        return DetResult(b.value, steps + b.steps, max(max_bits, b.max_bits), fallback=True)
+    return DetResult(minors[-1], steps, max_bits)
 
 
 # The break-even of forking a child for the minors, in _hankel_cost units
@@ -178,23 +169,22 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
     return [minors for minors, _, _ in results]
 
 
-def quotient_check(det_value: int, base: int, exponent: int) -> QuotientCheck:
-    """Exact division test of ``det_value`` by ``base**exponent``.
+def quotient_check(det_value: int, base: int, exponent: int) -> int | None:
+    """The exact quotient of ``det_value`` by ``base**exponent``, or None
+    when the division is not exact.  A zero ``det_value`` gives 0, so test
+    the result with ``is None``, never by truth.
 
-    Non-divisibility is a reported outcome (``is_integer`` False, quotient
-    None), not an error.  The power is built only when it can divide: 0 is
-    divisible, and a nonzero value below ``2**(exponent * (base.bit_length()
-    - 1))`` in absolute value, a lower bound on ``base**exponent``, is not.
+    The power is built only when it can divide: a nonzero value below
+    ``2**(exponent * (base.bit_length() - 1))`` in absolute value, a lower
+    bound on ``base**exponent``, is not divisible.
     """
     if base < 2:
         raise ValueError("base must be at least 2")
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
     if not det_value:
-        return QuotientCheck(0, True, False, False)
+        return 0
     if exponent * (base.bit_length() - 1) >= det_value.bit_length():
-        return QuotientCheck(None, False, False, False)
+        return None
     q, r = divmod(det_value, base**exponent)
-    if r:
-        return QuotientCheck(None, False, False, False)
-    return QuotientCheck(q, True, q % 2 != 0, q > 0)
+    return None if r else q

@@ -66,9 +66,12 @@ def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int) -> list[Che
     Index 0 must be 1; at every later index i of x, ``2k`` must divide
     ``x[i]`` and ``4k`` must divide it exactly when i is not a power of two.
     Each check is ``(label, value, ok, expected)``, labelled ``i=<index>``.
+    An empty x, which has no index 0, is a ValueError like ``k < 1``.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if not x:
+        raise ValueError("need at least the term x_0")
     expected = f"2k | x_i and (4k | x_i iff i not a power of two), k={k}"
     checks: list[Check] = [("i=0", x[0], x[0] == 1, "x_0 = 1")]
     for i in range(1, len(x)):

@@ -143,9 +143,9 @@ def _hankel(*runs: _HankelRun) -> Checks:
 
 def _quotient(label: str, det: int, base: int, exponent: int, odd: bool, positive: bool) -> Check:
     q = hankel.quotient_check(det, base, exponent)
-    ok = q.is_integer and (q.is_odd or not odd) and (q.is_positive or not positive)
+    ok = q is not None and (q % 2 == 1 or not odd) and (q > 0 or not positive)
     what = "a positive odd integer" if positive else "an odd integer" if odd else "an integer"
-    return label, q.quotient if q.is_integer else det, ok, f"det/{base}^{exponent} {what}"
+    return label, det if q is None else q, ok, f"det/{base}^{exponent} {what}"
 
 
 def _quotients(seq_id: sequences.SequenceId, label: str, base: int, odd: bool = True,

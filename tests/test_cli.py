@@ -146,6 +146,10 @@ def test_usage_errors_exit_2(capsys):
     for argv, message in (
         (("seq", "--family", "franel", "--n", "x"), "invalid int value: 'x'"),
         (("bench", "--family", "franel", "--n", "2", "--repeat", "0"), "--repeat must be at least 1"),
+        (("verify", "--claim", "domb-mod3", "--primes", "5"),
+         "error: --primes applies to franel-prime-sums only, not domb-mod3\n"),
+        (("verify", "--claim", "franel-prime-sums", "--n-max", "5"),
+         "error: --n-max does not apply to franel-prime-sums, which takes no index bound\n"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

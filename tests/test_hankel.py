@@ -32,6 +32,14 @@ def test_values_must_be_an_odd_count_of_exact_integers(func):
             func(values)
 
 
+def test_bools_are_not_exact_integers():
+    # isinstance(True, int) holds, so only a test of the exact type refuses them
+    with pytest.raises(ValueError, match="entries must be exact integers"):
+        hankel_minors([[True, 1, 2]])
+    with pytest.raises(ValueError, match="entries must be exact integers"):
+        det_bareiss((True, False, True))
+
+
 def test_blocks_read_the_matrix_off_its_values(monkeypatch):
     # det_bareiss reads the Hankel matrix (x_{i+j}) off its values as the
     # rows it hands the kernel; a prefix of the values is a leading block.
@@ -53,7 +61,11 @@ def test_laplace_examples():
     assert det_laplace((1,)).value == 1
     # f(3)'s order-3 matrix: two products for each of the three 2x2 minors
     # and three for the top row, the widest 10 * 346 = 3460 (12 bits).
-    assert det_laplace((1, 2, 10, 56, 346)) == (180, "LAPLACE", 9, 12, False)
+    assert det_laplace((1, 2, 10, 56, 346)) == (180, 9, 12, False)
+    # [[1, 0, 1], [0, 1, 0], [1, 0, 1]]: a step for each nonzero entry
+    # expanded, two in the top row and one in each 2x2 minor they reach; none
+    # for a zero (counting those too would give 3 + 3 * 2 = 9)
+    assert det_laplace((1, 0, 1, 0, 1)) == (0, 4, 1, False)
 
 
 def test_laplace_cap():
@@ -93,7 +105,7 @@ def test_dodgson_zero_pivot_falls_back():
         minors, steps, max_bits = _kernels.hankel_leading_minors(values)
         _, b_steps, b_bits = _kernels.bareiss_det(hankel_rows(values, order - 1))
         result = det_dodgson(values)
-        assert len(minors) < order and result.fallback and result.algorithm == "DODGSON"
+        assert len(minors) < order and result.fallback
         assert result.value == det_fractions(hankel_rows(values, order - 1))
         assert (result.steps, result.max_bits) == (steps + b_steps, max(max_bits, b_bits))
 
@@ -305,25 +317,21 @@ def test_leading_minors_at_order_101_match_modular_sweep():
 
 
 def test_quotient_check_examples():
-    q = quotient_check(180, 6, 2)
-    assert (q.quotient, q.is_integer, q.is_odd, q.is_positive) == (5, True, True, True)
-    q = quotient_check(16, 2, 4)
-    assert (q.quotient, q.is_integer, q.is_odd, q.is_positive) == (1, True, True, True)
-    assert quotient_check(1, 6, 0).quotient == 1
-    q = quotient_check(10, 4, 1)
-    assert not q.is_integer and q.quotient is None
-    q = quotient_check(-24, 2, 3)
-    assert q.quotient == -3 and q.is_odd and not q.is_positive
+    assert quotient_check(180, 6, 2) == 5
+    assert quotient_check(16, 2, 4) == 1
+    assert quotient_check(1, 6, 0) == 1
+    assert quotient_check(10, 4, 1) is None
+    assert quotient_check(-24, 2, 3) == -3
     # answered from bit-lengths, without building a 25-million-bit power
-    q = quotient_check(6, 6, 10**7)
-    assert (q.quotient, q.is_integer, q.is_odd, q.is_positive) == (None, False, False, False)
+    assert quotient_check(6, 6, 10**7) is None
+    # 0 is divisible by any power: the quotient is 0, not None
     q = quotient_check(0, 6, 10**12)
-    assert (q.quotient, q.is_integer, q.is_odd, q.is_positive) == (0, True, False, False)
+    assert q == 0 and q is not None
     # for base 2 the bit-length bound is tight on both sides
-    assert quotient_check(32, 2, 5).quotient == 1
-    assert not quotient_check(16, 2, 5).is_integer
-    assert quotient_check(-(6**40), 6, 40).quotient == -1
-    assert not quotient_check(2**40, 3, 40).is_integer  # the bound cannot tell; divmod does
+    assert quotient_check(32, 2, 5) == 1
+    assert quotient_check(16, 2, 5) is None
+    assert quotient_check(-(6**40), 6, 40) == -1
+    assert quotient_check(2**40, 3, 40) is None  # the bound cannot tell; divmod does
 
 
 def test_quotient_check_validation():
@@ -367,6 +375,10 @@ def test_kernels_on_spec_values():
     # (3, 5, 3): one entry, whose numerator 3*3 - 5*5 = -16 (5 bits) is wider
     # than every input.
     assert _kernels.hankel_leading_minors((3, 5, 3)) == ([3, -16], 1, 5)
+    # (1, 0, 2, 0, 3): at step 1 (Delta_1 = 1, Delta_2 = 2, a = 0, c = 0) the
+    # first numerator u = 0*0 - 2*2 = -4 (3 bits) is wider than every input
+    # and than the second, 2*(3 - 4) - 0*0 = -2: both numerators count.
+    assert _kernels.hankel_leading_minors((1, 0, 2, 0, 3)) == ([1, 2, -2], 4, 3)
     with pytest.raises(ValueError):
         _kernels.hankel_leading_minors(f[:4])
 
@@ -392,16 +404,17 @@ def test_kernel_divisions_are_checked(monkeypatch):
     # x_0 = 2 is the first divisor other than +-1, at the step to order 3.
     with pytest.raises(InexactDivisionError, match="chebyshev"):
         det_dodgson((2, 1, 1, 1, 1))
-    # Each update of the recursion divides twice; here only the second leaves
-    # a remainder.
-    calls = []
+    # Each update of the recursion divides twice (w, then q); here only the
+    # first, then only the second, leaves a remainder.
+    for inexact_call in (1, 2):
+        calls = []
 
-    def second_inexact(a, b):
-        calls.append(None)
-        q, r = divmod(a, b)
-        return q, r + (len(calls) == 2)
+        def one_inexact(a, b):
+            calls.append(None)
+            q, r = divmod(a, b)
+            return q, r + (len(calls) == inexact_call)
 
-    monkeypatch.setattr(_kernels, "divmod", second_inexact, raising=False)
-    with pytest.raises(InexactDivisionError, match="chebyshev"):
-        det_dodgson((2, 1, 1, 1, 1))
-    assert len(calls) == 2
+        monkeypatch.setattr(_kernels, "divmod", one_inexact, raising=False)
+        with pytest.raises(InexactDivisionError, match="chebyshev"):
+            det_dodgson((2, 1, 1, 1, 1))
+        assert len(calls) == inexact_call

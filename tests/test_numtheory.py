@@ -155,6 +155,11 @@ def test_hypothesis_check_refuses_a_scale_below_1():
         lemma23_hypothesis_check([1, 2, 4], 0)
 
 
+def test_hypothesis_check_refuses_empty_terms():
+    with pytest.raises(ValueError, match="need at least the term x_0"):
+        lemma23_hypothesis_check([], 1)
+
+
 def test_parity_matrix_dets_are_unimodular():
     for seq, k in ((franel(3), 1), (domb(2), 2)):
         terms = prefix(seq, 48).terms

@@ -1,15 +1,18 @@
 import errno
 import json
+import math
 import os
 import pickle
 import random
 import re
 import signal
+import threading
 import time
 
 import pytest
 
-from hankelforge import InexactDivisionError, _fork, _kernels, cli, hankel, numtheory, sequences, verify
+from hankelforge import (InexactDivisionError, _fork, _kernels, cli, hankel, numtheory, sequences, transforms,
+                         verify)
 from hankelforge.reports import VerificationReport, decimal_str
 from hankelforge.sequences import APERY_A, APERY_B, CLF, G_SUM, domb, franel
 from hankelforge.verify import Claim, run_all, run_claim
@@ -388,6 +391,46 @@ def test_forked_minors_match_in_process(forks, monkeypatch, claim_id):
     assert len(forks) == 2
 
 
+def _catalan(count: int) -> list[int]:
+    return [math.comb(2 * i, i) // (i + 1) for i in range(count)]
+
+
+# Runs whose every leading minor has a closed form (Krattenthaler, "Advanced
+# Determinant Calculus", 1999; Aigner, JCTA 87, 1999): (the runs, made when a
+# test asks, and the order-s minor for s = 1, 2, ...).
+CLOSED_FORMS = {
+    # C_i and C_{i+1} at order 301: every minor is 1
+    "catalan": (lambda: [_catalan(601), _catalan(602)[1:]], lambda s: 1),
+    # C(2i, i) at order 151: the order-s minor is 2^(s-1)
+    "central": (lambda: [sequences.prefix(sequences.CENTRAL_BINOM, 300).terms], lambda s: 2 ** (s - 1)),
+    # 2^i = f(1) at order 61 has rank 1: the recursion stops at the zero
+    # order-2 minor, and the Bareiss finishing loop gives every higher one
+    "powers-of-two": (lambda: [sequences.prefix(franel(1), 120).terms], lambda s: int(s == 1)),
+}
+
+
+@pytest.mark.parametrize("route", ("forked", "here"))
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_minors_match_closed_forms(forks, monkeypatch, name, route):
+    make_runs, minor = CLOSED_FORMS[name]
+    runs = make_runs()
+    _take(route, monkeypatch)
+    want = [minor(s) for s in range(1, len(runs[0]) // 2 + 2)]
+    assert hankel.hankel_minors(runs) == [want] * len(runs)
+    assert len(forks) == (route == "forked")
+
+
+def test_binomial_transform_keeps_every_minor(forks):
+    # sum_k C(i, k) x_k has the Hankel minors of x (Layman, J. Integer
+    # Sequences 4, 2001), on each Hankel claim sequence at order 51.  Both
+    # calls are forced to fork, whatever the machine's CPU count: in the
+    # process the pair would take about twice as long.
+    seqs = sorted({seq for seqs in HANKEL_SETS.values() for seq in seqs}, key=lambda s: s.label())
+    runs = [sequences.prefix(seq, 100).terms for seq in seqs]
+    assert hankel.hankel_minors(runs) == hankel.hankel_minors(list(map(transforms.binomial_transform, runs)))
+    assert len(forks) == 2
+
+
 @pytest.mark.parametrize("exc", [ValueError("bad values 7"),
                                  InexactDivisionError("31 is not divisible by 4")])
 def test_child_exception_is_raised_again(forks, monkeypatch, exc):
@@ -424,6 +467,34 @@ def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypa
     with pytest.raises(ValueError, match="parent side failed"):
         _fork.split_leading_minors([_unit_minor_moments(1 << 600_000, 9)] * 2)
     assert len(forks) == 1
+
+
+def test_can_fork_needs_fork_a_second_cpu_and_no_other_thread(monkeypatch):
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    assert _fork.can_fork()
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+    assert not _fork.can_fork()
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    # a fork copies only the calling thread, and the locks the others hold
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert not _fork.can_fork()
+    finally:
+        stop.set()
+        other.join(10)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert not _fork.can_fork()
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    # where the platform has no affinity mask, the CPU count, or 1 when unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, want in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _fork.usable_cpus() == want
 
 
 @pytest.fixture
@@ -516,12 +587,14 @@ def test_split_leading_minors_match_the_kernel(forks):
     assert (20, 3, 40) in stops
     assert sum(len(set(lengths)) > 1 for lengths in stops) >= 20
     # at n = 1 the child would have no position, so hankel_minors keeps the
-    # runs in this process, above the break-even
+    # runs in this process, above the break-even; from n = 2 it forks
     for runs in deep:
         if len(runs[0]) < 5:
             assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0]
                                                   for values in runs]
     assert len(forks) == len(batches)
+    assert hankel.hankel_minors([(1, 2, 10, 56, 346)]) == [[1, 6, 180]]
+    assert len(forks) == len(batches) + 1
 
 
 @pytest.fixture
@@ -700,11 +773,12 @@ def _only(seq_id):
 
 # One entry per predicate inside each claim: (claim, n_max, primes, a
 # corruption that breaks that predicate and no other, every witness it
-# gives).  Weakening the predicate drops a witness.
+# gives, by index or as (index, observed)).  Weakening the predicate drops a
+# witness.
 PREDICATE_CORRUPTIONS = {
     # det H_2 + 1 of b and a: no longer divisible by 10^2 or 24^2.  A claim
     # that asks for an odd quotient reads a non-integer one as not odd too
-    # (quotient_check's flags are all False), so only this claim, which asks
+    # (quotient_check returns None), so only this claim, which asks
     # for an integer alone, separates the integer test from the odd test.
     "quotient-integer": ("hankel-apery", 3, None, _minors_patch(2, lambda d: d + 1),
                          ["b n=2", "a n=2"]),
@@ -784,9 +858,10 @@ PREDICATE_CORRUPTIONS = {
                        ["p=5 alt-sum"]),
     # f_1 + p and f_2 - 2p: the alt-sum moves by -3p = 0 (mod p) and the
     # half-weight sum by p/2 - 2p/4 = 0 (mod p^2); only the weighted
-    # alternating sum moves, by -p/1 - 2p/2 = -2p
+    # alternating sum moves, by -p/1 - 2p/2 = -2p = 15 (mod 25); with every
+    # sign of that sum flipped it would read 10
     "franel-weighted-alt-sum": ("franel-prime-sums", None, (5,), _terms_patch({1: 5, 2: -10}),
-                                ["p=5 weighted-alt-sum"]),
+                                [("p=5 weighted-alt-sum", "15")]),
     # f_0 + p: the alt-sum moves by p = 0 (mod p), and of the two mod-p^2
     # sums only the half-weight sum reads f_0
     "franel-half-weight-sum": ("franel-prime-sums", None, (5,), _terms_patch({0: 5}),
@@ -800,7 +875,10 @@ def test_every_predicate_can_fail(monkeypatch, claim_id, n_max, primes, patch, w
     patch(monkeypatch)
     report = run_claim(claim_id, n_max, primes)
     assert not report.passed
-    assert [w.index for w in report.witnesses] == witnesses
+    # a witness given as (index, observed) pins the value it reports too
+    assert len(report.witnesses) == len(witnesses)
+    assert [(w.index, w.observed) if isinstance(want, tuple) else w.index
+            for w, want in zip(report.witnesses, witnesses)] == witnesses
 
 
 @pytest.mark.parametrize("claim_id", sorted(HANKEL_SETS))
