@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -92,6 +93,19 @@ def test_benchmark_traced_pass_succeeds(tmp_path):
     assert ready["event"] == "ready" and ready["warmup_ok"] is True
     assert result["event"] == "result" and len(result["passes"]) >= 2
     assert all(p["ok"] for p in result["passes"])
+
+
+def test_mutation_sweep_equivalents_name_mutants():
+    # The sweep keys each known equivalent mutant by its ordinal within a
+    # function, so adding or removing a comparison or an ``if`` there shifts
+    # the keys, and an entry names another mutant or none.  The sweep takes
+    # minutes; this reads the mutants' keys and sources without running one.
+    path = Path(__file__).resolve().parents[1] / "tools" / "mutation_sweep.py"
+    spec = importlib.util.spec_from_file_location("mutation_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    made = {m.key: m.code for module in {k[0] for k in sweep.EQUIVALENT} for m in sweep.mutants(module)}
+    assert {k: made.get(k) for k in sweep.EQUIVALENT} == {k: code for k, (code, _) in sweep.EQUIVALENT.items()}
 
 
 def _readme_blocks(language):

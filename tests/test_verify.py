@@ -773,8 +773,7 @@ def _only(seq_id):
 
 # One entry per predicate inside each claim: (claim, n_max, primes, a
 # corruption that breaks that predicate and no other, every witness it
-# gives, by index or as (index, observed)).  Weakening the predicate drops a
-# witness.
+# gives).  Weakening the predicate drops a witness.
 PREDICATE_CORRUPTIONS = {
     # det H_2 + 1 of b and a: no longer divisible by 10^2 or 24^2.  A claim
     # that asks for an odd quotient reads a non-integer one as not odd too
@@ -858,10 +857,9 @@ PREDICATE_CORRUPTIONS = {
                        ["p=5 alt-sum"]),
     # f_1 + p and f_2 - 2p: the alt-sum moves by -3p = 0 (mod p) and the
     # half-weight sum by p/2 - 2p/4 = 0 (mod p^2); only the weighted
-    # alternating sum moves, by -p/1 - 2p/2 = -2p = 15 (mod 25); with every
-    # sign of that sum flipped it would read 10
+    # alternating sum moves, by -p/1 - 2p/2 = -2p
     "franel-weighted-alt-sum": ("franel-prime-sums", None, (5,), _terms_patch({1: 5, 2: -10}),
-                                [("p=5 weighted-alt-sum", "15")]),
+                                ["p=5 weighted-alt-sum"]),
     # f_0 + p: the alt-sum moves by p = 0 (mod p), and of the two mod-p^2
     # sums only the half-weight sum reads f_0
     "franel-half-weight-sum": ("franel-prime-sums", None, (5,), _terms_patch({0: 5}),
@@ -875,10 +873,16 @@ def test_every_predicate_can_fail(monkeypatch, claim_id, n_max, primes, patch, w
     patch(monkeypatch)
     report = run_claim(claim_id, n_max, primes)
     assert not report.passed
-    # a witness given as (index, observed) pins the value it reports too
-    assert len(report.witnesses) == len(witnesses)
-    assert [(w.index, w.observed) if isinstance(want, tuple) else w.index
-            for w, want in zip(report.witnesses, witnesses)] == witnesses
+    assert [w.index for w in report.witnesses] == witnesses
+
+
+def test_weighted_alt_sum_witness_reports_its_residue(monkeypatch):
+    # the corruption above moves the sum by -2p = 15 (mod 25); with every
+    # sign of the sum flipped the witness would read 10
+    claim_id, n_max, primes, patch, _ = PREDICATE_CORRUPTIONS["franel-weighted-alt-sum"]
+    patch(monkeypatch)
+    [witness] = run_claim(claim_id, n_max, primes).witnesses
+    assert witness.observed == "15"
 
 
 @pytest.mark.parametrize("claim_id", sorted(HANKEL_SETS))

@@ -16,18 +16,17 @@ with the reason no test can see it, or reported as an unexplained survivor.
 ``_fork.with_child`` is left out: forcing ``if pid == 0`` would let a forked
 child return into pytest and run the rest of the session.
 
-    python tools/mutation_sweep.py                 # the whole sweep
-    python tools/mutation_sweep.py --list          # the mutants, not run
-    python tools/mutation_sweep.py --module hankel --module cli
+    python tools/mutation_sweep.py
 
-The exit status is 0 when no mutant survives unexplained and every entry of
+The timeout is three times the unmutated run, plus 10 seconds.  The exit
+status is 0 when no mutant survives unexplained and every entry of
 ``EQUIVALENT`` still names a surviving mutant.  The tier-1 suite does not run
-this: the whole sweep, 455 mutants, took 16 minutes on a 2-vCPU x86_64 VM
-under CPython 3.11.
+the sweep, only a check that every ``EQUIVALENT`` key still names its mutant:
+the whole sweep, 455 mutants, took 16 minutes on a 2-vCPU x86_64 VM under
+CPython 3.11.
 """
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import queue
@@ -44,50 +43,68 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "hankelforge")
 SKIPPED_FUNCTIONS = {("_fork", "with_child")}
+WORKERS = 2
 
 _SWAPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
           ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.In: ast.NotIn, ast.NotIn: ast.In,
           ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 
 # Mutants that no test can tell from the real code, keyed by (module,
-# function, operator, ordinal of that operator within the function).
+# function, operator, ordinal of that operator within the function).  Each
+# value is (the source of the node the mutant replaces, the reason); with the
+# source, tests/test_package.py sees an edit that shifts the ordinals.
 EQUIVALENT = {
     # fast paths and shortcuts: the general code gives the same result
-    ("_kernels", "tau_step", "if->False", 0): "the divisor == 1 shortcut of the w division",
-    ("_kernels", "tau_step", "if->False", 1): "the divisor == -1 shortcut of the w division",
-    ("_kernels", "tau_step", "if->False", 3): "the divisor == 1 shortcut of the q division",
-    ("_kernels", "tau_step", "if->False", 4): "the divisor == -1 shortcut of the q division",
-    ("transforms", "iterated_transform", "if->False", 4): "the k == 1 fast path",
-    ("transforms", "iterated_transform", "if->False", 5):
-        "the reduction mod m on the way only bounds the entries; the residues at the end are the same",
-    ("hankel", "quotient_check", "if->False", 3): "the bit-length shortcut; divmod gives the same None",
-    ("hankel", "quotient_check", "GtE->Gt", 0): "at the bit-length bound's equality divmod gives the same None",
-    ("verify", "_repr_x2_3y2", "if->False", 0): "a shortcut: 3y^2 == rem fails anyway when 3 does not divide rem",
-    ("verify", "_residues.checks", "if->True", 0): "zero transforms mod m are the residues mod m",
-    ("sequences", "_recur", "if->True", 2): "exact_div checks the division again and raises only on a remainder",
-    ("sequences", "_recur", "if->True", 4): "exact_div checks the division again and raises only on a remainder",
-    ("sequences", "_recur", "if->True", 5): "exact_div checks the division again and raises only on a remainder",
+    ("_kernels", "tau_step", "if->False", 0): ("divisor == 1", "the divisor == 1 shortcut of the w division"),
+    ("_kernels", "tau_step", "if->False", 1): ("divisor == -1", "the divisor == -1 shortcut of the w division"),
+    ("_kernels", "tau_step", "if->False", 3): ("divisor == 1", "the divisor == 1 shortcut of the q division"),
+    ("_kernels", "tau_step", "if->False", 4): ("divisor == -1", "the divisor == -1 shortcut of the q division"),
+    ("transforms", "iterated_transform", "if->False", 4): ("k == 1", "the k == 1 fast path"),
+    ("transforms", "iterated_transform", "if->False", 5): (
+        "since == every",
+        "the reduction mod m on the way only bounds the entries; the residues at the end are the same"),
+    ("hankel", "quotient_check", "if->False", 3): (
+        "exponent * (base.bit_length() - 1) >= det_value.bit_length()",
+        "the bit-length shortcut; divmod gives the same None"),
+    ("hankel", "quotient_check", "GtE->Gt", 0): (
+        "exponent * (base.bit_length() - 1) >= det_value.bit_length()",
+        "at the bit-length bound's equality divmod gives the same None"),
+    ("verify", "_repr_x2_3y2", "if->False", 0): (
+        "rem % 3", "a shortcut: 3y^2 == rem fails anyway when 3 does not divide rem"),
+    ("verify", "_residues.checks", "if->True", 0): ("transformed", "zero transforms mod m are the residues mod m"),
+    ("sequences", "_recur", "if->True", 2): ("r", "exact_div checks the division again and raises only on a remainder"),
+    ("sequences", "_recur", "if->True", 4): ("r", "exact_div checks the division again and raises only on a remainder"),
+    ("sequences", "_recur", "if->True", 5): ("r", "exact_div checks the division again and raises only on a remainder"),
     # ties: both sides of the boundary give the same value
-    ("_kernels", "bareiss_det", "Gt->GtE", 0): "a tie on max_bits",
-    ("_kernels", "tau_step", "Gt->GtE", 0): "a tie on max_bits",
-    ("_kernels", "tau_step", "Gt->GtE", 1): "a tie on max_bits",
-    ("hankel", "det_laplace.expand", "Gt->GtE", 0): "a tie on max_bits",
-    ("reports", "decimal_str", "Lt->LtE", 1): "str gives the same 601 digits at 10**600, under every digit limit",
+    ("_kernels", "bareiss_det", "Gt->GtE", 0): ("tb > max_bits", "a tie on max_bits"),
+    ("_kernels", "tau_step", "Gt->GtE", 0): ("b > max_bits", "a tie on max_bits"),
+    ("_kernels", "tau_step", "Gt->GtE", 1): ("b > max_bits", "a tie on max_bits"),
+    ("hankel", "det_laplace.expand", "Gt->GtE", 0): ("tb > stats[1]", "a tie on max_bits"),
+    ("reports", "decimal_str", "Lt->LtE", 1): (
+        "value < _STR_BOUND", "str gives the same 601 digits at 10**600, under every digit limit"),
     # boundaries that no input reaches
-    ("hankel", "hankel_minors", "GtE->Gt", 0):
-        "a cost equal to the break-even: tests set it to 0 or 10**30, and no call there costs 0",
-    ("numtheory", "nu2", "Gt->GtE", 0): "x == 0 is refused above",
-    ("sequences", "term", "if->True", 7): "the last family: every other one has returned",
-    ("verify", "Claim.bounds", "Gt->GtE", 0): "MAX_PRIME = 10**4 is not prime, so it is refused either way",
-    ("verify", "_quotient", "Gt->GtE", 0):
-        "a zero quotient is even, and each check that asks for a positive quotient asks for an odd one",
-    ("cli", "_write", "drop-operand", 1): "an OSError from a failed write to a file carries its strerror",
+    ("hankel", "hankel_minors", "GtE->Gt", 0): (
+        "sum(map(_hankel_cost, runs)) >= _FORK_MIN_COST",
+        "a cost equal to the break-even: tests set it to 0 or 10**30, and no call there costs 0"),
+    ("numtheory", "nu2", "Gt->GtE", 0): ("x > 0", "x == 0 is refused above"),
+    ("sequences", "term", "if->True", 7): ("fam is Family.G_SUM", "the last family: every other one has returned"),
+    ("verify", "Claim.bounds", "Gt->GtE", 0): (
+        "p > MAX_PRIME", "MAX_PRIME = 10**4 is not prime, so it is refused either way"),
+    ("verify", "_quotient", "Gt->GtE", 0): (
+        "q > 0", "a zero quotient is even, and each check that asks for a positive quotient asks for an odd one"),
+    ("cli", "_write", "drop-operand", 1): (
+        "exc.strerror or exc", "an OSError from a failed write to a file carries its strerror"),
     # the pipes between the process and its forked child
-    ("_fork", "Channel.send", "if->True", 0):
-        "after end of file the read end polls ready and reads nothing, until the write breaks the pipe",
-    ("_fork", "Channel.recv", "if->True", 0): "short of a header, the length it reads is above the inbox's",
-    ("_fork", "Channel.recv", "GtE->Gt", 0): "a lone header: no pickle is empty, so its message is not in either way",
-    ("_fork", "Channel.recv", "drop-operand", 0): "after end of file a read returns nothing, as _eof says",
+    ("_fork", "Channel.send", "if->True", 0): (
+        "not self._eof",
+        "after end of file the read end polls ready and reads nothing, until the write breaks the pipe"),
+    ("_fork", "Channel.recv", "if->True", 0): (
+        "len(inbox) >= need", "short of a header, the length it reads is above the inbox's"),
+    ("_fork", "Channel.recv", "GtE->Gt", 0): (
+        "len(inbox) >= need", "a lone header: no pickle is empty, so its message is not in either way"),
+    ("_fork", "Channel.recv", "drop-operand", 0): (
+        "self._eof or not self._read(max(need - len(inbox), 1 << 16))",
+        "after end of file a read returns nothing, as _eof says"),
 }
 
 
@@ -96,6 +113,7 @@ class Mutant(NamedTuple):
     function: str
     operator: str
     ordinal: int
+    code: str  # the source of the node that is replaced
     line: int
     source: str  # the whole mutated module
 
@@ -152,7 +170,8 @@ def mutants(module: str) -> list[Mutant]:
             start = lines[target.lineno - 1] + target.col_offset
             end = lines[target.end_lineno - 1] + target.end_col_offset
             source = data[:start] + replacement.encode() + data[end:]
-            out.append(Mutant(module, function, operator, ordinal, target.lineno, source.decode()))
+            out.append(Mutant(module, function, operator, ordinal, ast.unparse(target), target.lineno,
+                              source.decode()))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -170,8 +189,11 @@ def _pytest(tree: Path, timeout: float) -> tuple[str, float]:
     """Run ``pytest -x`` in ``tree``: ("passed" | "failed" | "timeout", seconds)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
-    # a session of its own, so that a timeout also ends any child it forked
-    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+    # a session of its own, so that a timeout also ends any child it forked;
+    # the check of EQUIVALENT against the source is left out, as on a mutated
+    # module it fails whatever the mutant does
+    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                             "--deselect", "tests/test_package.py::test_mutation_sweep_equivalents_name_mutants"],
                             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                             start_new_session=True)
     try:
@@ -184,28 +206,11 @@ def _pytest(tree: Path, timeout: float) -> tuple[str, float]:
     return outcome, time.perf_counter() - start
 
 
-def main(argv: list[str] | None = None) -> int:
-    every_module = sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py"))
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--module", action="append", choices=every_module,
-                        help="sweep only this module of the package (repeatable)")
-    parser.add_argument("--workers", type=int, choices=(1, 2), default=2)
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="seconds per mutant (default: 3x the unmutated run, plus 10)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-
-    modules = args.module or every_module
-    todo = [m for module in modules for m in mutants(module)]
-    if args.list:
-        for m in todo:
-            print(f"{m.module}:{m.line} {m.function} {m.operator} #{m.ordinal}")
-        print(f"{len(todo)} mutants")
-        return 0
-
+def main() -> int:
+    todo = [m for p in sorted((ROOT / PACKAGE).glob("*.py")) for m in mutants(p.stem)]
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as work:
         trees: queue.Queue[Path] = queue.Queue()
-        for i in range(args.workers):
+        for i in range(WORKERS):
             trees.put(_copy_tree(Path(work, f"tree{i}")))
         tree = trees.get()
         outcome, seconds = _pytest(tree, 3600)
@@ -213,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         if outcome != "passed":
             print(f"the unmutated tree does not pass its tests ({outcome})", file=sys.stderr)
             return 2
-        timeout = args.timeout or 3 * seconds + 10
+        timeout = 3 * seconds + 10
         print(f"unmutated run {seconds:.1f} s; {len(todo)} mutants, timeout {timeout:.0f} s",
               file=sys.stderr)
 
@@ -230,12 +235,12 @@ def main(argv: list[str] | None = None) -> int:
 
         survivors, killed = [], set()
         counts = {"killed": 0, "equivalent": 0, "survived": 0}
-        with ThreadPoolExecutor(args.workers) as pool:
+        with ThreadPoolExecutor(WORKERS) as pool:
             for done, (m, outcome, seconds) in enumerate(pool.map(run, todo), 1):
                 if outcome != "passed":
                     verdict = "killed"
                     killed.add(m.key)
-                elif m.key in EQUIVALENT:
+                elif EQUIVALENT.get(m.key, ("",))[0] == m.code:
                     verdict = "equivalent"
                 else:
                     verdict = "survived"
@@ -244,13 +249,13 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"[{done}/{len(todo)}] {m.module}:{m.line} {m.function} {m.operator} "
                       f"#{m.ordinal}: {verdict} ({outcome}, {seconds:.1f} s)", file=sys.stderr)
 
-    ran = {m.key for m in todo}
+    ran = {(m.key, m.code) for m in todo}
     print(f"{len(todo)} mutants: {counts['killed']} killed, {counts['equivalent']} equivalent, "
           f"{counts['survived']} unexplained survivors")
     for m in survivors:
         print(f"SURVIVED {m.key!r}  # {m.module}.py:{m.line}")
     # an entry that matches no mutant, or one that a test kills, is out of date
-    stale = [k for k in EQUIVALENT if k[0] in modules and (k not in ran or k in killed)]
+    stale = [k for k, (code, _) in EQUIVALENT.items() if (k, code) not in ran or k in killed]
     for k in stale:
         print(f"STALE {k!r}: {'killed' if k in killed else 'no such mutant'}")
     return 1 if survivors or stale else 0
