@@ -8,7 +8,7 @@ Three independent engines return the same exact determinant on the values, as
 a ``DetResult`` that does not name its engine: each caller names the one it runs.
 
 * ``det_laplace``  minor expansion with memoization, the small-order oracle
-  (capped, factorial/2^n cost);
+  (capped at order ``LAPLACE_ORDER_CAP``, factorial/2^n cost);
 * ``det_bareiss``  fraction-free elimination and the CLI's default;
 * ``det_dodgson``  the Hankel recursion on the values, the cross-check engine,
   which falls back to Bareiss on the whole matrix when a leading minor the
@@ -59,18 +59,18 @@ def _order(values: Sequence[int]) -> int:
     return len(values) // 2 + 1
 
 
-def det_laplace(values: Sequence[int], max_order: int = LAPLACE_ORDER_CAP) -> DetResult:
+def det_laplace(values: Sequence[int]) -> DetResult:
     """Minor expansion along the top rows, reading entry (i, j) as
     ``values[i + j]``.  The minor on each set of columns is expanded once:
     the inner expansion is wrapped in :func:`functools.cache`, a memo made
     afresh by each call and emptied before it returns.
 
-    Refuses orders above ``max_order``; meant as the independent oracle, not
-    the workhorse.
+    Refuses orders above ``LAPLACE_ORDER_CAP``, read at each call; meant as
+    the independent oracle, not the workhorse.
     """
     n = _order(values)
-    if n > max_order:
-        raise ValueError(f"laplace engine capped at order {max_order}, got {n}")
+    if n > LAPLACE_ORDER_CAP:
+        raise ValueError(f"laplace engine capped at order {LAPLACE_ORDER_CAP}, got {n}")
     stats = [0, max(x.bit_length() for x in values)]  # steps, max_bits
 
     @cache

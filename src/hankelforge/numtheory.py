@@ -21,7 +21,7 @@ def nu2(x: int) -> int:
     """2-adic valuation: the largest e with 2**e dividing x.  x must be nonzero."""
     if x == 0:
         raise ValueError("nu2 is undefined at 0")
-    a = x if x > 0 else -x
+    a = abs(x)
     return (a & -a).bit_length() - 1
 
 

@@ -56,11 +56,16 @@ _PARAMETRIC = (Family.FRANEL_R, Family.DOMB_M)
 
 
 class SequenceId(namedtuple("SequenceId", "family param")):
-    """A sequence family plus its integer parameter (r or m, where used)."""
+    """A :class:`Family` plus its ``int`` parameter (r or m, where used); any
+    other family or parameter type (a bool included) is a ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, family: Family, param: int = 0) -> "SequenceId":
+        if not isinstance(family, Family):
+            raise ValueError(f"unknown family {family!r}")
+        if type(param) is not int:  # isinstance would let a bool through
+            raise ValueError("the parameter must be an exact integer")
         if family in _PARAMETRIC:
             if param < 1:
                 raise ValueError(f"{family.value} requires a parameter >= 1")
@@ -126,7 +131,7 @@ def term(seq: SequenceId, n: int) -> int:
         return sum(row[k] ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
     if fam is Family.G_SUM:
         return sum(row[k] ** 2 * comb(2 * k, k) for k in range(n + 1))
-    raise ValueError(f"unknown family {fam!r}")
+    raise ValueError(f"unknown family {fam!r}")  # _make and _replace skip __new__
 
 
 class Recurrence(NamedTuple):

@@ -5,8 +5,8 @@ residue sequences can be pushed through them unchanged.  The k-fold transform
 ``y[n] = sum_j C(n,j) k^(n-j) x[j]`` is ``((k+E)^n x)[0]`` for the shift
 ``E``, so one difference table gives every term: emit ``row[0]``, replace
 ``row[j]`` by ``k*row[j] + row[j+1]``, repeat.  That is ~N²/2 additions (and
-small-int scalings for k ≥ 2) whatever k is, with no Pascal row.  Both are
-pure and exact.
+small-int scalings for k ≥ 2) whatever k ≥ 1 is, with no Pascal row; k = 0
+returns the input in one pass.  Both are pure and exact.
 
 With a modulus m the same table runs on residues.  The transforms are
 Z-linear, so the input is reduced mod m once and the table is reduced again
@@ -29,8 +29,8 @@ def binomial_transform(x: Sequence[int]) -> list[int]:
 
 
 def iterated_transform(x: Sequence[int], k: int, modulus: int | None = None) -> list[int]:
-    """k-fold binomial transform; k=0 returns a copy.  With ``modulus`` m,
-    the residues in ``[0, m)`` of the same terms."""
+    """k-fold binomial transform; k=0 returns a copy without the difference
+    table.  With ``modulus`` m, the residues in ``[0, m)`` of the same terms."""
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
     if len(x) == 0:
@@ -43,6 +43,8 @@ def iterated_transform(x: Sequence[int], k: int, modulus: int | None = None) -> 
         row = [a % modulus for a in x]
         every = max(1, (sys.int_info.bits_per_digit - modulus.bit_length())
                     // max(1, k.bit_length()))
+    if k == 0:
+        return row
     out = []
     since = 0
     while row:

@@ -116,10 +116,7 @@ def _residues(seq_id: sequences.SequenceId,
             # Only residues are read, so the difference table runs mod m
             # (iterated_transform's modulus): its entries stay within one
             # machine digit instead of growing to ~n*log2(transformed+1) bits.
-            if transformed:
-                values = transforms.iterated_transform(terms, transformed, m)
-            else:
-                values = [t % m for t in terms]
+            values = transforms.iterated_transform(terms, transformed, m)
             for n in range(lo, hi + 1):
                 want = expected(n) % m
                 got = values[n]
@@ -243,8 +240,6 @@ def _repr_x2_3y2(p: int) -> tuple[int, int]:
     # exists exactly when p = 1 (mod 3).
     for cand in range(1, math.isqrt(p) + 1):
         rem = p - cand * cand
-        if rem % 3:
-            continue
         y = math.isqrt(rem // 3)
         if 3 * y * y == rem:
             return (cand if cand % 3 == 1 else -cand), y

@@ -68,13 +68,14 @@ def test_laplace_examples():
     assert det_laplace((1, 0, 1, 0, 1)) == (0, 4, 1, False)
 
 
-def test_laplace_cap():
+def test_laplace_cap(monkeypatch):
     # x_10 = 1 and every other value 0: the order-11 reversal matrix, whose
     # determinant is the sign (-1)^(11*10/2) of reversing 11 columns.
     reversal = (0,) * 10 + (1,) + (0,) * 10
     with pytest.raises(ValueError, match="capped at order 10, got 11"):
         det_laplace(reversal)
-    assert det_laplace(reversal, max_order=11).value == -1
+    monkeypatch.setattr(hankel, "LAPLACE_ORDER_CAP", 11)
+    assert det_laplace(reversal).value == -1
 
 
 def test_bareiss_examples():
@@ -331,6 +332,24 @@ def test_quotient_check_examples():
     assert quotient_check(16, 2, 5) is None
     assert quotient_check(-(6**40), 6, 40) == -1
     assert quotient_check(2**40, 3, 40) is None  # the bound cannot tell; divmod does
+
+
+def test_quotient_check_builds_no_power_that_cannot_divide():
+    # The bit-length bound is a guard: without it, `hankel --base 2 --exp
+    # 1000000000000` would build a 10**12-bit power.  B records each power
+    # asked for and builds none.
+    powers = []
+
+    class B(int):
+        def __pow__(self, exponent):
+            powers.append(exponent)
+            return 1
+
+    assert quotient_check(6, B(2), 10**12) is None
+    assert quotient_check(6, B(2), 3) is None  # 6 has 3 bits: the bound's equality
+    assert powers == []
+    quotient_check(6, B(2), 2)
+    assert powers == [2]
 
 
 def test_quotient_check_validation():

@@ -160,6 +160,11 @@ def test_invalid_ids_rejected():
         SequenceId(Family.DOMB_M, -1)
     with pytest.raises(ValueError):
         SequenceId(Family.CLF, 3)
+    # unchecked, these gave d(0)'s terms, f(2.5) float terms and the label
+    # domb[m=True]
+    for family, param in [("foo", 0), (Family.FRANEL_R, 2.5), (Family.DOMB_M, True)]:
+        with pytest.raises(ValueError):
+            SequenceId(family, param)
 
 
 def test_negative_index_rejected():

@@ -25,7 +25,9 @@ def test_inverse_examples():
 def test_iterated_examples():
     # D'=[1,5,37], D''=[1,6,48]; entries at indices >= 1 divisible by 3
     assert iterated_transform([1, 4, 28], 2) == [1, 6, 48]
-    assert iterated_transform([3, 1, 4, 1, 5], 0) == [3, 1, 4, 1, 5]
+    x = [3, 1, 4, 1, 5]
+    assert iterated_transform(x, 0) == x and iterated_transform(x, 0) is not x
+    assert iterated_transform([3, -1, 7], 0, 3) == [0, 2, 1]
     assert iterated_transform([1, 3, 19], 2) == [1, 5, 35]
 
 

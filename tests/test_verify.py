@@ -5,7 +5,6 @@ import os
 import pickle
 import random
 import re
-import signal
 import threading
 import time
 
@@ -349,8 +348,8 @@ def _runs(claim_id: str, n_max: int) -> list[tuple[int, ...]]:
 @pytest.fixture
 def forks(monkeypatch):
     """Force the forked route on (two usable CPUs, no break-even; ``_take``
-    changes the route) and count the forks made; a parent left waiting on
-    its child fails the test, and so does a child left unreaped."""
+    changes the route) and count the forks made; a child left unreaped fails
+    the test (conftest's alarm fails one that waits on its child)."""
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     _take("forked", monkeypatch)
     made = []
@@ -360,17 +359,8 @@ def forks(monkeypatch):
         made.append(None)
         return real_fork()
 
-    def hung(signum, frame):
-        raise TimeoutError("the parent waited on its child")
-
     monkeypatch.setattr(os, "fork", fork)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        yield made
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    yield made
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -406,6 +396,9 @@ CLOSED_FORMS = {
     # 2^i = f(1) at order 61 has rank 1: the recursion stops at the zero
     # order-2 minor, and the Bareiss finishing loop gives every higher one
     "powers-of-two": (lambda: [sequences.prefix(franel(1), 120).terms], lambda s: int(s == 1)),
+    # i! at order 41: the order-s minor is prod_{j<s} (j!)^2
+    "factorials": (lambda: [[math.factorial(i) for i in range(81)]],
+                   lambda s: math.prod(math.factorial(j) ** 2 for j in range(s))),
 }
 
 
@@ -417,6 +410,17 @@ def test_minors_match_closed_forms(forks, monkeypatch, name, route):
     _take(route, monkeypatch)
     want = [minor(s) for s in range(1, len(runs[0]) // 2 + 2)]
     assert hankel.hankel_minors(runs) == [want] * len(runs)
+    assert len(forks) == (route == "forked")
+
+
+@pytest.mark.parametrize("route", ("forked", "here"))
+def test_scaling_multiplies_each_minor(forks, monkeypatch, route):
+    # x_i -> 3^i x_i turns H into D H D for D = diag(3^i), so the order-s
+    # minor gains the factor 3^(s(s-1)); on f(3) at order 41.
+    values = sequences.prefix(franel(3), 80).terms
+    _take(route, monkeypatch)
+    minors, scaled = hankel.hankel_minors([values, [3**i * x for i, x in enumerate(values)]])
+    assert scaled == [3 ** (s * (s - 1)) * d for s, d in enumerate(minors, 1)]
     assert len(forks) == (route == "forked")
 
 
@@ -452,7 +456,7 @@ def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypa
     # The parent fails at once.  The child's first message, two entries of
     # about 300 KB, is more than a pipe holds, so the child waits in it until
     # read, and after it the child would not end for a minute: either way
-    # only a kill lets the parent reap it before the fixture's alarm.
+    # only a kill lets the parent reap it before the test's alarm.
     parent, real_step, calls = os.getpid(), _fork.tau_step, []
 
     def step(*args):

@@ -22,7 +22,7 @@ The timeout is three times the unmutated run, plus 10 seconds.  The exit
 status is 0 when no mutant survives unexplained and every entry of
 ``EQUIVALENT`` still names a surviving mutant.  The tier-1 suite does not run
 the sweep, only a check that every ``EQUIVALENT`` key still names its mutant:
-the whole sweep, 455 mutants, took 16 minutes on a 2-vCPU x86_64 VM under
+the whole sweep, 459 mutants, took 14 minutes on a 2-vCPU x86_64 VM under
 CPython 3.11.
 """
 from __future__ import annotations
@@ -59,19 +59,12 @@ EQUIVALENT = {
     ("_kernels", "tau_step", "if->False", 1): ("divisor == -1", "the divisor == -1 shortcut of the w division"),
     ("_kernels", "tau_step", "if->False", 3): ("divisor == 1", "the divisor == 1 shortcut of the q division"),
     ("_kernels", "tau_step", "if->False", 4): ("divisor == -1", "the divisor == -1 shortcut of the q division"),
-    ("transforms", "iterated_transform", "if->False", 4): ("k == 1", "the k == 1 fast path"),
-    ("transforms", "iterated_transform", "if->False", 5): (
+    ("transforms", "iterated_transform", "if->False", 4): (
+        "k == 0", "the k == 0 fast path: at N = 600 mod 3, 0.07 ms for the residues instead of 4.2 ms for the table"),
+    ("transforms", "iterated_transform", "if->False", 5): ("k == 1", "the k == 1 fast path"),
+    ("transforms", "iterated_transform", "if->False", 6): (
         "since == every",
         "the reduction mod m on the way only bounds the entries; the residues at the end are the same"),
-    ("hankel", "quotient_check", "if->False", 3): (
-        "exponent * (base.bit_length() - 1) >= det_value.bit_length()",
-        "the bit-length shortcut; divmod gives the same None"),
-    ("hankel", "quotient_check", "GtE->Gt", 0): (
-        "exponent * (base.bit_length() - 1) >= det_value.bit_length()",
-        "at the bit-length bound's equality divmod gives the same None"),
-    ("verify", "_repr_x2_3y2", "if->False", 0): (
-        "rem % 3", "a shortcut: 3y^2 == rem fails anyway when 3 does not divide rem"),
-    ("verify", "_residues.checks", "if->True", 0): ("transformed", "zero transforms mod m are the residues mod m"),
     ("sequences", "_recur", "if->True", 2): ("r", "exact_div checks the division again and raises only on a remainder"),
     ("sequences", "_recur", "if->True", 4): ("r", "exact_div checks the division again and raises only on a remainder"),
     ("sequences", "_recur", "if->True", 5): ("r", "exact_div checks the division again and raises only on a remainder"),
@@ -86,7 +79,6 @@ EQUIVALENT = {
     ("hankel", "hankel_minors", "GtE->Gt", 0): (
         "sum(map(_hankel_cost, runs)) >= _FORK_MIN_COST",
         "a cost equal to the break-even: tests set it to 0 or 10**30, and no call there costs 0"),
-    ("numtheory", "nu2", "Gt->GtE", 0): ("x > 0", "x == 0 is refused above"),
     ("sequences", "term", "if->True", 7): ("fam is Family.G_SUM", "the last family: every other one has returned"),
     ("verify", "Claim.bounds", "Gt->GtE", 0): (
         "p > MAX_PRIME", "MAX_PRIME = 10**4 is not prime, so it is refused either way"),
