@@ -114,8 +114,9 @@ def _residues(seq_id: sequences.SequenceId,
         terms = prefix(seq_id, hi).terms
         for m, lo, expected, transformed, label in congruences:
             # Only residues are read, so the difference table runs mod m
-            # (iterated_transform's modulus): its entries stay within one
-            # machine digit instead of growing to ~n*log2(transformed+1) bits.
+            # (iterated_transform's modulus): each row is one int of packed
+            # lanes a few bits wider than m, instead of entries that grow to
+            # ~n*log2(transformed+1) bits.
             values = transforms.iterated_transform(terms, transformed, m)
             for n in range(lo, hi + 1):
                 want = expected(n) % m

@@ -117,16 +117,46 @@ def test_error_messages_check_count_before_length():
         binomial_transform([])
 
 
-# Lengths to 120 make the modulus path reduce its table part-way through (every
-# J rows); m runs from 1, where every residue is 0, to above 2^64, where J is 1.
+# Lengths to 120 make the modulus path fold its lanes part-way through (every
+# J rows); m runs from 1, where every residue is 0, to above 2^64, and k to 2^70,
+# far above most m: the lane width depends on the bits of both m and k mod m.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=120),
-    st.integers(0, 5),
+    st.one_of(st.integers(0, 5), st.integers(0, 2**70)),
     st.one_of(st.integers(1, 64), st.integers(1, 2**64 + 13)),
 )
 def test_modulus_path_matches_reduced_exact_transform(x, k, m):
     assert iterated_transform(x, k, m) == [y % m for y in iterated_transform(x, k)]
+
+
+# The widest lanes the packed residue table meets: every residue m - 1 and
+# k = -1 (mod m), so a row multiplies each lane by m, the most it can.  Fifty
+# rows pass at least a dozen folds for each m > 1, and a table that skipped its
+# folds, or sized its lanes from m alone, would carry one lane into the next.
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 24, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 13, 2**100 + 277])
+@pytest.mark.parametrize("times", [1, 2])
+def test_modulus_path_on_the_widest_lanes(m, times):
+    x, k = [m - 1] * 50, times * m - 1
+    assert iterated_transform(x, k, m) == [y % m for y in iterated_transform(x, k)]
+
+
+# A float would run the table in floats, and a bool would run as 0 or 1.
+@pytest.mark.parametrize("args, message", [
+    (([1, 2, 3], 2.0), "iteration count must be an integer"),
+    (([1, 2, 3], True), "iteration count must be an integer"),
+    (([1, 2, 3], 2.0, 7), "iteration count must be an integer"),
+    (([1, 2, 3], True, 7), "iteration count must be an integer"),
+    (([1.5, 2, 3], 1), "entries must be exact integers"),
+    (([1.5, 2, 3], 1, 7), "entries must be exact integers"),
+    (([1, True, 3], 2), "entries must be exact integers"),
+    (([1, True, 3], 0, 7), "entries must be exact integers"),
+    (([1, 2, 3], 2, 7.0), "modulus must be an integer"),
+    (([1, 2, 3], 2, True), "modulus must be an integer"),
+])
+def test_transform_refuses_what_is_not_an_int(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        iterated_transform(*args)
 
 
 @pytest.mark.parametrize("m", [0, -3])

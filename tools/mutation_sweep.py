@@ -22,7 +22,7 @@ The timeout is three times the unmutated run, plus 10 seconds.  The exit
 status is 0 when no mutant survives unexplained and every entry of
 ``EQUIVALENT`` still names a surviving mutant.  The tier-1 suite does not run
 the sweep, only a check that every ``EQUIVALENT`` key still names its mutant:
-the whole sweep, 459 mutants, took 14 minutes on a 2-vCPU x86_64 VM under
+the whole sweep, 471 mutants, took 15 minutes on a 2-vCPU x86_64 VM under
 CPython 3.11.
 """
 from __future__ import annotations
@@ -59,12 +59,9 @@ EQUIVALENT = {
     ("_kernels", "tau_step", "if->False", 1): ("divisor == -1", "the divisor == -1 shortcut of the w division"),
     ("_kernels", "tau_step", "if->False", 3): ("divisor == 1", "the divisor == 1 shortcut of the q division"),
     ("_kernels", "tau_step", "if->False", 4): ("divisor == -1", "the divisor == -1 shortcut of the q division"),
-    ("transforms", "iterated_transform", "if->False", 4): (
-        "k == 0", "the k == 0 fast path: at N = 600 mod 3, 0.07 ms for the residues instead of 4.2 ms for the table"),
-    ("transforms", "iterated_transform", "if->False", 5): ("k == 1", "the k == 1 fast path"),
-    ("transforms", "iterated_transform", "if->False", 6): (
-        "since == every",
-        "the reduction mod m on the way only bounds the entries; the residues at the end are the same"),
+    ("transforms", "iterated_transform", "if->False", 9): ("k == 1", "the k == 1 fast path of the exact table"),
+    ("transforms", "_residue_table", "if->True", 0): (
+        "t % J == 0", "a fold on every row: J >= 1 rows after a fold every lane is still below 2^L"),
     ("sequences", "_recur", "if->True", 2): ("r", "exact_div checks the division again and raises only on a remainder"),
     ("sequences", "_recur", "if->True", 4): ("r", "exact_div checks the division again and raises only on a remainder"),
     ("sequences", "_recur", "if->True", 5): ("r", "exact_div checks the division again and raises only on a remainder"),
