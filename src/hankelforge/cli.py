@@ -2,10 +2,10 @@
 
 Subcommands: ``seq`` (print terms), ``hankel`` (evaluate one Hankel
 determinant from the sequence's 2n+1 terms), ``verify`` (run claim
-harnesses), ``bench`` (time the determinant engines).  Exit codes: 0 all
-requested checks pass, 1 a proven claim failed, 2 usage error, 3 internal
-error (an exception inside the program, traceback on stderr), 4 stdout could
-not be written (one line on stderr).  EXPERIMENTAL claims' failures warn, exit 0.
+harnesses).  Exit codes: 0 all requested checks pass, 1 a proven claim
+failed, 2 usage error, 3 internal error (an exception inside the program,
+traceback on stderr), 4 stdout could not be written (one line on stderr).
+EXPERIMENTAL claims' failures warn, exit 0.
 
 All big integers are rendered as decimal strings, never floats, and
 identical inputs produce byte-identical CSV/JSON output.
@@ -17,7 +17,6 @@ import csv
 import io
 import os
 import sys
-import time
 from typing import Iterable, Sequence
 
 from . import verify
@@ -115,14 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time determinant engines on one Hankel matrix")
-    _add_family_args(p_bench, families)
-    p_bench.add_argument("--n", type=_natural, required=True, metavar="N")
-    p_bench.add_argument("--engines", type=_parse_engines, default=("bareiss", "dodgson"),
-                         metavar="E1,E2,...")
-    p_bench.add_argument("--repeat", type=int, default=1, metavar="K")
-    p_bench.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -149,14 +140,6 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
 
 
-def _parse_engines(text: str) -> tuple[str, ...]:
-    engines = tuple(e.strip() for e in text.split(","))
-    for e in engines:
-        if e not in _ENGINES:
-            raise argparse.ArgumentTypeError(f"unknown engine {e!r}")
-    return engines
-
-
 class _UsageError(Exception):
     pass
 
@@ -178,11 +161,6 @@ def _sequence_id(args) -> SequenceId:
         raise _UsageError(str(exc)) from None
 
 
-def _check_engine(engine: str, n: int) -> None:
-    if engine == "laplace" and n + 1 > LAPLACE_ORDER_CAP:
-        raise _UsageError(f"laplace engine capped at order {LAPLACE_ORDER_CAP}, got {n + 1}")
-
-
 def _cmd_seq(args) -> int:
     seq_id = _sequence_id(args)
     terms = prefix(seq_id, args.n).terms
@@ -202,7 +180,8 @@ def _cmd_seq(args) -> int:
 
 def _cmd_hankel(args) -> int:
     seq_id = _sequence_id(args)
-    _check_engine(args.engine, args.n)
+    if args.engine == "laplace" and args.n + 1 > LAPLACE_ORDER_CAP:
+        raise _UsageError(f"laplace engine capped at order {LAPLACE_ORDER_CAP}, got {args.n + 1}")
     if args.base is None and args.exp is not None:
         raise _UsageError("--exp requires --base")
     if args.base is not None and args.base < 2:
@@ -247,31 +226,6 @@ def _cmd_verify(args) -> int:
         else:
             exit_code = 1
     return exit_code
-
-
-def _cmd_bench(args) -> int:
-    seq_id = _sequence_id(args)
-    if args.repeat < 1:
-        raise _UsageError("--repeat must be at least 1")
-    for engine in args.engines:
-        _check_engine(engine, args.n)
-    values = prefix(seq_id, 2 * args.n).terms
-    _write(f"matrix {seq_id.label()} order {args.n + 1}\n")
-    for engine in args.engines:
-        times = []
-        result = None
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            result = _ENGINES[engine](values)
-            times.append(time.perf_counter() - start)
-        best = min(times)
-        mean = sum(times) / len(times)
-        _write(
-            f"engine {engine}: best {best:.6f}s mean {mean:.6f}s "
-            f"steps {result.steps} max_bits {result.max_bits}"
-            f"{' (bareiss fallback)' if result.fallback else ''}\n"
-        )
-    return 0
 
 
 def _write(data: str | bytes = "") -> None:

@@ -176,8 +176,11 @@ def quotient_check(det_value: int, base: int, exponent: int) -> int | None:
 
     The power is built only when it can divide: a nonzero value below
     ``2**(exponent * (base.bit_length() - 1))`` in absolute value, a lower
-    bound on ``base**exponent``, is not divisible.
+    bound on ``base**exponent``, is not divisible.  A ``det_value``, ``base``
+    or ``exponent`` whose type is not ``int`` (a bool included) is a ValueError.
     """
+    if type(det_value) is not int or type(base) is not int or type(exponent) is not int:
+        raise ValueError("det_value, base and exponent must be exact integers")
     if base < 2:
         raise ValueError("base must be at least 2")
     if exponent < 0:

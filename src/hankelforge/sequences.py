@@ -104,7 +104,9 @@ G_SUM = SequenceId(Family.G_SUM)
 
 
 def term(seq: SequenceId, n: int) -> int:
-    """Exact value of the defining sum at index ``n``."""
+    """Exact value of the defining sum at index ``n``, an ``int``."""
+    if type(n) is not int:  # isinstance would let a bool through
+        raise ValueError("the index must be an exact integer")
     if n < 0:
         raise ValueError("index must be nonnegative")
     fam = seq.family
@@ -215,7 +217,10 @@ RECURRENCES: dict[SequenceId, Recurrence] = {
 
 
 def prefix(seq: SequenceId, n_max: int) -> SequenceTerms:
-    """Terms ``0..n_max``, by recurrence where one is known, else by summation."""
+    """Terms ``0..n_max``, by recurrence where one is known, else by summation;
+    ``n_max`` is an ``int``."""
+    if type(n_max) is not int:  # isinstance would let a bool through
+        raise ValueError("n_max must be an exact integer")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if seq in RECURRENCES:

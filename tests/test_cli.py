@@ -2,7 +2,6 @@ import errno
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,16 +117,13 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "seq", "--family", "franel", "--m", "2", "--n", "3")[0] == 2
     assert run_cli(capsys, "verify", "--claim", "bogus")[0] == 2
     assert run_cli(capsys, "verify", "--all", "--primes", "5,x")[0] == 2
-    assert run_cli(capsys, "bench", "--family", "clf", "--n", "2", "--engines", "qr")[0] == 2
     assert run_cli(capsys, "seq", "--family", "franel", "--r", "0", "--n", "3")[0] == 2
     for argv in (
         ("seq", "--family", "franel", "--n", "-1"),
         ("hankel", "--family", "franel", "--n", "-1"),
-        ("bench", "--family", "franel", "--n", "-1"),
         ("hankel", "--family", "franel", "--n", "2", "--base", "1"),
         ("hankel", "--family", "franel", "--n", "2", "--base", "2", "--exp", "-1"),
         ("hankel", "--family", "franel", "--engine", "laplace", "--n", "12"),
-        ("bench", "--family", "franel", "--engines", "bareiss,laplace", "--n", "12"),
         ("seq", "--family", "domb", "--m", "0", "--n", "3"),
         ("verify", "--all", "--n-max", "-1"),
         ("verify", "--claim", "franel-prime-sums", "--n-max", "-1"),
@@ -145,7 +141,7 @@ def test_usage_errors_exit_2(capsys):
         assert "error:" in err and "Traceback" not in err, argv
     for argv, message in (
         (("seq", "--family", "franel", "--n", "x"), "invalid int value: 'x'"),
-        (("bench", "--family", "franel", "--n", "2", "--repeat", "0"), "--repeat must be at least 1"),
+        (("bench", "--family", "franel", "--n", "2"), "invalid choice: 'bench'"),
         (("verify", "--claim", "domb-mod3", "--primes", "5"),
          "error: --primes applies to franel-prime-sums only, not domb-mod3\n"),
         (("verify", "--claim", "franel-prime-sums", "--n-max", "5"),
@@ -288,16 +284,6 @@ def test_proven_failure_exits_one(capsys, monkeypatch):
     assert "FAIL at n=0" in out
 
 
-def test_bench_runs(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--family", "franel", "--n", "6",
-        "--engines", "bareiss,dodgson", "--repeat", "2",
-    )
-    assert code == 0
-    assert "engine bareiss:" in out and "engine dodgson:" in out
-    assert "max_bits" in out
-
-
 def test_emit_report_formats():
     report = verify.run_claim("gsum-mod3", n_max=3)
     csv_bytes = cli.emit_reports([report], "csv")
@@ -426,42 +412,23 @@ def _family_args(seq_id):
 # Laplace cap, so those runs are refusals (exit 2, empty stdout).
 _GOLDEN_SEQUENCES = CATALOG + (franel(1),)
 _GOLDEN_ORDERS = (0, 1, 5, 9, 12, 30)
-_BENCH_TIMINGS = re.compile(r"best \S+s mean \S+s ")
+
+# SHA-256 over every `hankel` run's argv, exit code and stdout.  Recorded while
+# the engines still took an (n+1) x (n+1) matrix built from the terms; it pins
+# the determinant, steps, max_bits, quotient and fallback tag of every run,
+# and the Laplace refusals.
+GOLDEN_HANKEL = "02049abfdec15f16b5fc228423b4ec5daf4f398d442ef02677ac19952bbd6eb2"
 
 
-def _golden_engine_digest(capsys, command):
+def test_hankel_output_matches_golden_digest(capsys):
     digest = hashlib.sha256()
     for seq_id in _GOLDEN_SEQUENCES:
         for n in _GOLDEN_ORDERS:
-            for argv in command(_family_args(seq_id) + ("--n", str(n))):
+            for engine in ("laplace", "bareiss", "dodgson"):
+                argv = ("hankel", *_family_args(seq_id), "--n", str(n), "--engine", engine, "--base", "2")
                 code, out, _ = run_cli(capsys, *argv)
-                digest.update(f"{argv} {code}\n{_BENCH_TIMINGS.sub('', out)}".encode())
-    return digest.hexdigest()
-
-
-def _hankel_runs(args):
-    return [("hankel", *args, "--engine", engine, "--base", "2")
-            for engine in ("laplace", "bareiss", "dodgson")]
-
-
-def _bench_runs(args):
-    return [("bench", *args, "--engines", "bareiss,dodgson")]
-
-
-# SHA-256 over every run's argv, exit code and stdout, with the bench timings
-# taken out.  Recorded while the engines still took an (n+1) x (n+1) matrix
-# built from the terms; they pin the determinant, steps, max_bits, quotient
-# and fallback tag of every run, and the Laplace refusals.
-GOLDEN_ENGINES = {
-    "hankel": (_hankel_runs, "02049abfdec15f16b5fc228423b4ec5daf4f398d442ef02677ac19952bbd6eb2"),
-    "bench": (_bench_runs, "0a6c1c2047fa0f69519b6da2ca8598e7606110420cd926d7c0d6ceac4dfc4dd1"),
-}
-
-
-@pytest.mark.parametrize("command", sorted(GOLDEN_ENGINES))
-def test_hankel_and_bench_output_match_golden_digest(capsys, command):
-    runs, expected = GOLDEN_ENGINES[command]
-    assert _golden_engine_digest(capsys, runs) == expected
+                digest.update(f"{argv} {code}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_HANKEL
 
 
 # SHA-256 over every `seq` run's argv, exit code and stdout; recorded while

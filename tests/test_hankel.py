@@ -336,20 +336,22 @@ def test_quotient_check_examples():
 
 def test_quotient_check_builds_no_power_that_cannot_divide():
     # The bit-length bound is a guard: without it, `hankel --base 2 --exp
-    # 1000000000000` would build a 10**12-bit power.  B records each power
-    # asked for and builds none.
-    powers = []
+    # 1000000000000` would build a 10**12-bit power.  Here the power would
+    # have 10**6 bits (125 kB), and tracemalloc sees whether it was built.
+    import tracemalloc
 
-    class B(int):
-        def __pow__(self, exponent):
-            powers.append(exponent)
-            return 1
+    def peak_bytes(*args):
+        tracemalloc.start()
+        try:
+            assert quotient_check(*args) is None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-    assert quotient_check(6, B(2), 10**12) is None
-    assert quotient_check(6, B(2), 3) is None  # 6 has 3 bits: the bound's equality
-    assert powers == []
-    quotient_check(6, B(2), 2)
-    assert powers == [2]
+    assert peak_bytes(6, 2, 10**6) < 10**4
+    # a 10**6-bit value and 2**(10**6): the bound's equality
+    assert peak_bytes(2**10**6 - 1, 2, 10**6) < 10**4
+    assert peak_bytes(2**10**6 - 1, 2, 10**6 - 1) > 10**5  # can divide, so the power is built
 
 
 def test_quotient_check_validation():
@@ -357,6 +359,11 @@ def test_quotient_check_validation():
         quotient_check(10, 1, 2)
     with pytest.raises(ValueError):
         quotient_check(10, 2, -1)
+    # unchecked, these gave the float 2.0, two AttributeErrors and the quotient
+    # 1 of a bool
+    for args in [(8, 2, 2.0), (8, 2.0, 3), (8.0, 2, 2), (True, 2, 0)]:
+        with pytest.raises(ValueError, match="must be exact integers"):
+            quotient_check(*args)
 
 
 def test_antidiagonal_two_power_scaling():

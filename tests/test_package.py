@@ -108,6 +108,23 @@ def test_mutation_sweep_equivalents_name_mutants():
     assert {k: made.get(k) for k in sweep.EQUIVALENT} == {k: code for k, (code, _) in sweep.EQUIVALENT.items()}
 
 
+def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # Reporting a falsifying example imports a module that warns on import.
+    # With every warning an error, that ended the session with INTERNALERROR
+    # and left the tests after it unrun.  tmp_path is the cwd, so the
+    # example database goes there and not into the repository.
+    (tmp_path / "test_example.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_falsified(x):\n    assert x < 0\n\n\n"
+        "def test_after():\n    pass\n")
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(root / "pyproject.toml"), "test_example.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout
+
+
 def _readme_blocks(language):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.M | re.S)

@@ -174,6 +174,16 @@ def test_negative_index_rejected():
         prefix(franel(3), -2)
 
 
+def test_index_that_is_not_an_int_rejected():
+    # unchecked, True gave the terms (1, 2) and the term 2, and a float
+    # raised a bare TypeError from range or comb
+    for n in (True, 2.5, 3.0):
+        with pytest.raises(ValueError, match="must be an exact integer"):
+            prefix(franel(3), n)
+        with pytest.raises(ValueError, match="must be an exact integer"):
+            term(franel(3), n)
+
+
 def test_labels():
     assert franel(3).label() == "franel[r=3]"
     assert domb(2).label() == "domb[m=2]"
