@@ -66,8 +66,11 @@ def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int) -> list[Che
     Index 0 must be 1; at every later index i of x, ``2k`` must divide
     ``x[i]`` and ``4k`` must divide it exactly when i is not a power of two.
     Each check is ``(label, value, ok, expected)``, labelled ``i=<index>``.
-    An empty x, which has no index 0, is a ValueError like ``k < 1``.
+    An empty x, which has no index 0, is a ValueError like ``k < 1`` or a
+    ``k`` whose type is not ``int``.
     """
+    if type(k) is not int:  # a float would run the checks in float arithmetic
+        raise ValueError("k must be an exact integer")
     if k < 1:
         raise ValueError("k must be positive")
     if not x:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# One check: (label, observed value, ok, expected condition).
+# One check: (label, observed value, ok, expected condition).  The condition
+# is kept only in a failing check's Witness, so a passing check may carry "".
 Check = tuple[str, int, bool, str]
 
 # Integers of up to 600 digits go straight through ``str``: 600 is under the

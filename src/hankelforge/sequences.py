@@ -104,7 +104,10 @@ G_SUM = SequenceId(Family.G_SUM)
 
 
 def term(seq: SequenceId, n: int) -> int:
-    """Exact value of the defining sum at index ``n``, an ``int``."""
+    """Exact value of the defining sum at index ``n``, an ``int``, of ``seq``,
+    a :class:`SequenceId`."""
+    if not isinstance(seq, SequenceId):
+        raise ValueError(f"{seq!r} is not a SequenceId")
     if type(n) is not int:  # isinstance would let a bool through
         raise ValueError("the index must be an exact integer")
     if n < 0:
@@ -218,7 +221,9 @@ RECURRENCES: dict[SequenceId, Recurrence] = {
 
 def prefix(seq: SequenceId, n_max: int) -> SequenceTerms:
     """Terms ``0..n_max``, by recurrence where one is known, else by summation;
-    ``n_max`` is an ``int``."""
+    ``seq`` is a :class:`SequenceId` and ``n_max`` an ``int``."""
+    if not isinstance(seq, SequenceId):  # a plain tuple equal to one would match a RECURRENCES key
+        raise ValueError(f"{seq!r} is not a SequenceId")
     if type(n_max) is not int:  # isinstance would let a bool through
         raise ValueError("n_max must be an exact integer")
     if n_max < 0:

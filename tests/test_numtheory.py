@@ -155,6 +155,13 @@ def test_hypothesis_check_refuses_a_scale_below_1():
         lemma23_hypothesis_check([1, 2, 4], 0)
 
 
+def test_hypothesis_check_refuses_a_scale_that_is_not_an_int():
+    # 1.5 ran in float arithmetic and True ran as k = 1
+    for k in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="k must be an exact integer"):
+            lemma23_hypothesis_check([1, 2, 4], k)
+
+
 def test_hypothesis_check_refuses_empty_terms():
     with pytest.raises(ValueError, match="need at least the term x_0"):
         lemma23_hypothesis_check([], 1)

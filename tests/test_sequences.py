@@ -184,6 +184,16 @@ def test_index_that_is_not_an_int_rejected():
             term(franel(3), n)
 
 
+def test_sequence_that_is_not_a_sequence_id_rejected():
+    # a plain tuple equal to a SequenceId got past the RECURRENCES lookup,
+    # and each of these raised AttributeError
+    for seq in ((Family.FRANEL_R, 3), ("franel", 3), None):
+        with pytest.raises(ValueError, match="is not a SequenceId"):
+            prefix(seq, 3)
+        with pytest.raises(ValueError, match="is not a SequenceId"):
+            term(seq, 3)
+
+
 def test_labels():
     assert franel(3).label() == "franel[r=3]"
     assert domb(2).label() == "domb[m=2]"

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import math
 import os
@@ -878,6 +879,32 @@ def test_every_predicate_can_fail(monkeypatch, claim_id, n_max, primes, patch, w
     report = run_claim(claim_id, n_max, primes)
     assert not report.passed
     assert [w.index for w in report.witnesses] == witnesses
+
+
+# sha256 of the JSON list of every witness (index, observed, expected) that
+# the cases above give, in order, recorded while every check still built its
+# expected text; blanking or changing any check's failure text changes it
+WITNESSES_SHA256 = "70bcefb1938b6f403e78caad4e21de0b5bfa513029d03b8b89e0a70edd687e89"
+
+
+def test_every_witness_keeps_its_observed_value_and_expected_text(monkeypatch):
+    witnesses = []
+    for claim_id, n_max, primes, patch, _ in PREDICATE_CORRUPTIONS.values():
+        with monkeypatch.context() as mp:
+            patch(mp)
+            witnesses += run_claim(claim_id, n_max, primes).witnesses
+    text = json.dumps(witnesses)
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESSES_SHA256, text
+
+
+def test_passing_checks_carry_no_expected_text():
+    # the text is built only for a witness, except where it is a constant
+    constant_texts = {"parity-matrix-unimodular", "domb-mod8", "apery-positivity"}
+    for c in verify.REGISTRY:
+        if c.claim_id not in constant_texts:
+            checks = list(c.checks(*c.bounds()))
+            assert all(ok for _, _, ok, _ in checks)
+            assert {expected for _, _, _, expected in checks} == {""}, c.claim_id
 
 
 def test_weighted_alt_sum_witness_reports_its_residue(monkeypatch):
