@@ -5,7 +5,9 @@ determinant from the sequence's 2n+1 terms), ``verify`` (run claim
 harnesses).  Exit codes: 0 all requested checks pass, 1 a proven claim
 failed, 2 usage error, 3 internal error (an exception inside the program,
 traceback on stderr), 4 stdout could not be written (one line on stderr).
-EXPERIMENTAL claims' failures warn, exit 0.
+EXPERIMENTAL claims' failures warn, exit 0.  An interrupt (SIGINT) prints
+one line on stderr and ends the process by SIGINT, as an uncaught
+KeyboardInterrupt does: a shell reads 130.
 
 All big integers are rendered as decimal strings, never floats, and
 identical inputs produce byte-identical CSV/JSON output.
@@ -13,7 +15,9 @@ identical inputs produce byte-identical CSV/JSON output.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import io
 import os
 import sys
@@ -256,9 +260,23 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    """The ``hankelforge`` process: :func:`run` on ``sys.argv``, then
+    ``sys.exit`` with its code.
+
+    When the process exits, it freezes the garbage collector (``gc.freeze``
+    from an atexit handler), so the interpreter's last full collection does
+    not walk the objects still alive, whose memory the OS frees anyway.  The
+    other atexit handlers still run, and :func:`run` and library callers keep
+    a normal collector until their own interpreter exits.
+    """
+    atexit.register(gc.freeze)
     try:
         code = run(sys.argv[1:])
         _write()  # what argparse printed, before the interpreter's flush at exit
+    except KeyboardInterrupt:  # the one line replaces the traceback; CPython still ends by SIGINT
+        print("error: interrupted", file=sys.stderr)
+        sys.excepthook = lambda *exc_info: None
+        raise
     except Exception:  # a bug, not a refuted claim: keep the traceback as its report
         import traceback
 

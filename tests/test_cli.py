@@ -1,14 +1,16 @@
 import errno
+import gc
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hankelforge import cli, term, verify
+from hankelforge import _fork, cli, term, verify
 from hankelforge.reports import ReportEntry, VerificationReport, Witness
 from hankelforge.sequences import Family, franel
 
@@ -152,6 +154,15 @@ def test_usage_errors_exit_2(capsys):
         assert message in err and "Traceback" not in err, argv
 
 
+def test_laplace_engine_runs_at_its_order_cap_and_refuses_above_it(capsys):
+    code, out, err = run_cli(capsys, "hankel", "--family", "franel", "--engine", "laplace", "--n", "9")
+    assert (code, err) == (0, "")
+    assert out.startswith("det ") and "engine LAPLACE\n" in out
+    code, out, err = run_cli(capsys, "hankel", "--family", "franel", "--engine", "laplace", "--n", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: laplace engine capped at order 10, got 11\n"
+
+
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")
@@ -195,6 +206,77 @@ def test_failed_write_to_stdout_exits_4_with_one_line(args):
     assert done.stderr == f"error: cannot write to standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
+def _main_process(prelude, *args):
+    """``cli.main()`` with ``args`` in a fresh interpreter, after the Python
+    source ``prelude``; text output captured."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", f"{prelude}\nfrom hankelforge.cli import main; main()", *args],
+                          capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+@pytest.mark.parametrize("args,code", [(("seq", "--family", "franel", "--n", "3"), 0),
+                                       (("seq", "--family", "franel", "--n", "-1"), 2)],
+                         ids=["pass", "usage-error"])
+def test_atexit_handlers_still_run_when_the_process_exits(args, code):
+    # The process freezes the collector at exit; it must not skip what other
+    # code registered to run then (coverage's data save, for one).
+    done = _main_process("import atexit, sys; atexit.register(sys.stderr.write, 'atexit ran\\n')", *args)
+    assert done.returncode == code
+    assert done.stderr.endswith("atexit ran\n")
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["hankelforge", "seq", "--family", "franel", "--n", "3"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 0
+    assert gc.get_freeze_count() == 0
+
+
+# The claim's check sends SIGINT to its own process, so the interrupt comes at
+# a fixed point: in this process, or here while a forked child holds a share
+# of the minors.  An atexit handler says whether a child was left unreaped.
+_INTERRUPTED_CHECK = """
+import atexit, os, signal
+from hankelforge import _fork, hankel, verify
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left")
+
+atexit.register(no_child_left)
+me = os.getpid()
+if {forked}:
+    hankel._FORK_MIN_COST = 0
+    recv = _fork.Channel.recv
+
+    def interrupting(self):
+        if os.getpid() == me:
+            os.kill(me, signal.SIGINT)
+        return recv(self)
+
+    _fork.Channel.recv = interrupting
+else:
+    def interrupting(value):
+        os.kill(me, signal.SIGINT)
+
+    verify.decimal_str = interrupting
+"""
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+def test_interrupt_prints_one_line_and_ends_the_process_by_sigint(forked):
+    if forked and not _fork.can_fork():
+        pytest.skip("the minors route cannot fork here")
+    done = _main_process(_INTERRUPTED_CHECK.format(forked=forked),
+                         "verify", "--claim", "hankel-franel", "--n-max", "4")
+    assert done.returncode == -signal.SIGINT  # a shell reads 128 + 2
+    assert done.stderr == "error: interrupted\n"
+    assert done.stdout == "no child left\n"
+
+
 def test_verify_empty_range_exits_2(capsys):
     claim_ids = [c.claim_id for c in verify.REGISTRY if c.n_min >= 1]
     assert "parity-matrix-unimodular" in claim_ids and "apery-b-congruences" in claim_ids
@@ -203,6 +285,27 @@ def test_verify_empty_range_exits_2(capsys):
         assert code == 2
         assert "PASS" not in out
         assert f"is empty for {claim_id}" in err
+
+
+# The lowest index bound of each claim that takes one, written out so that a
+# changed n_min shows.
+LOWEST_N_MAX = {
+    "hankel-franel": 0, "hankel-domb-clf": 0, "hankel-apery": 0, "calkin-divisibility": 1,
+    "parity-matrix-unimodular": 1, "domb-mod8": 1, "domb-mod3": 0, "domb-iterated-mod3": 1,
+    "apery-b-congruences": 1, "apery-a-transform-mod24": 3, "gessel-mod24": 0,
+    "barrucand-identity": 0, "clf-doubling-identity": 0, "gsum-mod3": 1, "apery-positivity": 0,
+}
+
+
+def test_each_claim_checks_at_its_lowest_bound_and_refuses_below_it(capsys):
+    assert sorted(LOWEST_N_MAX) == sorted(c.claim_id for c in verify.REGISTRY if c.n_max is not None)
+    for claim_id, lowest in LOWEST_N_MAX.items():
+        code, out, err = run_cli(capsys, "verify", "--claim", claim_id, "--n-max", str(lowest), "--format", "csv")
+        assert (code, err) == (0, ""), claim_id
+        assert len(out.splitlines()) >= 2, claim_id  # the header and at least one check
+        code, out, err = run_cli(capsys, "verify", "--claim", claim_id, "--n-max", str(lowest - 1))
+        assert (code, out) == (2, ""), claim_id
+        assert err == f"error: range n={lowest}..{lowest - 1} is empty for {claim_id}\n"
 
 
 def test_verify_parity_hypothesis_failure_exits_1(capsys, monkeypatch):

@@ -251,6 +251,12 @@ def test_hankel_fallback_reuses_the_recursion_minors(monkeypatch):
     assert orders == [3]
 
 
+def test_hankel_cost_is_length_squared_times_last_bits_squared():
+    # It decides whether the minors fork, which no output shows: 5 values,
+    # the last of 10 bits (the one before it has 3).
+    assert hankel._hankel_cost([1, 2, 3, 4, 1000]) == 5**2 * 10**2
+
+
 @_oracle_settings
 @given(_hankel_sequences(40))
 def test_hankel_minors_match_bareiss_on_each_leading_block(seq):

@@ -325,6 +325,24 @@ def test_franel_prime_sums_build_one_prefix(monkeypatch):
     assert calls == [(franel(3), max(verify.DEFAULT_PRIMES) - 1)]
 
 
+def test_prefix_matches_summation_at_the_last_index_each_default_claim_reads(monkeypatch):
+    # Each claim reads terms from the recurrences; tie each term it reads last
+    # to the summation.  CLF's recurrence is d(1)'s rescaled by 2^n, so
+    # clf-doubling-identity's own comparison of the two cannot do it at n = 200.
+    calls = _prefix_calls(monkeypatch)
+    pairs = set()
+    for claim in verify.REGISTRY:
+        calls.clear()
+        claim.run()
+        last = {}
+        for seq, n in calls:
+            last[seq] = max(n, last.get(seq, 0))
+        pairs.update(last.items())
+    assert (CLF, 200) in pairs
+    for seq, n in pairs:
+        assert sequences.prefix(seq, n).terms[n] == sequences.term(seq, n), (seq.label(), n)
+
+
 # The sequence sets whose minors each Hankel claim computes together.
 HANKEL_SETS = {
     "hankel-franel": [franel(r) for r in range(3, 7)],
