@@ -112,17 +112,28 @@ def with_child(here: Callable[[Channel], T], there: Callable[[Channel], U]) -> t
     leaves without it is a RuntimeError.  When anything fails here, the
     child's result is not wanted: the child is killed.  The child is reaped
     before this returns or raises.
+
+    While the child runs, a SIGTERM to this process that would meet the
+    default handler kills and reaps the child first, and then ends this
+    process by SIGTERM as the default would.  That handler is set only over
+    the default: any other is left as it is.  SIGTERM is held back from
+    just before the fork until the handler is set, so that none comes
+    between them, and the child keeps the default.  The default is back
+    when this returns or raises.
     """
     child_reads, parent_writes = os.pipe()
     parent_reads, child_writes = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGTERM,))
     try:
         pid = os.fork()
     except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for fd in (child_reads, parent_writes, parent_reads, child_writes):
             os.close(fd)
         raise
     if pid == 0:
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(parent_reads)
             os.close(parent_writes)
             channel = Channel(child_reads, child_writes)
@@ -133,19 +144,42 @@ def with_child(here: Callable[[Channel], T], there: Callable[[Channel], U]) -> t
             channel.send(result)
         finally:
             os._exit(0)
+    terminate = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    if terminate:
+        signal.signal(signal.SIGTERM, _ending_with(pid))
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     os.close(child_reads)
     os.close(child_writes)
     channel = Channel(parent_reads, parent_writes)
     try:
-        mine = here(channel)
-        theirs = channel.recv()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
+        try:
+            mine = here(channel)
+            theirs = channel.recv()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            channel.close()
+            os.waitpid(pid, 0)
     finally:
-        channel.close()
-        os.waitpid(pid, 0)
+        if terminate:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
     return mine, theirs
+
+
+def _ending_with(pid: int) -> Callable[[int, Any], None]:
+    """A SIGTERM handler that kills and reaps the child ``pid``, if it is
+    still there, and then ends this process by SIGTERM."""
+    def end(signum: int, frame: Any) -> None:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped already
+            pass
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+
+    return end
 
 
 def split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int]]:

@@ -7,7 +7,9 @@ failed, 2 usage error, 3 internal error (an exception inside the program,
 traceback on stderr), 4 stdout could not be written (one line on stderr).
 EXPERIMENTAL claims' failures warn, exit 0.  An interrupt (SIGINT) prints
 one line on stderr and ends the process by SIGINT, as an uncaught
-KeyboardInterrupt does: a shell reads 130.
+KeyboardInterrupt does: a shell reads 130.  SIGTERM ends the process by
+SIGTERM, with no output (a shell reads 143); a forked minors child is killed
+and reaped first.
 
 All big integers are rendered as decimal strings, never floats, and
 identical inputs produce byte-identical CSV/JSON output.
@@ -16,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import gc
-import io
 import os
 import sys
 from typing import Iterable, Sequence
@@ -32,10 +32,16 @@ _ENGINES = {"laplace": det_laplace, "bareiss": det_bareiss, "dodgson": det_dodgs
 
 
 def emit_reports(reports: Sequence[VerificationReport], fmt: str = "text") -> bytes:
-    """Render several reports as one document (single CSV header, JSON array)."""
+    """Render several reports as one document (single CSV header, JSON array).
+
+    CSV has one line per entry, built by one f-string, and :func:`_csv`
+    joins them once; the entries' fields are read again only if one needs
+    quoting, which no registered claim's does.
+    """
     if fmt == "csv":
-        return _csv(["claim_id", "n", "value", "status"],
-                    ([r.claim_id, e.index, e.value, e.status] for r in reports for e in r.entries)).encode()
+        return _csv(("claim_id", "n", "value", "status"),
+                    [f"{r.claim_id},{e.index},{e.value},{e.status}\n" for r in reports for e in r.entries],
+                    ((r.claim_id, *e) for r in reports for e in r.entries)).encode()
     if fmt == "json":
         return _json([_report_obj(r) for r in reports]).encode()
     if fmt == "text":
@@ -58,13 +64,33 @@ def _report_obj(report: VerificationReport) -> dict:
     }
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header line, then one line per row; newline-terminated."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv(header: Sequence[str], lines: list[str], rows: Iterable[Sequence]) -> str:
+    r"""The header line, then one line per row: the text that
+    ``csv.writer(lineterminator="\n")`` writes on CPython 3.11.  That is
+    comma-separated, with "\n" line ends and minimal quoting: a field holding
+    ",", '"' or "\n" is quoted, each '"' doubled; a bare "\r" is not.
+
+    ``lines`` holds each row's fields as ``str`` gives them, joined by "," and
+    ended by "\n", unquoted; ``rows`` the same rows' fields, with at least two
+    fields a row (``csv`` writes a lone empty field as '""').  When the
+    joined text holds no '"', one "\n" a line and width - 1 commas a line, no
+    field holds any of the three, and it is the answer: three scans of the
+    text instead of a test per field.  Otherwise ``rows`` is read and every
+    field quoted as it needs.
+    """
+    count = len(lines) + 1
+    text = ",".join(header) + "\n" + "".join(lines)
+    if '"' not in text and text.count("\n") == count and text.count(",") == (len(header) - 1) * count:
+        return text
+    return "".join(",".join(map(_quoted, row)) + "\n" for row in (header, *rows))
+
+
+def _quoted(field) -> str:
+    r"""One CSV field, quoted only when it holds ",", '"' or "\n"."""
+    text = str(field)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _json(obj) -> str:
@@ -171,7 +197,8 @@ def _cmd_seq(args) -> int:
     if args.format == "text":
         _write(" ".join(decimal_str(t) for t in terms) + "\n")
     elif args.format == "csv":
-        _write(_csv(["index", "value"], enumerate(map(decimal_str, terms))))
+        values = [decimal_str(t) for t in terms]
+        _write(_csv(("index", "value"), [f"{n},{v}\n" for n, v in enumerate(values)], enumerate(values)))
     else:
         _write(_json({
             "family": seq_id.family.value,

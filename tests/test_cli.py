@@ -1,6 +1,8 @@
+import csv
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import signal
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hankelforge import _fork, cli, term, verify
 from hankelforge.reports import ReportEntry, VerificationReport, Witness
@@ -41,6 +44,51 @@ def test_seq_csv(capsys):
     code, out, _ = run_cli(capsys, "seq", "--family", "central", "--n", "3", "--format", "csv")
     assert code == 0
     assert out == "index,value\n0,1\n1,2\n2,6\n3,20\n"
+
+
+def _csv_reference(header, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+# Fields with and without what CSV quotes, and with a bare "\r", which it
+# does not; widths 2 and 4, as `seq` and `verify` write.
+_fields = st.one_of(st.text(alphabet="ab0 é€", max_size=5), st.text(alphabet=',"\r\nbé', max_size=5))
+_tables = st.sampled_from([2, 4]).flatmap(lambda width: st.tuples(
+    st.lists(_fields, min_size=width, max_size=width),
+    st.lists(st.lists(_fields, min_size=width, max_size=width), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tables)
+@example((["index", "value"], [["0", "1"], ["1", "2"]]))
+@example((["a", "b"], [["x,y", "z"]]))
+@example((["a", "b"], [['say "hi"', ""]]))
+@example((["a", "b"], [["two\nlines", "é"]]))
+@example((["a", "b"], [["cr\ronly", "€"]]))
+@example((["a,b", "c"], []))
+def test_csv_writes_what_csv_writer_writes(table):
+    header, rows = table
+    lines = [",".join(row) + "\n" for row in rows]
+    assert cli._csv(header, lines, iter(rows)) == _csv_reference(header, rows)
+
+
+def test_emit_reports_csv_quotes_labels_that_need_it():
+    quoted = VerificationReport(
+        'odd,"claim"', "n=0..1",
+        (ReportEntry("n=0", "1", "pass"), ReportEntry('n="1",\nagain', "-2", "fail")),
+        (Witness('n="1",\nagain', "-2", "> 0"),),
+    )
+    empty = VerificationReport("empty", "n=1..0", (), ())
+    header = ("claim_id", "n", "value", "status")
+    want = _csv_reference(header, [(quoted.claim_id, *e) for e in quoted.entries]).encode()
+    assert want == (b'claim_id,n,value,status\n"odd,""claim""",n=0,1,pass\n'
+                    b'"odd,""claim""","n=""1"",\nagain",-2,fail\n')
+    assert cli.emit_reports([quoted], "csv") == want
+    # a report with no entries adds no line, not even around quoted ones
+    assert cli.emit_reports([empty], "csv") == b"claim_id,n,value,status\n"
+    assert cli.emit_reports([empty, quoted, empty], "csv") == want
 
 
 def test_seq_json_round_trips_big_integers(capsys):
@@ -275,6 +323,56 @@ def test_interrupt_prints_one_line_and_ends_the_process_by_sigint(forked):
     assert done.returncode == -signal.SIGINT  # a shell reads 128 + 2
     assert done.stderr == "error: interrupted\n"
     assert done.stdout == "no child left\n"
+
+
+# The claim's check sends SIGTERM to its own process while a forked child
+# holds a share of the minors.  The child would outlive a process that did
+# not reap it: it lets go of stdout and stderr and sleeps.  The process
+# prints each child's pid.
+_TERMINATED_CHECK = """
+import os, signal, time
+from hankelforge import _fork, hankel
+
+me = os.getpid()
+hankel._FORK_MIN_COST = 0
+fork, recv = os.fork, _fork.Channel.recv
+
+def forking():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def terminating(self):
+    if os.getpid() == me:
+        os.kill(me, signal.SIGTERM)
+    else:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        time.sleep(20)
+    return recv(self)
+
+os.fork = forking
+_fork.Channel.recv = terminating
+"""
+
+
+def test_sigterm_while_forked_reaps_the_child_and_ends_the_process_by_sigterm():
+    if not _fork.can_fork():
+        pytest.skip("the minors route cannot fork here")
+    done = _main_process(_TERMINATED_CHECK, "verify", "--claim", "hankel-franel", "--n-max", "4")
+    (child,) = map(int, done.stdout.split())
+    try:
+        os.kill(child, 0)
+    except ProcessLookupError:
+        left = False
+    else:
+        left = True
+        os.kill(child, signal.SIGKILL)
+    assert done.returncode == -signal.SIGTERM  # a shell reads 128 + 15
+    assert done.stderr == ""
+    assert not left, "the forked child outlived the process"
 
 
 def test_verify_empty_range_exits_2(capsys):

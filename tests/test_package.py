@@ -56,11 +56,12 @@ def test_no_function_is_cached_for_the_life_of_the_process():
 
 def test_cli_import_loads_no_dataclasses_json_or_fork():
     # Each would add start-up time to every CLI run that does not need it:
-    # json is imported by its format alone, and _fork past a cost bound.
+    # json is imported by its format alone, _fork (and signal with it) past
+    # a cost bound, and csv not at all.
     # -S: what site imports is the installation's, not the package's.
     src = Path(hankelforge.__file__).resolve().parents[1]
-    code = ("import sys, hankelforge.cli; "
-            "print(' '.join(m for m in ('dataclasses', 'json', 'hankelforge._fork') if m in sys.modules))")
+    refused = ("dataclasses", "json", "hankelforge._fork", "csv", "signal")
+    code = f"import sys, hankelforge.cli; print(' '.join(m for m in {refused!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == ""

@@ -6,6 +6,7 @@ import os
 import pickle
 import random
 import re
+import signal
 import threading
 import time
 
@@ -557,6 +558,29 @@ def test_failed_fork_closes_its_pipes(monkeypatch):
         _fork.with_child(lambda channel: None, lambda channel: None)
     assert raised.value.errno == errno.EAGAIN
     assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def test_sigterm_handler_is_set_over_the_default_only_while_the_child_runs(forks):
+    # The child keeps the default; any other handler is left as it is.
+    def there(parent):
+        default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+        return default, signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+    def handler(signum, frame):
+        pass
+
+    during, (default, held) = _fork.with_child(lambda child: signal.getsignal(signal.SIGTERM), there)
+    assert callable(during) and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    assert default and not held
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        during, (default, held) = _fork.with_child(lambda child: signal.getsignal(signal.SIGTERM), there)
+        assert during is handler and signal.getsignal(signal.SIGTERM) is handler
+        assert not default and not held
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    assert len(forks) == 2
 
 
 def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
