@@ -3,9 +3,10 @@
 ``hankel.hankel_minors`` uses it for its minors runs, when those are large:
 :func:`split_leading_minors` takes every step of the recursion on all the
 runs at once, the process taking the positions l <= n of each run and the
-child the rest, and the two exchange one message each way per step.
-``hankel`` imports this module only when the runs are large enough to fork,
-so the CLI's start-up does not load it.
+child the rest, and the two exchange one message each way per step.  The
+process's side is ``_kernels.leading_minors``, the driver of the in-process
+route too.  ``hankel`` imports this module only when the runs are large
+enough to fork, so the CLI's start-up does not load it.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import signal
 import threading
 from typing import Any, Callable, Sequence, TypeVar
 
-from ._kernels import tau_step
+from ._kernels import leading_minors, tau_step
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -105,13 +106,13 @@ def with_child(here: Callable[[Channel], T], there: Callable[[Channel], U]) -> t
     child meanwhile; each gets its end of one :class:`Channel` to the other.
 
     When ``there`` returns, the child sends its result, or the exception it
-    raised, as its last message and leaves by ``os._exit``: it never returns
-    into the caller and never flushes the stdio it inherited.  This process
-    reads that message once ``here`` has returned.  An exception from the
-    child is raised here again with its type and message, and a child that
-    leaves without it is a RuntimeError.  When anything fails here, the
-    child's result is not wanted: the child is killed.  The child is reaped
-    before this returns or raises.
+    or the pickling of its result raised, as its last message and leaves by
+    ``os._exit``: it never returns into the caller and never flushes the
+    stdio it inherited.  This process reads that message once ``here`` has
+    returned.  An exception from the child is raised here again with its
+    type and message, and a child that leaves without it is a RuntimeError.
+    When anything fails here, the child's result is not wanted: the child is
+    killed.  The child is reaped before this returns or raises.
 
     While the child runs, a SIGTERM to this process that would meet the
     default handler kills and reaps the child first, and then ends this
@@ -141,7 +142,10 @@ def with_child(here: Callable[[Channel], T], there: Callable[[Channel], U]) -> t
                 result: Any = there(channel)
             except BaseException as exc:  # raised again in the parent
                 result = exc
-            channel.send(result)
+            try:
+                channel.send(result)
+            except Exception as exc:  # pickling the result failed, before any write
+                channel.send(exc)
         finally:
             os._exit(0)
     terminate = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
@@ -183,9 +187,9 @@ def _ending_with(pid: int) -> Callable[[int, Any], None]:
 
 
 def split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int]]:
-    """Each run's ``_kernels.hankel_leading_minors(values)``, the same
-    ``(minors, steps, max_bits)``, with one forked child taking part of every
-    step of every run.
+    """``_kernels.leading_minors(runs)``, each run's same ``(minors, steps,
+    max_bits)``, with one forked child taking part of every step of every
+    run.
 
     Each run holds x_0..x_2n, with one n >= 2 for all (below, the child would
     have no position), and :func:`can_fork` holds: ``hankel.hankel_minors``,
@@ -198,55 +202,15 @@ def split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int],
     first new entry, tau_{k+1}(n+1).  The runs go in lockstep: per step each
     side sends the other one message, with those entries of every run still
     going, before the rest of its step.  A run that meets a zero divisor leaves
-    both sides' messages at the same step.  The child sends each run's
-    ``steps`` and ``max_bits`` home at the end.
+    both sides' messages at the same step.  This process runs the in-process
+    driver, ``_kernels.leading_minors``, given the child's channel, and the
+    child :func:`_high_positions`, which sends each run's ``steps`` and
+    ``max_bits`` home at the end.
     """
-    mine, theirs = with_child(lambda child: _low_positions(runs, child),
+    mine, theirs = with_child(lambda child: leading_minors(runs, child),
                               lambda parent: _high_positions(runs, parent))
     return [(minors, steps + child_steps, max(max_bits, child_bits))
             for (minors, steps, max_bits), (child_steps, child_bits) in zip(mine, theirs)]
-
-
-def _low_positions(runs: Sequence[Sequence[int]],
-                   child: Channel) -> list[tuple[list[int], int, int]]:
-    """The recursion at the positions l <= n of every run, where the minors
-    are; returns each run's kernel tuple, with this process's ``steps`` and
-    ``max_bits``."""
-    n = len(runs[0]) // 2
-    # tau_k(l) for l = k..n+1; the last is the child's
-    cur = [list(values[: n + 2]) for values in runs]
-    prev = [[0] * (n + 2) for _ in runs]  # tau_{k-1}(l) for l = k-1..n
-    divisor = [1] * len(runs)  # Delta_k
-    max_bits = [max(x.bit_length() for x in values) for values in runs]
-    steps = [0] * len(runs)
-    minors = [[values[0]] for values in runs]
-    live = list(range(len(runs)))
-    for k in range(n):
-        live = [r for r in live if divisor[r]]
-        if not live:
-            break
-        h = min(3, n + 1 - k)  # positions k+1, k+2 (or the one left) go first
-        heads = []
-        for r in live:
-            t, s = cur[r], prev[r]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k) are t[0], t[1], s[1]
-            head, max_bits[r] = tau_step(zip(t[1:h], t[2 : h + 1], s[2 : h + 1]),
-                                         divisor[r], t[0], t[1], s[1], max_bits[r])
-            heads.append(head)
-        if k < n - 2:
-            child.send(heads)  # tau_{k+1}(k+1), tau_{k+1}(k+2): the child's step k+1 scalars
-        for r, head in zip(live, heads):
-            t, s = cur[r], prev[r]
-            rest, max_bits[r] = tau_step(zip(t[h:-1], t[h + 1 :], s[h + 1 :]),
-                                         divisor[r], t[0], t[1], s[1], max_bits[r])
-            head += rest
-            steps[r] += len(head)
-        if k < n - 1:
-            for head, last in zip(heads, child.recv()):
-                head.append(last)  # tau_{k+1}(n+1)
-        for r, nxt in zip(live, heads):
-            prev[r], cur[r], divisor[r] = cur[r], nxt, cur[r][0]
-            minors[r].append(nxt[0])
-    return [(minors[r], steps[r], max_bits[r]) for r in range(len(runs))]
 
 
 def _high_positions(runs: Sequence[Sequence[int]], parent: Channel) -> list[tuple[int, int]]:

@@ -12,10 +12,10 @@ Instrumentation conventions:
 * ``max_bits`` is the largest absolute bit-length seen among inputs and
   every numerator before division.
 
-The Hankel recursion's update is written once, in :func:`tau_step`:
-:func:`hankel_leading_minors` runs it on every position of a step, and
-``_fork.split_leading_minors``, which takes all of a claim's runs in
-lockstep, on the positions each of its two processes owns.
+The Hankel recursion's update is written once, in :func:`tau_step`, and
+driven once, by :func:`leading_minors`: on every position of each run, or
+on the positions l <= n beside the forked child that
+``_fork.split_leading_minors`` starts (this module does not import it).
 """
 from __future__ import annotations
 
@@ -60,11 +60,12 @@ def bareiss_det(rows):
     return sign * m[n - 1][n - 1], steps, max_bits
 
 
-def hankel_leading_minors(seq):
-    """Leading principal minors of the Hankel matrix ``(seq[i+j])`` by the
-    fraction-free Chebyshev recursion.  Returns ``(minors, steps, max_bits)``.
+def leading_minors(runs, child=None):
+    """Leading principal minors of the Hankel matrix ``(values[i+j])`` of
+    each run by the fraction-free Chebyshev recursion.  Returns each run's
+    ``(minors, steps, max_bits)``.
 
-    ``seq`` holds the 2n+1 antidiagonal values x_0..x_2n of the order-(n+1)
+    A run holds the 2n+1 antidiagonal values x_0..x_2n of the order-(n+1)
     matrix.  tau_k(l) is the determinant of the rows (x_i .. x_{i+k}) for
     i = 0..k-1 bordered by the row (x_l .. x_{l+k}), and Delta_k is the
     order-k leading minor, so Delta_{k+1} = tau_k(k).  tau_k(l) / Delta_k is
@@ -81,30 +82,58 @@ def hankel_leading_minors(seq):
 
     so each step (:func:`tau_step`) costs two exact divisions per entry, n^2
     entries in all.  The only divisors are the leading minors of order up to
-    n-1: when one of them is 0, ``minors`` stops at the last order reached,
-    short of n+1.  Those minors are exact; the caller finishes the higher
-    orders itself.
+    n-1: when one of them is 0, that run's ``minors`` stop at the last order
+    reached, short of n+1.  Those minors are exact; the caller finishes the
+    higher orders itself.
+
+    The runs, of any lengths, go in lockstep.  Given ``child``, the channel
+    to the forked child of ``_fork.split_leading_minors`` (the runs then have
+    one n), this takes only the positions l <= n: per step, each run's
+    tau_{k+1}(k+1) and tau_{k+1}(k+2) go out first, for the child's next
+    step, and its tau_{k+1}(n+1) comes in last.  ``steps`` and ``max_bits``
+    are then this process's.
     """
-    if len(seq) % 2 == 0:
-        raise ValueError(f"need 2n+1 antidiagonal values, got {len(seq)}")
-    cur = list(seq)  # tau_k(l) for l = k..2n-k
-    prev = [0] * (len(cur) + 2)  # tau_{k-1}(l) for l = k-1..2n-k+1
-    divisor = 1  # Delta_k
-    max_bits = max(x.bit_length() for x in cur)
-    steps = 0
-    minors = [cur[0]]
-    while len(cur) > 1 and divisor:
-        minor, a, c = cur[0], cur[1], prev[1]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k)
-        nxt, max_bits = tau_step(zip(cur[1:-1], cur[2:], prev[2:-2]),
-                                 divisor, minor, a, c, max_bits)
-        steps += len(nxt)
-        prev, cur, divisor = cur, nxt, minor
-        minors.append(cur[0])
-    return minors, steps, max_bits
+    for values in runs:
+        if len(values) % 2 == 0:
+            raise ValueError(f"need 2n+1 antidiagonal values, got {len(values)}")
+    # tau_k(l) for l = k..2n-k, or k..n+1 with a child (the last is the child's)
+    cur = [list(values if child is None else values[: len(values) // 2 + 2]) for values in runs]
+    prev = [[0] * len(t) for t in cur]  # tau_{k-1}(l) from l = k-1
+    divisor = [1] * len(runs)  # Delta_k
+    max_bits = [max(x.bit_length() for x in values) for values in runs]
+    steps = [0] * len(runs)
+    minors = [[t[0]] for t in cur]
+    head = None if child is None else 3  # with a child, positions k+1 and k+2 go first
+    live = range(len(runs))
+    while live := [r for r in live if divisor[r] and len(cur[r]) > 1]:
+        nxts = []
+        for r in live:
+            t, s = cur[r], prev[r]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k) are t[0], t[1], s[1]
+            nxt, max_bits[r] = tau_step(zip(t[1:head], t[2:], s[2:]),
+                                        divisor[r], t[0], t[1], s[1], max_bits[r])
+            steps[r] += len(nxt)
+            nxts.append(nxt)
+        if child is not None:
+            size = len(cur[live[0]])  # n+2-k, the same for every run
+            if size > 4:  # the child takes a step k+1
+                child.send(nxts)
+            for r, nxt in zip(live, nxts):
+                t, s = cur[r], prev[r]
+                rest, max_bits[r] = tau_step(zip(t[3:], t[4:], s[4:]),
+                                             divisor[r], t[0], t[1], s[1], max_bits[r])
+                steps[r] += len(rest)
+                nxt += rest
+            if size > 3:  # the child took a step k
+                for nxt, last in zip(nxts, child.recv()):
+                    nxt.append(last)  # tau_{k+1}(n+1)
+        for r, nxt in zip(live, nxts):
+            prev[r], cur[r], divisor[r] = cur[r], nxt, cur[r][0]
+            minors[r].append(nxt[0])
+    return list(zip(minors, steps, max_bits))
 
 
 def tau_step(entries, divisor, minor, a, c, max_bits):
-    """One step k -> k+1 of the recursion in :func:`hankel_leading_minors`,
+    """One step k -> k+1 of the recursion in :func:`leading_minors`,
     at the positions l that ``entries`` yields ``(tau_k(l), tau_k(l+1),
     tau_{k-1}(l))`` for, in that order.  ``divisor`` is Delta_k, ``minor``
     Delta_{k+1} = tau_k(k), ``a`` tau_k(k+1) and ``c`` tau_{k-1}(k).  Returns
@@ -112,8 +141,8 @@ def tau_step(entries, divisor, minor, a, c, max_bits):
     the bit-length of every numerator.
 
     The position l enters only through its own three entries, so the
-    positions of one step can be taken in parts, here or in another process
-    (``_fork.split_leading_minors``), with the same result.
+    positions of one step can be taken in parts, in this process or in a
+    forked child (``_fork.split_leading_minors``), with the same result.
     """
     nxt = []
     for t, t1, s in entries:

@@ -16,10 +16,11 @@ a ``DetResult`` that does not name its engine: each caller names the one it runs
 
 The claims need every leading principal minor.  ``hankel_minors`` is the one
 route to them: it takes runs of 2n+1 values and returns each run's minors by
-the same recursion (~n^2 exact updates per run).  It alone picks where:
-when the runs are large together, it divides every step on all of them by
-position between the process and one forked child
-(``_fork.split_leading_minors``); otherwise each runs here.  A run whose
+the same recursion (~n^2 exact updates per run), on all the runs in lockstep
+by one driver (``kernels.leading_minors``).  It alone picks where: when the
+runs are large together, the driver takes the positions l <= n of every step
+and one forked child the rest (``_fork.split_leading_minors``); otherwise it
+takes every position here.  A run whose
 recursion meets a zero leading minor keeps the minors it reached and
 finishes the higher orders block by block, each by ``det_bareiss`` on a
 prefix of the values.
@@ -106,12 +107,12 @@ def det_bareiss(values: Sequence[int]) -> DetResult:
 
 def det_dodgson(values: Sequence[int]) -> DetResult:
     """The engine named DODGSON: the last minor of the fraction-free
-    Chebyshev recursion on the values (``kernels.hankel_leading_minors``).
+    Chebyshev recursion on the values (``kernels.leading_minors``).
     Falls back to :func:`det_bareiss` on the whole matrix when a leading
     minor of order below ``order - 1`` is zero; ``steps``/``max_bits`` then
     cover both attempts."""
     order = _order(values)
-    minors, steps, max_bits = kernels.hankel_leading_minors(values)
+    minors, steps, max_bits = kernels.leading_minors([values])[0]
     if len(minors) < order:
         b = det_bareiss(values)
         return DetResult(b.value, steps + b.steps, max(max_bits, b.max_bits), fallback=True)
@@ -145,7 +146,8 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
     all the runs (:func:`._fork.split_leading_minors`) when their summed
     :func:`_hankel_cost` reaches ``_FORK_MIN_COST``, they have one length n >= 2
     (so that the child has a position) and :func:`._fork.can_fork` holds;
-    otherwise the Chebyshev recursion runs on each here, with the same result.
+    otherwise the Chebyshev recursion runs here on all of them in lockstep,
+    whatever their lengths, with the same result.
     When a leading minor the recursion divides by is zero, the minors it
     reached are kept and each higher-order block is evaluated by
     :func:`det_bareiss` on its prefix of the values, here on either route.
@@ -161,8 +163,7 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
         from . import _fork  # loaded only here, so that the CLI's start-up does not compile it
 
         forks = _fork.can_fork()
-    results = (_fork.split_leading_minors(runs) if forks
-               else [kernels.hankel_leading_minors(values) for values in runs])
+    results = _fork.split_leading_minors(runs) if forks else kernels.leading_minors(runs)
     for values, (minors, _, _) in zip(runs, results):
         for size in range(len(minors) + 1, len(values) // 2 + 2):
             minors.append(det_bareiss(values[: 2 * size - 1]).value)

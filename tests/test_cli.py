@@ -225,10 +225,10 @@ def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
     from hankelforge import _kernels
     from hankelforge.exact import InexactDivisionError
 
-    def boom(values):
+    def boom(runs):
         raise InexactDivisionError("boom")
 
-    monkeypatch.setattr(_kernels, "hankel_leading_minors", boom)
+    monkeypatch.setattr(_kernels, "leading_minors", boom)
     monkeypatch.setattr("sys.argv", ["hankelforge", "verify", "--claim", "hankel-franel"])
     with pytest.raises(SystemExit) as info:
         cli.main()

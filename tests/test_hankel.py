@@ -103,7 +103,7 @@ def test_dodgson_zero_pivot_falls_back():
     # DODGSON falls back, and steps/max_bits cover both attempts.
     for values in ((0, 1, 1, 1, 2), (1, 1, 1, 1, 2, 3, 5)):
         order = len(values) // 2 + 1
-        minors, steps, max_bits = _kernels.hankel_leading_minors(values)
+        minors, steps, max_bits = _kernels.leading_minors([values])[0]
         _, b_steps, b_bits = _kernels.bareiss_det(hankel_rows(values, order - 1))
         result = det_dodgson(values)
         assert len(minors) < order and result.fallback
@@ -205,12 +205,12 @@ def test_hankel_recursion_divides_only_by_leading_minors():
     # x_2 = 0 is no leading minor, so the recursion never divides by it.
     terms = (1, 1, 0, 1, 1)
     assert _fraction_minors(terms) == [1, -1, -2]
-    assert _kernels.hankel_leading_minors(terms) == ([1, -1, -2], 4, 2)
+    assert _kernels.leading_minors([terms])[0] == ([1, -1, -2], 4, 2)
     # The zero order-2 minor of an order-3 matrix is no divisor either: only
     # orders 1..n-2 of an order-n matrix are.
     terms = (1, 1, 1, 1, 2)
     assert _fraction_minors(terms) == [1, 0, 0]
-    minors, _, _ = _kernels.hankel_leading_minors(terms)
+    minors, _, _ = _kernels.leading_minors([terms])[0]
     assert minors == [1, 0, 0]
 
 
@@ -220,11 +220,23 @@ def test_hankel_zero_divisor_falls_back_to_bareiss():
     terms = (1, 1, 1, 1, 2, 3, 5)
     expected = _fraction_minors(terms)
     assert expected == [1, 0, 0, -1]
-    minors, _, _ = _kernels.hankel_leading_minors(terms)
+    minors, _, _ = _kernels.leading_minors([terms])[0]
     assert minors == expected[:3]
     assert hankel_minors([terms])[0] == expected
     result = det_dodgson(terms)
     assert result.fallback and result.value == -1
+
+
+def test_hankel_minors_takes_runs_of_different_lengths_in_one_call():
+    # In process the runs go in lockstep whatever their lengths: an order-1
+    # run takes no step, and (0, 1, 1, 1, 2) stops at its zero divisor x_0
+    # while (1, 2, 10, 56, 346) goes on.
+    runs = [(7,), (1, 2, 10, 56, 346), (3, 5, 3), (0, 1, 1, 1, 2)]
+    want = [[7], [1, 6, 180], [3, -16], [0, -1, -1]]
+    assert [_fraction_minors(values) for values in runs] == want
+    assert hankel_minors(runs) == want == [hankel_minors([values])[0] for values in runs]
+    assert _kernels.leading_minors(runs) == [_kernels.leading_minors([values])[0] for values in runs]
+    assert hankel_minors([]) == [] and _kernels.leading_minors([]) == []
 
 
 def _count_bareiss_calls(monkeypatch):
@@ -279,7 +291,7 @@ def test_hankel_minors_match_bareiss_on_each_leading_block(seq):
 @example((0, 0, 0, 0, 0))  # the recursion stops at order 2; order 3 comes from Bareiss
 def test_hankel_minors_match_matrix_route(seq):
     expected = _fraction_minors(seq)
-    minors, _, _ = _kernels.hankel_leading_minors(seq)
+    minors, _, _ = _kernels.leading_minors([seq])[0]
     if len(minors) < len(expected):
         # hankel_minors returns these minors as they are, so they must be exact.
         assert minors == expected[: len(minors)]
@@ -394,7 +406,7 @@ def test_kernels_on_spec_values():
     # Four updates at k = 0 and one at k = 1; every numerator is narrower
     # than the 9-bit input 346.
     assert _kernels.bareiss_det(rows) == (180, 5, 9)
-    minors, steps, max_bits = _kernels.hankel_leading_minors(f)
+    minors, steps, max_bits = _kernels.leading_minors([f])[0]
     assert minors == [1, 6, 180]
     # Step 0 (Delta_0 = 1, c = 0, so w = 0): tau_1 = (10 - 2*2, 56 - 2*10,
     # 346 - 2*56) = (6, 36, 234).  Step 1 (Delta_1 = 1, Delta_2 = 6, a = 36,
@@ -405,13 +417,13 @@ def test_kernels_on_spec_values():
     assert max_bits == 9
     # (3, 5, 3): one entry, whose numerator 3*3 - 5*5 = -16 (5 bits) is wider
     # than every input.
-    assert _kernels.hankel_leading_minors((3, 5, 3)) == ([3, -16], 1, 5)
+    assert _kernels.leading_minors([(3, 5, 3)])[0] == ([3, -16], 1, 5)
     # (1, 0, 2, 0, 3): at step 1 (Delta_1 = 1, Delta_2 = 2, a = 0, c = 0) the
     # first numerator u = 0*0 - 2*2 = -4 (3 bits) is wider than every input
     # and than the second, 2*(3 - 4) - 0*0 = -2: both numerators count.
-    assert _kernels.hankel_leading_minors((1, 0, 2, 0, 3)) == ([1, 2, -2], 4, 3)
+    assert _kernels.leading_minors([(1, 0, 2, 0, 3)])[0] == ([1, 2, -2], 4, 3)
     with pytest.raises(ValueError):
-        _kernels.hankel_leading_minors(f[:4])
+        _kernels.leading_minors([f[:4]])
 
 
 def test_kernels_do_not_mutate_input():
@@ -422,7 +434,7 @@ def test_kernels_do_not_mutate_input():
         assert rows == snapshot
     for seq in ([1, 2, 10, 56, 346], [1, 1, 0, 1, 1], [0]):
         snapshot = seq[:]
-        _kernels.hankel_leading_minors(seq)
+        _kernels.leading_minors([seq])
         assert seq == snapshot
 
 

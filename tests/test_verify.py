@@ -487,7 +487,8 @@ def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypa
             time.sleep(60)
         return real_step(*args)
 
-    monkeypatch.setattr(_fork, "tau_step", step)
+    monkeypatch.setattr(_fork, "tau_step", step)  # the child's side
+    monkeypatch.setattr(_kernels, "tau_step", step)  # this process's side, _kernels.leading_minors
     with pytest.raises(ValueError, match="parent side failed"):
         _fork.split_leading_minors([_unit_minor_moments(1 << 600_000, 9)] * 2)
     assert len(forks) == 1
@@ -542,7 +543,7 @@ def test_runs_of_different_lengths_stay_in_process(fork_refused, monkeypatch):
     # whatever their cost.
     _take("forked", monkeypatch)
     runs = [sequences.prefix(APERY_A, 2 * n).terms for n in (3, 30)]
-    assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0] for values in runs]
+    assert hankel.hankel_minors(runs) == [_kernels.leading_minors([values])[0][0] for values in runs]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd on this platform")
@@ -581,6 +582,36 @@ def test_sigterm_handler_is_set_over_the_default_only_while_the_child_runs(forks
         signal.signal(signal.SIGTERM, previous)
     assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
     assert len(forks) == 2
+
+
+def test_child_result_that_cannot_be_pickled_is_raised_here(forks):
+    # Pickling the result fails in the child, before anything is written, and
+    # the child sends that exception instead.
+    def there(parent):
+        def nested():
+            pass
+
+        return nested
+
+    with pytest.raises(AttributeError, match="Can't pickle local object"):
+        _fork.with_child(lambda child: None, there)
+    assert len(forks) == 1
+
+
+def test_send_to_a_process_that_left_is_dropped():
+    # Both far ends are closed: the send meets a broken pipe and returns,
+    # and the next recv reads end of file.
+    read_fd, far_write = os.pipe()
+    far_read, write_fd = os.pipe()
+    os.close(far_read)
+    os.close(far_write)
+    channel = _fork.Channel(read_fd, write_fd)
+    try:
+        assert channel.send(list(range(10))) is None
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            channel.recv()
+    finally:
+        channel.close()
 
 
 def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
@@ -628,7 +659,12 @@ def test_split_leading_minors_match_the_kernel(forks):
     stops = set()
     for runs in batches:
         got = _fork.split_leading_minors(runs)
-        assert got == [_kernels.hankel_leading_minors(values) for values in runs]
+        assert got == _kernels.leading_minors(runs) == [_kernels.leading_minors([values])[0] for values in runs]
+        if len(runs[0]) <= 25:
+            # n <= 12: Bareiss on each leading block shares no code with the
+            # driver that both routes run
+            for values, (minors, _, _) in zip(runs, got):
+                assert minors == [hankel.det_bareiss(values[: 2 * s + 1]).value for s in range(len(minors))]
         stops.add(tuple(len(minors) for minors, _, _ in got))
     assert len(forks) == len(batches)
     assert (20, 3, 40) in stops
@@ -637,7 +673,7 @@ def test_split_leading_minors_match_the_kernel(forks):
     # runs in this process, above the break-even; from n = 2 it forks
     for runs in deep:
         if len(runs[0]) < 5:
-            assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0]
+            assert hankel.hankel_minors(runs) == [_kernels.leading_minors([values])[0][0]
                                                   for values in runs]
     assert len(forks) == len(batches)
     assert hankel.hankel_minors([(1, 2, 10, 56, 346)]) == [[1, 6, 180]]
@@ -658,7 +694,7 @@ def split_refused(monkeypatch):
 def test_runs_with_n_below_2_stay_in_process(split_refused, monkeypatch):
     monkeypatch.setattr(_fork, "can_fork", lambda: True)
     for runs in ([(7,)], [(3, 5, 3), (1, 2, 10)], [sequences.prefix(APERY_A, 2).terms] * 3):
-        assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0]
+        assert hankel.hankel_minors(runs) == [_kernels.leading_minors([values])[0][0]
                                               for values in runs]
 
 
@@ -666,7 +702,7 @@ def test_no_fork_where_can_fork_fails(split_refused, monkeypatch):
     asked = []
     monkeypatch.setattr(_fork, "can_fork", lambda: asked.append(None) or False)
     runs = _runs("hankel-franel", 7)
-    assert hankel.hankel_minors(runs) == [_kernels.hankel_leading_minors(values)[0] for values in runs]
+    assert hankel.hankel_minors(runs) == [_kernels.leading_minors([values])[0][0] for values in runs]
     assert len(asked) == 1
 
 
@@ -717,7 +753,7 @@ def test_split_messages_wider_than_a_pipe_cross(forks, monkeypatch):
     # tau_k(l) has about 600000 (l - k) bits, so every message of these two
     # split runs, an entry or two, is wider than a pipe buffer (64 KiB)
     for values in (_unit_minor_moments(1 << 600_000, count) for count in (7, 9)):  # n = 3, 4
-        assert _fork.split_leading_minors([values]) == [_kernels.hankel_leading_minors(values)]
+        assert _fork.split_leading_minors([values]) == [_kernels.leading_minors([values])[0]]
     assert len(forks) == 2
     assert len(sent) == 1 + 2 and len(received) == 2 + 3
     assert min(sent + received) > 65536
