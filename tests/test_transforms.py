@@ -1,9 +1,10 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hankelforge import binomial_transform, iterated_transform, prefix
+from hankelforge import InexactDivisionError, binomial_transform, iterated_transform, prefix, transforms
 from hankelforge.hankel import det_bareiss
 from hankelforge.sequences import G_SUM, franel
 
@@ -54,6 +55,49 @@ def test_iterated_matches_repeated_single():
 )
 def test_iterated_transform_matches_defining_sum(x, k):
     assert iterated_transform(x, k) == iterated_transform_sum(x, k)
+
+
+# The exact table makes a list of its running column every 8 columns, so
+# lengths 1..25 cross the lists made at 8, 16 and 24 and end on either side of
+# each; k = 2^64 widens every entry by up to 24*64 bits before the divisions.
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 2**64])
+def test_exact_path_matches_defining_sum_at_every_length(k):
+    rng = random.Random(k)
+    for length in range(1, 26):
+        x = [(-1) ** j * rng.randint(1, 10**12) for j in range(length)]
+        kept = list(x)
+        expected = iterated_transform_sum(x, k)
+        assert iterated_transform(x, k) == expected
+        assert iterated_transform(tuple(x), k) == expected
+        assert x == kept
+
+
+# The two routes at the size claims-long runs: f(3)'s prefix to n = 600, exact
+# then reduced, against the packed residue table, which folds its lanes.
+@pytest.mark.parametrize("m", [2, 5, 24, 2**61 - 1])
+def test_exact_and_residue_paths_agree_on_a_long_prefix(m):
+    x = prefix(franel(3), 600).terms
+    for k in (1, 2):
+        assert iterated_transform(x, k, m) == [y % m for y in iterated_transform(x, k)]
+
+
+# One scaled entry of column 0 off by one, at each place whose division is by a
+# power of k above 1: every such division must see the remainder.
+@pytest.mark.parametrize("t", range(9))
+def test_every_division_of_the_exact_table_is_checked(monkeypatch, t):
+    x = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3]
+    calls = []
+
+    def off_by_one(column, initial):
+        calls.append(initial)
+        out = accumulate(column, initial=initial)
+        if len(calls) < len(x):
+            return out
+        return (h + (i == t) for i, h in enumerate(out))  # column 0, the last one built
+
+    monkeypatch.setattr(transforms, "accumulate", off_by_one)
+    with pytest.raises(InexactDivisionError):
+        iterated_transform(x, 2)
 
 
 def test_barrucand_identity():
