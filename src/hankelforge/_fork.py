@@ -1,12 +1,10 @@
-"""Work split between this process and one forked child.
+"""A forked child that runs beside this process, and the channel between them.
 
-``hankel.hankel_minors`` uses it for its minors runs, when those are large:
-:func:`split_leading_minors` takes every step of the recursion on all the
-runs at once, the process taking the positions l <= n of each run and the
-child the rest, and the two exchange one message each way per step.  The
-process's side is ``_kernels.leading_minors``, the driver of the in-process
-route too.  ``hankel`` imports this module only when the runs are large
-enough to fork, so the CLI's start-up does not load it.
+:func:`with_child` runs one function here and another in a forked child,
+each with its end of one :class:`Channel`, and reaps the child before it
+returns or raises.  ``hankel.hankel_minors`` splits its minors recursion
+this way when its runs are large and :func:`can_fork` holds.  It imports this
+module only then, so that the CLI's start-up loads neither it nor ``signal``.
 """
 from __future__ import annotations
 
@@ -15,9 +13,7 @@ import pickle
 import select
 import signal
 import threading
-from typing import Any, Callable, Sequence, TypeVar
-
-from ._kernels import leading_minors, tau_step
+from typing import Any, Callable, TypeVar
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -184,63 +180,3 @@ def _ending_with(pid: int) -> Callable[[int, Any], None]:
         signal.raise_signal(signal.SIGTERM)
 
     return end
-
-
-def split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int]]:
-    """``_kernels.leading_minors(runs)``, each run's same ``(minors, steps,
-    max_bits)``, with one forked child taking part of every step of every
-    run.
-
-    Each run holds x_0..x_2n, with one n >= 2 for all (below, the child would
-    have no position), and :func:`can_fork` holds: ``hankel.hankel_minors``,
-    which picks this route, checks both.  Step k -> k+1 updates the positions
-    l = k+1..2n-k-1, each from tau_k(l), tau_k(l+1), tau_{k-1}(l) and four
-    scalars read at the left end (see ``_kernels.tau_step``).  This process
-    takes the positions l <= n of every run and the child those above.  Per
-    step, the child needs only each run's scalars, which it keeps up from this
-    process's first two new entries, and this process needs only the child's
-    first new entry, tau_{k+1}(n+1).  The runs go in lockstep: per step each
-    side sends the other one message, with those entries of every run still
-    going, before the rest of its step.  A run that meets a zero divisor leaves
-    both sides' messages at the same step.  This process runs the in-process
-    driver, ``_kernels.leading_minors``, given the child's channel, and the
-    child :func:`_high_positions`, which sends each run's ``steps`` and
-    ``max_bits`` home at the end.
-    """
-    mine, theirs = with_child(lambda child: leading_minors(runs, child),
-                              lambda parent: _high_positions(runs, parent))
-    return [(minors, steps + child_steps, max(max_bits, child_bits))
-            for (minors, steps, max_bits), (child_steps, child_bits) in zip(mine, theirs)]
-
-
-def _high_positions(runs: Sequence[Sequence[int]], parent: Channel) -> list[tuple[int, int]]:
-    """The recursion at the positions l > n of every run; returns each run's
-    ``(steps, max_bits)``."""
-    n = len(runs[0]) // 2
-    cur = [list(values[n + 1 :]) for values in runs]  # tau_k(l) for l = n+1..2n-k
-    prev = [[0] * (n + 1) for _ in runs]  # tau_{k-1}(l) for l = n+1..2n-k+1
-    # Delta_k, Delta_{k+1} = tau_k(k), tau_k(k+1) and tau_{k-1}(k), at k = 0
-    scalars = [(1, values[0], values[1], 0) for values in runs]
-    max_bits = [0] * len(runs)
-    steps = [0] * len(runs)
-    live = list(range(len(runs)))
-    for k in range(n - 1):
-        if k:
-            for r, (minor, a) in zip(live, parent.recv()):
-                _, divisor, c, _ = scalars[r]  # Delta_k = tau_{k-1}(k-1), tau_{k-1}(k)
-                scalars[r] = divisor, minor, a, c
-        live = [r for r in live if scalars[r][0]]
-        if not live:
-            break
-        firsts = []
-        for r in live:
-            first, max_bits[r] = tau_step(zip(cur[r][:1], cur[r][1:2], prev[r][:1]),
-                                          *scalars[r], max_bits[r])
-            firsts += first
-        parent.send(firsts)  # tau_{k+1}(n+1)
-        for r, first in zip(live, firsts):
-            rest, max_bits[r] = tau_step(zip(cur[r][1:-1], cur[r][2:], prev[r][1:]),
-                                         *scalars[r], max_bits[r])
-            prev[r], cur[r] = cur[r], [first] + rest
-            steps[r] += len(cur[r])
-    return [(steps[r], max_bits[r]) for r in range(len(runs))]

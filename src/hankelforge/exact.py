@@ -12,6 +12,10 @@ class InexactDivisionError(ArithmeticError):
 
 
 def exact_div(num: int, den: int, context: str = "") -> int:
+    """``num // den``, which must leave no remainder.  A ``num`` or ``den``
+    whose type is not ``int`` (a bool included) is a ValueError."""
+    if type(num) is not int or type(den) is not int:  # isinstance would let a bool through
+        raise ValueError("num and den must be exact integers")
     q, r = divmod(num, den)
     if r:
         where = f" in {context}" if context else ""

@@ -4,12 +4,16 @@ matrix, and the quotient check the Hankel claims apply to them.
 Every function here takes the order-(n+1) Hankel matrix ``(x_{i+j})`` as its
 2n+1 antidiagonal values x_0..x_2n (``hankel_minors`` a list of them); an even
 count or a value whose type is not ``int`` (a bool included) is a ValueError.
+Inputs are never mutated, and every interior division is exact by
+construction and checked: a remainder raises :class:`InexactDivisionError`.
 Three independent engines return the same exact determinant on the values, as
 a ``DetResult`` that does not name its engine: each caller names the one it runs.
 
 * ``det_laplace``  minor expansion with memoization, the small-order oracle
-  (capped at order ``LAPLACE_ORDER_CAP``, factorial/2^n cost);
-* ``det_bareiss``  fraction-free elimination and the CLI's default;
+  (capped at order ``LAPLACE_ORDER_CAP``, factorial/2^n cost), written out
+  apart from the kernels below so that it stays an independent check;
+* ``det_bareiss``  fraction-free elimination (``_bareiss_det``) and the CLI's
+  default;
 * ``det_dodgson``  the Hankel recursion on the values, the cross-check engine,
   which falls back to Bareiss on the whole matrix when a leading minor the
   recursion divides by is zero (the result is tagged ``fallback=True``).
@@ -17,16 +21,17 @@ a ``DetResult`` that does not name its engine: each caller names the one it runs
 The claims need every leading principal minor.  ``hankel_minors`` is the one
 route to them: it takes runs of 2n+1 values and returns each run's minors by
 the same recursion (~n^2 exact updates per run), on all the runs in lockstep
-by one driver (``kernels.leading_minors``).  It alone picks where: when the
-runs are large together, the driver takes the positions l <= n of every step
-and one forked child the rest (``_fork.split_leading_minors``); otherwise it
-takes every position here.  A run whose
-recursion meets a zero leading minor keeps the minors it reached and
+by one driver, ``_leading_minors``, whose update is written once, in
+``_tau_step``.  It alone picks where: when the runs are large together, the
+driver takes the positions l <= n of every step and one forked child the rest
+(``_split_leading_minors``); otherwise it takes every position here.  A run
+whose recursion meets a zero leading minor keeps the minors it reached and
 finishes the higher orders block by block, each by ``det_bareiss`` on a
 prefix of the values.
 
-All of them except Laplace run on the kernels in ``_kernels``; Laplace is
-written out here, apart from them, so that it stays an independent check.
+The kernels' ``steps`` counts interior entry updates (Bareiss) or tau entries
+(the recursion), and their ``max_bits`` is the largest absolute bit-length
+seen among the inputs and every numerator before division.
 Nothing here keeps state between calls, so everything here is safe to call
 from several threads at once or in a forked child.
 """
@@ -35,7 +40,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from . import _kernels as kernels
+from .exact import InexactDivisionError
 
 LAPLACE_ORDER_CAP = 10
 
@@ -101,18 +106,18 @@ def det_laplace(values: Sequence[int]) -> DetResult:
 def det_bareiss(values: Sequence[int]) -> DetResult:
     """Fraction-free elimination on the whole matrix; no order limit."""
     size = _order(values)
-    value, steps, max_bits = kernels.bareiss_det([values[i : i + size] for i in range(size)])
+    value, steps, max_bits = _bareiss_det([values[i : i + size] for i in range(size)])
     return DetResult(value, steps, max_bits)
 
 
 def det_dodgson(values: Sequence[int]) -> DetResult:
     """The engine named DODGSON: the last minor of the fraction-free
-    Chebyshev recursion on the values (``kernels.leading_minors``).
+    Chebyshev recursion on the values (:func:`_leading_minors`).
     Falls back to :func:`det_bareiss` on the whole matrix when a leading
     minor of order below ``order - 1`` is zero; ``steps``/``max_bits`` then
     cover both attempts."""
     order = _order(values)
-    minors, steps, max_bits = kernels.leading_minors([values])[0]
+    minors, steps, max_bits = _leading_minors([values])[0]
     if len(minors) < order:
         b = det_bareiss(values)
         return DetResult(b.value, steps + b.steps, max(max_bits, b.max_bits), fallback=True)
@@ -143,7 +148,7 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
     ``values[i+j]``; one list per run, in order.
 
     This alone picks the route: one forked child takes part of every step of
-    all the runs (:func:`._fork.split_leading_minors`) when their summed
+    all the runs (:func:`_split_leading_minors`) when their summed
     :func:`_hankel_cost` reaches ``_FORK_MIN_COST``, they have one length n >= 2
     (so that the child has a position) and :func:`._fork.can_fork` holds;
     otherwise the Chebyshev recursion runs here on all of them in lockstep,
@@ -163,7 +168,7 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
         from . import _fork  # loaded only here, so that the CLI's start-up does not compile it
 
         forks = _fork.can_fork()
-    results = _fork.split_leading_minors(runs) if forks else kernels.leading_minors(runs)
+    results = _split_leading_minors(runs) if forks else _leading_minors(runs)
     for values, (minors, _, _) in zip(runs, results):
         for size in range(len(minors) + 1, len(values) // 2 + 2):
             minors.append(det_bareiss(values[: 2 * size - 1]).value)
@@ -192,3 +197,215 @@ def quotient_check(det_value: int, base: int, exponent: int) -> int | None:
         return None
     q, r = divmod(det_value, base**exponent)
     return None if r else q
+
+
+def _bareiss_det(rows):
+    """Fraction-free elimination (Bareiss 1968) with a row swap at each zero
+    pivot.  Returns ``(det, steps, max_bits)``."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    max_bits = max((e.bit_length() for r in m for e in r), default=0)
+    steps = 0
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, steps, max_bits
+        piv = m[k][k]
+        rk = m[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            mik = ri[k]
+            for j in range(k + 1, n):
+                t = ri[j] * piv - mik * rk[j]
+                q, rem = divmod(t, prev)
+                if rem:
+                    raise InexactDivisionError("bareiss interior division left a remainder")
+                tb = t.bit_length()
+                if tb > max_bits:
+                    max_bits = tb
+                ri[j] = q
+                steps += 1
+            ri[k] = 0
+        prev = piv
+    return sign * m[n - 1][n - 1], steps, max_bits
+
+
+def _leading_minors(runs, child=None):
+    """Leading principal minors of the Hankel matrix ``(values[i+j])`` of
+    each run by the fraction-free Chebyshev recursion.  Returns each run's
+    ``(minors, steps, max_bits)``.
+
+    A run holds the 2n+1 antidiagonal values x_0..x_2n of the order-(n+1)
+    matrix.  tau_k(l) is the determinant of the rows (x_i .. x_{i+k}) for
+    i = 0..k-1 bordered by the row (x_l .. x_{l+k}), and Delta_k is the
+    order-k leading minor, so Delta_{k+1} = tau_k(k).  tau_k(l) / Delta_k is
+    the moment of x^l times the k-th monic orthogonal polynomial of the
+    sequence, and the three-term recurrence of those polynomials carries the
+    moments from k to k+1 (Chebyshev's algorithm: Gautschi, *Orthogonal
+    Polynomials: Computation and Approximation*, 2004; Krattenthaler,
+    *Advanced Determinant Calculus*, 1999).  From tau_{-1} = 0,
+    tau_0(l) = x_l and Delta_0 = 1, with a = tau_k(k+1) and
+    c = tau_{k-1}(k), for l = k+1..2n-k-1
+
+        w(l)         = (c tau_k(l) - Delta_{k+1} tau_{k-1}(l)) / Delta_k
+        tau_{k+1}(l) = (Delta_{k+1} (tau_k(l+1) + w(l)) - a tau_k(l)) / Delta_k
+
+    so each step (:func:`_tau_step`) costs two exact divisions per entry, n^2
+    entries in all.  The only divisors are the leading minors of order up to
+    n-1: when one of them is 0, that run's ``minors`` stop at the last order
+    reached, short of n+1.  Those minors are exact; the caller finishes the
+    higher orders itself.
+
+    The runs, of any lengths, go in lockstep.  Given ``child``, the channel
+    to the forked child of :func:`_split_leading_minors` (the runs then have
+    one n), this takes only the positions l <= n: per step, each run's
+    tau_{k+1}(k+1) and tau_{k+1}(k+2) go out first, for the child's next
+    step, and its tau_{k+1}(n+1) comes in last.  ``steps`` and ``max_bits``
+    are then this process's.
+    """
+    # tau_k(l) for l = k..2n-k, or k..n+1 with a child (the last is the child's)
+    cur = [list(values if child is None else values[: len(values) // 2 + 2]) for values in runs]
+    prev = [[0] * len(t) for t in cur]  # tau_{k-1}(l) from l = k-1
+    divisor = [1] * len(runs)  # Delta_k
+    max_bits = [max(x.bit_length() for x in values) for values in runs]
+    steps = [0] * len(runs)
+    minors = [[t[0]] for t in cur]
+    head = None if child is None else 3  # with a child, positions k+1 and k+2 go first
+    live = range(len(runs))
+    while live := [r for r in live if divisor[r] and len(cur[r]) > 1]:
+        nxts = []
+        for r in live:
+            t, s = cur[r], prev[r]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k) are t[0], t[1], s[1]
+            nxt, max_bits[r] = _tau_step(zip(t[1:head], t[2:], s[2:]),
+                                         divisor[r], t[0], t[1], s[1], max_bits[r])
+            steps[r] += len(nxt)
+            nxts.append(nxt)
+        if child is not None:
+            size = len(cur[live[0]])  # n+2-k, the same for every run
+            if size > 4:  # the child takes a step k+1
+                child.send(nxts)
+            for r, nxt in zip(live, nxts):
+                t, s = cur[r], prev[r]
+                rest, max_bits[r] = _tau_step(zip(t[3:], t[4:], s[4:]),
+                                              divisor[r], t[0], t[1], s[1], max_bits[r])
+                steps[r] += len(rest)
+                nxt += rest
+            if size > 3:  # the child took a step k
+                for nxt, last in zip(nxts, child.recv()):
+                    nxt.append(last)  # tau_{k+1}(n+1)
+        for r, nxt in zip(live, nxts):
+            prev[r], cur[r], divisor[r] = cur[r], nxt, cur[r][0]
+            minors[r].append(nxt[0])
+    return list(zip(minors, steps, max_bits))
+
+
+def _tau_step(entries, divisor, minor, a, c, max_bits):
+    """One step k -> k+1 of the recursion in :func:`_leading_minors`,
+    at the positions l that ``entries`` yields ``(tau_k(l), tau_k(l+1),
+    tau_{k-1}(l))`` for, in that order.  ``divisor`` is Delta_k, ``minor``
+    Delta_{k+1} = tau_k(k), ``a`` tau_k(k+1) and ``c`` tau_{k-1}(k).  Returns
+    ``(nxt, max_bits)``: the list of tau_{k+1}(l), and ``max_bits`` raised to
+    the bit-length of every numerator.
+
+    The position l enters only through its own three entries, so the
+    positions of one step can be taken in parts, in this process or in a
+    forked child (:func:`_split_leading_minors`), with the same result.
+    """
+    nxt = []
+    for t, t1, s in entries:
+        u = c * t - minor * s
+        if divisor == 1:
+            w = u
+        elif divisor == -1:
+            w = -u
+        else:
+            w, rem = divmod(u, divisor)
+            if rem:
+                raise InexactDivisionError("chebyshev recursion division left a remainder")
+        v = minor * (t1 + w) - a * t
+        if divisor == 1:
+            q = v
+        elif divisor == -1:
+            q = -v
+        else:
+            q, rem = divmod(v, divisor)
+            if rem:
+                raise InexactDivisionError("chebyshev recursion division left a remainder")
+        b = u.bit_length()
+        if b > max_bits:
+            max_bits = b
+        b = v.bit_length()
+        if b > max_bits:
+            max_bits = b
+        nxt.append(q)
+    return nxt, max_bits
+
+
+def _split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int]]:
+    """``_leading_minors(runs)``, each run's same ``(minors, steps,
+    max_bits)``, with one forked child taking part of every step of every
+    run.
+
+    Each run holds x_0..x_2n, with one n >= 2 for all (below, the child would
+    have no position), and ``_fork.can_fork`` holds: :func:`hankel_minors`,
+    which picks this route, checks both.  Step k -> k+1 updates the positions
+    l = k+1..2n-k-1, each from tau_k(l), tau_k(l+1), tau_{k-1}(l) and four
+    scalars read at the left end (see :func:`_tau_step`).  This process
+    takes the positions l <= n of every run and the child those above.  Per
+    step, the child needs only each run's scalars, which it keeps up from this
+    process's first two new entries, and this process needs only the child's
+    first new entry, tau_{k+1}(n+1).  The runs go in lockstep: per step each
+    side sends the other one message, with those entries of every run still
+    going, before the rest of its step.  A run that meets a zero divisor leaves
+    both sides' messages at the same step.  This process runs the in-process
+    driver, :func:`_leading_minors`, given the child's channel, and the
+    child :func:`_high_positions`, which sends each run's ``steps`` and
+    ``max_bits`` home at the end.
+    """
+    from ._fork import with_child  # as in hankel_minors, loaded only on this route
+
+    mine, theirs = with_child(lambda child: _leading_minors(runs, child),
+                              lambda parent: _high_positions(runs, parent))
+    return [(minors, steps + child_steps, max(max_bits, child_bits))
+            for (minors, steps, max_bits), (child_steps, child_bits) in zip(mine, theirs)]
+
+
+def _high_positions(runs: Sequence[Sequence[int]], parent) -> list[tuple[int, int]]:
+    """The recursion at the positions l > n of every run, in the forked child,
+    where ``parent`` is its ``_fork.Channel`` to the parent process; returns
+    each run's ``(steps, max_bits)``."""
+    n = len(runs[0]) // 2
+    cur = [list(values[n + 1 :]) for values in runs]  # tau_k(l) for l = n+1..2n-k
+    prev = [[0] * (n + 1) for _ in runs]  # tau_{k-1}(l) for l = n+1..2n-k+1
+    # Delta_k, Delta_{k+1} = tau_k(k), tau_k(k+1) and tau_{k-1}(k), at k = 0
+    scalars = [(1, values[0], values[1], 0) for values in runs]
+    max_bits = [0] * len(runs)
+    steps = [0] * len(runs)
+    live = list(range(len(runs)))
+    for k in range(n - 1):
+        if k:
+            for r, (minor, a) in zip(live, parent.recv()):
+                _, divisor, c, _ = scalars[r]  # Delta_k = tau_{k-1}(k-1), tau_{k-1}(k)
+                scalars[r] = divisor, minor, a, c
+        live = [r for r in live if scalars[r][0]]
+        if not live:
+            break
+        firsts = []
+        for r in live:
+            first, max_bits[r] = _tau_step(zip(cur[r][:1], cur[r][1:2], prev[r][:1]),
+                                           *scalars[r], max_bits[r])
+            firsts += first
+        parent.send(firsts)  # tau_{k+1}(n+1)
+        for r, first in zip(live, firsts):
+            rest, max_bits[r] = _tau_step(zip(cur[r][1:-1], cur[r][2:], prev[r][1:]),
+                                          *scalars[r], max_bits[r])
+            prev[r], cur[r] = cur[r], [first] + rest
+            steps[r] += len(cur[r])
+    return [(steps[r], max_bits[r]) for r in range(len(runs))]

@@ -57,7 +57,8 @@ _PARAMETRIC = (Family.FRANEL_R, Family.DOMB_M)
 
 class SequenceId(namedtuple("SequenceId", "family param")):
     """A :class:`Family` plus its ``int`` parameter (r or m, where used); any
-    other family or parameter type (a bool included) is a ValueError."""
+    other family or parameter type (a bool included) is a ValueError, also
+    through ``_replace`` and ``_make``."""
 
     __slots__ = ()
 
@@ -72,6 +73,10 @@ class SequenceId(namedtuple("SequenceId", "family param")):
         elif param != 0:
             raise ValueError(f"{family.value} takes no parameter")
         return super().__new__(cls, family, param)
+
+    @classmethod
+    def _make(cls, iterable) -> "SequenceId":
+        return cls(*iterable)  # namedtuple's own, which _replace calls, skips __new__
 
     def label(self) -> str:
         if self.family is Family.FRANEL_R:
@@ -134,9 +139,7 @@ def term(seq: SequenceId, n: int) -> int:
         return sum(row[k] ** 2 * comb(n + k, k) for k in range(n + 1))
     if fam is Family.APERY_A:
         return sum(row[k] ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
-    if fam is Family.G_SUM:
-        return sum(row[k] ** 2 * comb(2 * k, k) for k in range(n + 1))
-    raise ValueError(f"unknown family {fam!r}")  # _make and _replace skip __new__
+    return sum(row[k] ** 2 * comb(2 * k, k) for k in range(n + 1))  # Family.G_SUM
 
 
 class Recurrence(NamedTuple):

@@ -222,13 +222,13 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
 
 def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
     # A bug inside a claim is neither a refuted claim (1) nor a usage error (2).
-    from hankelforge import _kernels
+    from hankelforge import hankel
     from hankelforge.exact import InexactDivisionError
 
     def boom(runs):
         raise InexactDivisionError("boom")
 
-    monkeypatch.setattr(_kernels, "leading_minors", boom)
+    monkeypatch.setattr(hankel, "_leading_minors", boom)
     monkeypatch.setattr("sys.argv", ["hankelforge", "verify", "--claim", "hankel-franel"])
     with pytest.raises(SystemExit) as info:
         cli.main()

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from hankelforge import _kernels, hankel, prefix, verify
+from hankelforge import hankel, prefix, verify
 from hankelforge.hankel import det_bareiss, hankel_minors
 from hankelforge.numtheory import (
     central_binom_parities,
@@ -115,7 +115,7 @@ def test_parity_matrices_take_no_fallback(case):
     n = verify.PARITY_N_MAX
     terms = prefix(seq_id, 2 * n).terms
     values = [(terms[i] // (2 * k)) & 1 for i in range(2, 2 * n + 1)]
-    minors, _, _ = _kernels.leading_minors([values])[0]
+    minors, _, _ = hankel._leading_minors([values])[0]
     assert len(minors) == n
     assert minors == [det_bareiss(values[: 2 * s + 1]).value for s in range(n)]
 

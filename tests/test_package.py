@@ -27,6 +27,20 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
+def test_fork_imports_nothing_from_the_package():
+    # _fork is only the forked child's mechanism: the work is handed to it as
+    # functions, so a change to what runs in the child does not touch it.
+    path = Path(hankelforge.__file__).parent / "_fork.py"
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert "os" in names
+    assert [name for name in names if name.startswith((".", "hankelforge"))] == []
+
+
 def test_exported_records_are_named_tuples():
     # Every record the package exports is a named tuple; the enum and the
     # exception are its only other classes.

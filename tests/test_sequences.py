@@ -167,6 +167,24 @@ def test_invalid_ids_rejected():
             SequenceId(family, param)
 
 
+def test_replace_and_make_validate_as_the_constructor_does():
+    # namedtuple's own _make, which _replace calls, skipped __new__: prefix
+    # then took CLF with the parameter 5 for d(5), (1, 4, 140, 5872, 361996),
+    # while term gave CLF's terms
+    for family, param in [(Family.CLF, 5), (Family.APERY_A, 2), (Family.FRANEL_R, 0), (Family.DOMB_M, True),
+                          ("domb", 2)]:
+        with pytest.raises(ValueError):
+            CLF._replace(family=family, param=param)
+        with pytest.raises(ValueError):
+            SequenceId._make((family, param))
+    made = [franel(3)._replace(param=5), domb(2)._replace(param=3), CLF._replace(family=Family.G_SUM),
+            SequenceId._make((Family.DOMB_M, 1))]
+    assert made == [franel(5), domb(3), G_SUM, domb(1)]
+    for seq in made:
+        assert type(seq) is SequenceId
+        assert prefix(seq, 6).terms[6] == term(seq, 6)
+
+
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         term(franel(3), -1)
@@ -207,6 +225,9 @@ def test_exact_division_guard():
     assert exact_div(-12, 4) == -3
     with pytest.raises(InexactDivisionError):
         exact_div(10, 4, "unit test")
+    for num, den in ((4.0, 2), (4, 2.0), (True, 1), (4, True)):
+        with pytest.raises(ValueError, match="exact integers"):
+            exact_div(num, den)
 
 
 def test_exact_division_error_names_dividend_above_str_digit_limit():

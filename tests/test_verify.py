@@ -12,8 +12,7 @@ import time
 
 import pytest
 
-from hankelforge import (InexactDivisionError, _fork, _kernels, cli, hankel, numtheory, sequences, transforms,
-                         verify)
+from hankelforge import InexactDivisionError, _fork, cli, hankel, numtheory, sequences, transforms, verify
 from hankelforge.reports import VerificationReport, decimal_str
 from hankelforge.sequences import APERY_A, APERY_B, CLF, G_SUM, domb, franel
 from hankelforge.verify import Claim, run_all, run_claim
@@ -458,14 +457,14 @@ def test_binomial_transform_keeps_every_minor(forks):
 @pytest.mark.parametrize("exc", [ValueError("bad values 7"),
                                  InexactDivisionError("31 is not divisible by 4")])
 def test_child_exception_is_raised_again(forks, monkeypatch, exc):
-    parent, real_step = os.getpid(), _fork.tau_step
+    parent, real_step = os.getpid(), hankel._tau_step
 
     def step(*args):
         if os.getpid() != parent:
             raise exc
         return real_step(*args)
 
-    monkeypatch.setattr(_fork, "tau_step", step)
+    monkeypatch.setattr(hankel, "_tau_step", step)
     with pytest.raises(type(exc)) as raised:
         hankel.hankel_minors(_runs("hankel-franel", 30))
     assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
@@ -477,7 +476,7 @@ def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypa
     # about 300 KB, is more than a pipe holds, so the child waits in it until
     # read, and after it the child would not end for a minute: either way
     # only a kill lets the parent reap it before the test's alarm.
-    parent, real_step, calls = os.getpid(), _fork.tau_step, []
+    parent, real_step, calls = os.getpid(), hankel._tau_step, []
 
     def step(*args):
         if os.getpid() == parent:
@@ -487,10 +486,9 @@ def test_parent_failure_with_a_large_child_payload_does_not_hang(forks, monkeypa
             time.sleep(60)
         return real_step(*args)
 
-    monkeypatch.setattr(_fork, "tau_step", step)  # the child's side
-    monkeypatch.setattr(_kernels, "tau_step", step)  # this process's side, _kernels.leading_minors
+    monkeypatch.setattr(hankel, "_tau_step", step)  # both sides
     with pytest.raises(ValueError, match="parent side failed"):
-        _fork.split_leading_minors([_unit_minor_moments(1 << 600_000, 9)] * 2)
+        hankel._split_leading_minors([_unit_minor_moments(1 << 600_000, 9)] * 2)
     assert len(forks) == 1
 
 
@@ -543,7 +541,7 @@ def test_runs_of_different_lengths_stay_in_process(fork_refused, monkeypatch):
     # whatever their cost.
     _take("forked", monkeypatch)
     runs = [sequences.prefix(APERY_A, 2 * n).terms for n in (3, 30)]
-    assert hankel.hankel_minors(runs) == [_kernels.leading_minors([values])[0][0] for values in runs]
+    assert hankel.hankel_minors(runs) == [hankel._leading_minors([values])[0][0] for values in runs]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd on this platform")
@@ -618,7 +616,7 @@ def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
     # The child leaves at its first call of tau_step, and then at its
     # seventh, after it has sent two messages: with two runs it makes four
     # calls per step.
-    parent, real_step, calls = os.getpid(), _fork.tau_step, []
+    parent, real_step, calls = os.getpid(), hankel._tau_step, []
 
     def step(*args):
         if os.getpid() != parent:
@@ -627,7 +625,7 @@ def test_child_leaving_without_a_result_is_an_error(forks, monkeypatch):
                 os._exit(1)
         return real_step(*args)
 
-    monkeypatch.setattr(_fork, "tau_step", step)
+    monkeypatch.setattr(hankel, "_tau_step", step)
     for leaves_at in (1, 7):
         with pytest.raises(RuntimeError, match="ended without a result"):
             hankel.hankel_minors(_runs("hankel-apery", 30))
@@ -658,8 +656,8 @@ def test_split_leading_minors_match_the_kernel(forks):
                         for _ in range(rng.randint(2, 4))])
     stops = set()
     for runs in batches:
-        got = _fork.split_leading_minors(runs)
-        assert got == _kernels.leading_minors(runs) == [_kernels.leading_minors([values])[0] for values in runs]
+        got = hankel._split_leading_minors(runs)
+        assert got == hankel._leading_minors(runs) == [hankel._leading_minors([values])[0] for values in runs]
         if len(runs[0]) <= 25:
             # n <= 12: Bareiss on each leading block shares no code with the
             # driver that both routes run
@@ -673,7 +671,7 @@ def test_split_leading_minors_match_the_kernel(forks):
     # runs in this process, above the break-even; from n = 2 it forks
     for runs in deep:
         if len(runs[0]) < 5:
-            assert hankel.hankel_minors(runs) == [_kernels.leading_minors([values])[0][0]
+            assert hankel.hankel_minors(runs) == [hankel._leading_minors([values])[0][0]
                                                   for values in runs]
     assert len(forks) == len(batches)
     assert hankel.hankel_minors([(1, 2, 10, 56, 346)]) == [[1, 6, 180]]
@@ -682,19 +680,19 @@ def test_split_leading_minors_match_the_kernel(forks):
 
 @pytest.fixture
 def split_refused(monkeypatch):
-    """The break-even at 0, and a call of _fork.split_leading_minors fails
+    """The break-even at 0, and a call of hankel._split_leading_minors fails
     the test."""
     def no_split(runs):
         raise AssertionError("split")
 
     _take("forked", monkeypatch)
-    monkeypatch.setattr(_fork, "split_leading_minors", no_split)
+    monkeypatch.setattr(hankel, "_split_leading_minors", no_split)
 
 
 def test_runs_with_n_below_2_stay_in_process(split_refused, monkeypatch):
     monkeypatch.setattr(_fork, "can_fork", lambda: True)
     for runs in ([(7,)], [(3, 5, 3), (1, 2, 10)], [sequences.prefix(APERY_A, 2).terms] * 3):
-        assert hankel.hankel_minors(runs) == [_kernels.leading_minors([values])[0][0]
+        assert hankel.hankel_minors(runs) == [hankel._leading_minors([values])[0][0]
                                               for values in runs]
 
 
@@ -702,7 +700,7 @@ def test_no_fork_where_can_fork_fails(split_refused, monkeypatch):
     asked = []
     monkeypatch.setattr(_fork, "can_fork", lambda: asked.append(None) or False)
     runs = _runs("hankel-franel", 7)
-    assert hankel.hankel_minors(runs) == [_kernels.leading_minors([values])[0][0] for values in runs]
+    assert hankel.hankel_minors(runs) == [hankel._leading_minors([values])[0][0] for values in runs]
     assert len(asked) == 1
 
 
@@ -753,7 +751,7 @@ def test_split_messages_wider_than_a_pipe_cross(forks, monkeypatch):
     # tau_k(l) has about 600000 (l - k) bits, so every message of these two
     # split runs, an entry or two, is wider than a pipe buffer (64 KiB)
     for values in (_unit_minor_moments(1 << 600_000, count) for count in (7, 9)):  # n = 3, 4
-        assert _fork.split_leading_minors([values]) == [_kernels.leading_minors([values])[0]]
+        assert hankel._split_leading_minors([values]) == [hankel._leading_minors([values])[0]]
     assert len(forks) == 2
     assert len(sent) == 1 + 2 and len(received) == 2 + 3
     assert min(sent + received) > 65536

@@ -22,7 +22,7 @@ The timeout is three times the unmutated run, plus 10 seconds.  The exit
 status is 0 when no mutant survives unexplained and every entry of
 ``EQUIVALENT`` still names a surviving mutant.  The tier-1 suite does not run
 the sweep, only a check that every ``EQUIVALENT`` key still names its mutant:
-the whole sweep, 514 mutants, took 35 minutes on a 2-vCPU x86_64 VM under
+the whole sweep, 515 mutants, took 40 minutes on a 2-vCPU x86_64 VM under
 CPython 3.11.
 """
 from __future__ import annotations
@@ -55,10 +55,10 @@ _SWAPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt
 # source, tests/test_package.py sees an edit that shifts the ordinals.
 EQUIVALENT = {
     # fast paths and shortcuts: the general code gives the same result
-    ("_kernels", "tau_step", "if->False", 0): ("divisor == 1", "the divisor == 1 shortcut of the w division"),
-    ("_kernels", "tau_step", "if->False", 1): ("divisor == -1", "the divisor == -1 shortcut of the w division"),
-    ("_kernels", "tau_step", "if->False", 3): ("divisor == 1", "the divisor == 1 shortcut of the q division"),
-    ("_kernels", "tau_step", "if->False", 4): ("divisor == -1", "the divisor == -1 shortcut of the q division"),
+    ("hankel", "_tau_step", "if->False", 0): ("divisor == 1", "the divisor == 1 shortcut of the w division"),
+    ("hankel", "_tau_step", "if->False", 1): ("divisor == -1", "the divisor == -1 shortcut of the w division"),
+    ("hankel", "_tau_step", "if->False", 3): ("divisor == 1", "the divisor == 1 shortcut of the q division"),
+    ("hankel", "_tau_step", "if->False", 4): ("divisor == -1", "the divisor == -1 shortcut of the q division"),
     ("transforms", "_exact_table", "if->False", 1): ("k == 1", "for k == 1 the divisions are by powers of 1"),
     ("transforms", "_residue_table", "if->True", 0): (
         "t % J == 0", "a fold on every row: J >= 1 rows after a fold every lane is still below 2^L"),
@@ -71,9 +71,9 @@ EQUIVALENT = {
         "count % _CHAIN == 0", "no list until the end: a chain N deep, which no test makes deep enough to fail"),
     ("transforms", "_exact_table", "Eq->NotEq", 0): ("count % _CHAIN == 0", "a list of every column but every 8th"),
     # ties: both sides of the boundary give the same value
-    ("_kernels", "bareiss_det", "Gt->GtE", 0): ("tb > max_bits", "a tie on max_bits"),
-    ("_kernels", "tau_step", "Gt->GtE", 0): ("b > max_bits", "a tie on max_bits"),
-    ("_kernels", "tau_step", "Gt->GtE", 1): ("b > max_bits", "a tie on max_bits"),
+    ("hankel", "_bareiss_det", "Gt->GtE", 0): ("tb > max_bits", "a tie on max_bits"),
+    ("hankel", "_tau_step", "Gt->GtE", 0): ("b > max_bits", "a tie on max_bits"),
+    ("hankel", "_tau_step", "Gt->GtE", 1): ("b > max_bits", "a tie on max_bits"),
     ("hankel", "det_laplace.expand", "Gt->GtE", 0): ("tb > stats[1]", "a tie on max_bits"),
     ("reports", "decimal_str", "Lt->LtE", 1): (
         "value < _STR_BOUND", "str gives the same 601 digits at 10**600, under every digit limit"),
@@ -81,7 +81,6 @@ EQUIVALENT = {
     ("hankel", "hankel_minors", "GtE->Gt", 0): (
         "sum(map(_hankel_cost, runs)) >= _FORK_MIN_COST",
         "a cost equal to the break-even: tests set it to 0 or 10**30, and no call there costs 0"),
-    ("sequences", "term", "if->True", 9): ("fam is Family.G_SUM", "the last family: every other one has returned"),
     ("verify", "Claim.bounds", "Gt->GtE", 0): (
         "p > MAX_PRIME", "MAX_PRIME = 10**4 is not prime, so it is refused either way"),
     ("verify", "_quotient", "Gt->GtE", 0): (
