@@ -1,4 +1,6 @@
-"""Checked exact integer division."""
+"""Checked exact integer division, and the package's one rule for integer
+arguments: an ``int`` that is not a bool (``isinstance`` would let one
+through), and a list or tuple of them; anything else is a ValueError."""
 from .reports import decimal_str
 
 
@@ -11,12 +13,32 @@ class InexactDivisionError(ArithmeticError):
     """
 
 
+def exact_int(value, what: str, low: int | None = None) -> int:
+    """``value``, an ``int`` that is not a bool and is at least ``low``; a
+    ValueError naming it ``what`` otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be at least {low}")
+    return value
+
+
+def exact_ints(values, what: str):
+    """``values``, a list or tuple whose entries all pass :func:`exact_int`;
+    a ValueError naming them ``what`` otherwise.  The entries' types are read
+    in one pass in C."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list or tuple")
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} must be exact integers")
+    return values
+
+
 def exact_div(num: int, den: int, context: str = "") -> int:
-    """``num // den``, which must leave no remainder.  A ``num`` or ``den``
-    whose type is not ``int`` (a bool included) is a ValueError."""
-    if type(num) is not int or type(den) is not int:  # isinstance would let a bool through
-        raise ValueError("num and den must be exact integers")
-    q, r = divmod(num, den)
+    """``num // den``, which must leave no remainder.  ``num`` and ``den``
+    must pass :func:`exact_int`; a ``den`` of 0 raises ``//``'s
+    ZeroDivisionError."""
+    q, r = divmod(exact_int(num, "num"), exact_int(den, "den"))
     if r:
         where = f" in {context}" if context else ""
         raise InexactDivisionError(f"{decimal_str(num)} is not divisible by {decimal_str(den)}{where}")

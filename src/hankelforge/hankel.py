@@ -2,8 +2,9 @@
 matrix, and the quotient check the Hankel claims apply to them.
 
 Every function here takes the order-(n+1) Hankel matrix ``(x_{i+j})`` as its
-2n+1 antidiagonal values x_0..x_2n (``hankel_minors`` a list of them); an even
-count or a value whose type is not ``int`` (a bool included) is a ValueError.
+2n+1 antidiagonal values x_0..x_2n (``hankel_minors`` a list or tuple of
+them), as a list or tuple of ints (``exact.exact_ints``); anything else, or an
+even count, is a ValueError.
 Inputs are never mutated, and every interior division is exact by
 construction and checked: a remainder raises :class:`InexactDivisionError`.
 Three independent engines return the same exact determinant on the values, as
@@ -40,7 +41,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from .exact import InexactDivisionError
+from .exact import InexactDivisionError, exact_int, exact_ints
 
 LAPLACE_ORDER_CAP = 10
 
@@ -56,12 +57,9 @@ class DetResult(NamedTuple):
 
 def _order(values: Sequence[int]) -> int:
     """The order n+1 of the Hankel matrix on the 2n+1 ``values``; a
-    ValueError on an even count or a value that is not an exact integer."""
-    if len(values) % 2 == 0:
+    ValueError on an even count or on what ``exact_ints`` refuses."""
+    if len(exact_ints(values, "entries")) % 2 == 0:
         raise ValueError(f"need 2n+1 antidiagonal values, got {len(values)}")
-    for x in values:
-        if type(x) is not int:  # isinstance would let a bool through
-            raise ValueError("entries must be exact integers")
     return len(values) // 2 + 1
 
 
@@ -160,6 +158,8 @@ def hankel_minors(runs: Sequence[Sequence[int]]) -> list[list[int]]:
     simple (O(n^4) after an early zero) rather than fast; it is kept because
     a zero minor is what the claims test for.
     """
+    if not isinstance(runs, (list, tuple)):
+        raise ValueError("runs must be a list or tuple")
     for values in runs:
         _order(values)
     forks = (sum(map(_hankel_cost, runs)) >= _FORK_MIN_COST and len(runs[0]) >= 5
@@ -182,16 +182,12 @@ def quotient_check(det_value: int, base: int, exponent: int) -> int | None:
 
     The power is built only when it can divide: a nonzero value below
     ``2**(exponent * (base.bit_length() - 1))`` in absolute value, a lower
-    bound on ``base**exponent``, is not divisible.  A ``det_value``, ``base``
-    or ``exponent`` whose type is not ``int`` (a bool included) is a ValueError.
+    bound on ``base**exponent``, is not divisible.  Each argument must pass
+    ``exact.exact_int``, ``base`` from 2 and ``exponent`` from 0.
     """
-    if type(det_value) is not int or type(base) is not int or type(exponent) is not int:
-        raise ValueError("det_value, base and exponent must be exact integers")
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    if not det_value:
+    exact_int(base, "base", 2)
+    exact_int(exponent, "exponent", 0)
+    if not exact_int(det_value, "det_value"):
         return 0
     if exponent * (base.bit_length() - 1) >= det_value.bit_length():
         return None

@@ -14,6 +14,7 @@ power-of-two indicator.
 """
 from __future__ import annotations
 
+from .exact import exact_int, exact_ints
 from .reports import Check
 
 
@@ -66,14 +67,11 @@ def lemma23_hypothesis_check(x: list[int] | tuple[int, ...], k: int) -> list[Che
     Index 0 must be 1; at every later index i of x, ``2k`` must divide
     ``x[i]`` and ``4k`` must divide it exactly when i is not a power of two.
     Each check is ``(label, value, ok, expected)``, labelled ``i=<index>``.
-    An empty x, which has no index 0, is a ValueError like ``k < 1`` or a
-    ``k`` whose type is not ``int``.
+    ``k`` must pass ``exact.exact_int`` from 1 and x ``exact.exact_ints``;
+    an empty x, which has no index 0, is a ValueError too.
     """
-    if type(k) is not int:  # a float would run the checks in float arithmetic
-        raise ValueError("k must be an exact integer")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not x:
+    exact_int(k, "k", 1)
+    if not exact_ints(x, "the terms x"):
         raise ValueError("need at least the term x_0")
     expected = f"2k | x_i and (4k | x_i iff i not a power of two), k={k}"
     checks: list[Check] = [("i=0", x[0], x[0] == 1, "x_0 = 1")]

@@ -39,7 +39,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from . import binomial
-from .exact import exact_div
+from .exact import exact_div, exact_int
 
 
 class Family(enum.Enum):
@@ -56,17 +56,16 @@ _PARAMETRIC = (Family.FRANEL_R, Family.DOMB_M)
 
 
 class SequenceId(namedtuple("SequenceId", "family param")):
-    """A :class:`Family` plus its ``int`` parameter (r or m, where used); any
-    other family or parameter type (a bool included) is a ValueError, also
-    through ``_replace`` and ``_make``."""
+    """A :class:`Family` plus its parameter (r or m, where used), which must
+    pass ``exact.exact_int``; anything else is a ValueError, also through
+    ``_replace`` and ``_make``."""
 
     __slots__ = ()
 
     def __new__(cls, family: Family, param: int = 0) -> "SequenceId":
         if not isinstance(family, Family):
             raise ValueError(f"unknown family {family!r}")
-        if type(param) is not int:  # isinstance would let a bool through
-            raise ValueError("the parameter must be an exact integer")
+        exact_int(param, "the parameter")
         if family in _PARAMETRIC:
             if param < 1:
                 raise ValueError(f"{family.value} requires a parameter >= 1")
@@ -113,10 +112,7 @@ def term(seq: SequenceId, n: int) -> int:
     a :class:`SequenceId`."""
     if not isinstance(seq, SequenceId):
         raise ValueError(f"{seq!r} is not a SequenceId")
-    if type(n) is not int:  # isinstance would let a bool through
-        raise ValueError("the index must be an exact integer")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    exact_int(n, "the index", 0)
     fam = seq.family
     if fam is Family.CENTRAL_BINOM:
         return comb(2 * n, n)
@@ -227,10 +223,7 @@ def prefix(seq: SequenceId, n_max: int) -> SequenceTerms:
     ``seq`` is a :class:`SequenceId` and ``n_max`` an ``int``."""
     if not isinstance(seq, SequenceId):  # a plain tuple equal to one would match a RECURRENCES key
         raise ValueError(f"{seq!r} is not a SequenceId")
-    if type(n_max) is not int:  # isinstance would let a bool through
-        raise ValueError("n_max must be an exact integer")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    exact_int(n_max, "n_max", 0)
     if seq in RECURRENCES:
         terms = _recur(seq, n_max)
     elif seq.family is Family.FRANEL_R:

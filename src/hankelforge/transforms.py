@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .exact import exact_div
+from .exact import exact_div, exact_int, exact_ints
 
 # The exact table makes a list of its running column every _CHAIN columns.  In
 # between, each column is a lazy accumulate over the one to its right, so an
@@ -53,23 +53,15 @@ def iterated_transform(x: Sequence[int], k: int, modulus: int | None = None) -> 
     modulus the table runs down its columns as running sums
     (:func:`_exact_table`); with ``modulus`` m it returns the residues in
     ``[0, m)`` of the same terms, from a packed table (:func:`_residue_table`).
-    ValueError when k, m or an entry is not an ``int`` (a bool or a float
-    too), or on a negative k, an empty input or an m below 1."""
-    if type(k) is not int:  # isinstance would let a bool through
-        raise ValueError("iteration count must be an integer")
-    if k < 0:
-        raise ValueError("iteration count must be nonnegative")
-    if len(x) == 0:
+    k must pass ``exact.exact_int`` from 0, m from 1, and x ``exact.exact_ints``;
+    an empty x is a ValueError too."""
+    exact_int(k, "iteration count", 0)
+    if not exact_ints(x, "entries"):
         raise ValueError("input sequence must be non-empty")
-    if set(map(type, x)) != {int}:
-        raise ValueError("entries must be exact integers")
     if modulus is None:
         row = list(x)
     else:
-        if type(modulus) is not int:
-            raise ValueError("modulus must be an integer")
-        if modulus < 1:
-            raise ValueError("modulus must be positive")
+        exact_int(modulus, "modulus", 1)
         row = [a % modulus for a in x]
         k %= modulus
     if k == 0:

@@ -18,6 +18,7 @@ import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import hankel, numtheory, sequences, transforms
+from .exact import exact_int, exact_ints
 from .numtheory import is_power_of_two, is_prime, nu2
 from .reports import Check, ReportEntry, VerificationReport, Witness, decimal_str
 from .sequences import APERY_A, APERY_B, CLF, G_SUM, domb, franel, prefix
@@ -59,27 +60,23 @@ class Claim(NamedTuple):
 
     def bounds(self, n_max: int | None = None,
                primes: Sequence[int] | None = None) -> tuple[int, tuple[int, ...]]:
-        """The index bound and primes a run uses; ValueError on a bound or
-        prime whose type is not ``int``, an empty range, an empty prime list, a
-        prime the claim cannot take or a prime given twice.  A claim without
-        an index bound ignores ``n_max``, as one without primes ignores
-        ``primes``."""
+        """The index bound and primes a run uses; ValueError on a bound that
+        ``exact.exact_int`` refuses, primes that ``exact.exact_ints`` refuses,
+        an empty range, an empty prime list, a prime the claim cannot take or a
+        prime given twice.  A claim without an index bound ignores ``n_max``,
+        as one without primes ignores ``primes``."""
         if self.n_max is None:
             hi = 0
         else:
-            hi = self.n_max if n_max is None else n_max
-            if type(hi) is not int:  # a bool too would reach the report's index range
-                raise ValueError(f"index bound {hi!r} is not an integer for {self.claim_id}")
+            hi = exact_int(self.n_max if n_max is None else n_max, f"the index bound of {self.claim_id}")
             if hi < self.n_min:
                 raise ValueError(f"range n={self.n_min}..{hi} is empty for {self.claim_id}")
         if self.primes is None:
             return hi, ()
-        ps = self.primes if primes is None else tuple(primes)
+        ps = self.primes if primes is None else tuple(exact_ints(primes, f"the primes of {self.claim_id}"))
         if not ps:
             raise ValueError(f"no primes given for {self.claim_id}")
         for i, p in enumerate(ps):
-            if type(p) is not int:
-                raise ValueError(f"prime {p!r} is not an integer for {self.claim_id}")
             if p > MAX_PRIME:  # before is_prime, whose trial division grows as sqrt(p)
                 raise ValueError(f"prime {p} is above the limit {MAX_PRIME} for {self.claim_id}")
             if p <= 3 or not is_prime(p):
@@ -350,10 +347,9 @@ _BY_ID = {c.claim_id: c for c in REGISTRY}
 
 
 def claim(claim_id: str) -> Claim:
-    try:
-        return _BY_ID[claim_id]
-    except KeyError:
-        raise ValueError(f"unknown claim {claim_id!r}") from None
+    if claim_id not in CLAIM_IDS:  # a tuple: an unhashable id is refused, not a TypeError
+        raise ValueError(f"unknown claim {claim_id!r}")
+    return _BY_ID[claim_id]
 
 
 def run_claim(claim_id: str, n_max: int | None = None, primes: Sequence[int] | None = None) -> VerificationReport:

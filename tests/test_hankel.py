@@ -32,6 +32,21 @@ def test_values_must_be_an_odd_count_of_exact_integers(func):
             func(values)
 
 
+# Bytes and a range index like a list of ints, and None has no length: they
+# gave det 1 for b"\x01" and -1 for range(3), or raised TypeError.
+@pytest.mark.parametrize("values", [b"\x01", range(3), None], ids=("bytes", "range", "None"))
+@pytest.mark.parametrize("func", (det_laplace, det_bareiss, det_dodgson, lambda values: hankel_minors([values])),
+                         ids=("det_laplace", "det_bareiss", "det_dodgson", "hankel_minors"))
+def test_values_must_be_a_list_or_tuple(func, values):
+    with pytest.raises(ValueError, match="^entries must be a list or tuple$"):
+        func(values)
+
+
+def test_runs_must_be_a_list_or_tuple():
+    with pytest.raises(ValueError, match="^runs must be a list or tuple$"):
+        hankel_minors(None)
+
+
 def test_bools_are_not_exact_integers():
     # isinstance(True, int) holds, so only a test of the exact type refuses them
     with pytest.raises(ValueError, match="entries must be exact integers"):
@@ -380,7 +395,7 @@ def test_quotient_check_validation():
     # unchecked, these gave the float 2.0, two AttributeErrors and the quotient
     # 1 of a bool
     for args in [(8, 2, 2.0), (8, 2.0, 3), (8.0, 2, 2), (True, 2, 0)]:
-        with pytest.raises(ValueError, match="must be exact integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             quotient_check(*args)
 
 

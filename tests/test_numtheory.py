@@ -151,15 +151,22 @@ def test_hypothesis_check_catches_counterexample():
 
 
 def test_hypothesis_check_refuses_a_scale_below_1():
-    with pytest.raises(ValueError, match="k must be positive"):
+    with pytest.raises(ValueError, match="k must be at least 1"):
         lemma23_hypothesis_check([1, 2, 4], 0)
 
 
 def test_hypothesis_check_refuses_a_scale_that_is_not_an_int():
     # 1.5 ran in float arithmetic and True ran as k = 1
     for k in (1.5, 2.0, True):
-        with pytest.raises(ValueError, match="k must be an exact integer"):
+        with pytest.raises(ValueError, match="k must be an integer"):
             lemma23_hypothesis_check([1, 2, 4], k)
+
+
+def test_hypothesis_check_refuses_terms_that_are_not_ints():
+    # 2.0 passed as a hypothesis, True failed as one, and bytes read as terms
+    for x in ([1, 2.0], [1, True], b"\x01\x02"):
+        with pytest.raises(ValueError, match="^the terms x must be"):
+            lemma23_hypothesis_check(x, 1)
 
 
 def test_hypothesis_check_refuses_empty_terms():

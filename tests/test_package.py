@@ -8,7 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 import hankelforge
+from hankelforge import Family, SequenceId, hankel, numtheory, verify
+from hankelforge.sequences import CLF, domb, franel
+
+from oracle_helpers import det_fractions, hankel_rows, iterated_transform_sum
 
 
 def test_all_names_resolve():
@@ -39,6 +45,154 @@ def test_fork_imports_nothing_from_the_package():
             names += [alias.name for alias in node.names]
     assert "os" in names
     assert [name for name in names if name.startswith((".", "hankelforge"))] == []
+
+
+def test_only_exact_compares_a_type_with_int():
+    # The rule for integer arguments is written once, in exact.py (exact_int
+    # and exact_ints), and every other module calls it.  A comparison that
+    # reads both ``type`` and ``int``, such as ``type(n) is not int`` or
+    # ``set(map(type, x)) != {int}``, is a second copy of the rule.
+    places = []
+    for path in sorted(Path(hankelforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if isinstance(node, ast.Compare) and {"type", "int"} <= names:
+                places.append(path.name)
+    assert set(places) == {"exact.py"}
+    assert not {"exact_int", "exact_ints"} & set(hankelforge.__all__)
+
+
+# Valid ids made through _replace; as any argument but an id, they are junk too.
+_REPLACED_IDS = st.one_of(
+    st.sampled_from([f for f in Family if f not in (Family.FRANEL_R, Family.DOMB_M)]).map(
+        lambda family: CLF._replace(family=family)),
+    st.integers(1, 6).map(lambda r: franel(3)._replace(param=r)),
+    st.integers(1, 4).map(lambda m: domb(2)._replace(param=m)),
+)
+# arguments that are neither an int nor a list or tuple of ints
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3), st.binary(max_size=3),
+    st.dictionaries(st.integers(0, 3), st.integers(0, 3), max_size=2),
+    st.lists(st.integers(0, 3), max_size=3).map(iter),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), min_size=1, max_size=3),
+    _REPLACED_IDS,
+)
+_VALUES = st.lists(st.integers(-4, 4), max_size=7)
+
+
+def _or_junk(strategy):
+    # one_of would flatten _JUNK's branches and draw a valid argument rarely
+    return st.integers(0, 3).flatmap(lambda i: _JUNK if i == 0 else strategy)
+
+
+def _int(lo, hi):
+    return _or_junk(st.integers(lo, hi))
+
+
+def _ints(values=_VALUES):
+    return _or_junk(st.one_of(values, values.map(tuple)))
+
+
+_SEQUENCE_IDS = _or_junk(st.one_of(st.sampled_from([franel(3), domb(2), CLF]), _REPLACED_IDS))
+_N = _int(-1, 6)
+_PRIMES = _ints(st.lists(st.sampled_from([5, 7, 11, 4, 9]), max_size=3))
+
+
+def _agree_on_det(result, values):
+    return result.value == det_fractions(hankel_rows(values, len(values) // 2))
+
+
+def _agree_on_minors(result, runs):
+    return result == [[hankelforge.det_bareiss(v[: 2 * s - 1]).value for s in range(1, len(v) // 2 + 2)]
+                      for v in runs]
+
+
+def _agree_on_hypotheses(result, x, k):
+    oks = [x[0] == 1] + [x[i] % (2 * k) == 0 and (x[i] % (4 * k) == 0) == bool(i & (i - 1))
+                         for i in range(1, len(x))]
+    return [(value, ok) for _, value, ok, _ in result] == list(zip(x, oks))
+
+
+def _agree_with_claim(result, claim_id, *bounds):
+    return (result == verify.REGISTRY[verify.CLAIM_IDS.index(claim_id)].run(*bounds)
+            and all(e.value.lstrip("-").isdigit() for e in result.entries))
+
+
+# Each public callable that takes integer arguments: where it lives, a
+# strategy for its arguments, and a check of its result against its reference
+# route.
+_CALLS = {
+    "Family": (Family, st.tuples(_or_junk(st.sampled_from(["franel", "clf"]))),
+               lambda result, value: result.value == value),
+    "SequenceId": (SequenceId, st.tuples(_or_junk(st.sampled_from(Family)), _int(-1, 3)),
+                   lambda result, family, param: result == (family, param)),
+    "franel": (franel, st.tuples(_int(-1, 7)), lambda result, r: result == (Family.FRANEL_R, r)),
+    "domb": (domb, st.tuples(_int(-1, 4)), lambda result, m: result == (Family.DOMB_M, m)),
+    "term": (hankelforge.term, st.tuples(_SEQUENCE_IDS, _N),
+             lambda result, seq, n: result == hankelforge.prefix(seq, n).terms[-1]),
+    "prefix": (hankelforge.prefix, st.tuples(_SEQUENCE_IDS, _N),
+               lambda result, seq, n: result == (seq, tuple(hankelforge.term(seq, i) for i in range(n + 1)))),
+    "det_bareiss": (hankelforge.det_bareiss, st.tuples(_ints()), _agree_on_det),
+    "det_dodgson": (hankelforge.det_dodgson, st.tuples(_ints()), _agree_on_det),
+    "det_laplace": (hankelforge.det_laplace, st.tuples(_ints()), _agree_on_det),
+    "hankel_minors": (hankel.hankel_minors, st.tuples(_or_junk(st.lists(_ints(), max_size=2))),
+                      _agree_on_minors),
+    "quotient_check": (hankelforge.quotient_check, st.tuples(_int(-50, 50), _int(0, 5), _int(-1, 4)),
+                       lambda result, d, b, e: result * b**e == d if d % b**e == 0 else result is None),
+    "exact_div": (hankelforge.exact_div, st.tuples(_int(-20, 20), _int(-4, 4)),
+                  lambda result, num, den: result * den == num),
+    "binomial_transform": (hankelforge.binomial_transform, st.tuples(_ints()),
+                           lambda result, x: result == iterated_transform_sum(x, 1)),
+    "iterated_transform": (
+        hankelforge.iterated_transform,
+        st.tuples(_ints(), _int(-1, 4)).flatmap(
+            lambda args: st.one_of(st.just(()), st.tuples(st.one_of(st.none(), _int(-1, 30)))).map(args.__add__)),
+        lambda result, x, k, m=None: result == [y if m is None else y % m for y in iterated_transform_sum(x, k)]),
+    "lemma23_hypothesis_check": (numtheory.lemma23_hypothesis_check, st.tuples(_ints(), _int(-1, 3)),
+                                 _agree_on_hypotheses),
+    "run_claim": (
+        hankelforge.run_claim,
+        st.tuples(_or_junk(st.sampled_from(verify.CLAIM_IDS)), st.one_of(st.none(), _N), _PRIMES),
+        _agree_with_claim),
+    "run_all": (hankelforge.run_all, st.tuples(st.one_of(st.none(), _int(3, 4)), _PRIMES),
+                lambda result, *bounds: result == [verify.run_claim(c, *bounds) for c in verify.CLAIM_IDS]),
+}
+# records and the exception keep what they are given, and check nothing
+_UNCHECKED = {"DetResult", "InexactDivisionError", "ReportEntry", "SequenceTerms", "VerificationReport",
+              "Witness"}
+
+
+def _floats(result):
+    if isinstance(result, float):
+        return True
+    return isinstance(result, (list, tuple)) and any(map(_floats, result))
+
+
+# Each call either raises ValueError or gives what its reference route gives;
+# it never raises another exception or returns a float.  The one exception is
+# exact_div, which keeps the ZeroDivisionError of // and raises
+# InexactDivisionError on a remainder.  Sizes stay small: a few values, n <= 6.
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_public_callables_refuse_what_is_not_an_int_or_agree_with_their_reference(data):
+    # a public callable added later is listed in _CALLS or _UNCHECKED
+    public = {name for name in hankelforge.__all__ if callable(getattr(hankelforge, name))}
+    assert public == set(_CALLS) - {"hankel_minors", "lemma23_hypothesis_check"} | _UNCHECKED
+    name = data.draw(st.sampled_from(sorted(_CALLS)), label="callable")
+    func, arguments, reference = _CALLS[name]
+    args = data.draw(arguments, label="args")
+    try:
+        result = func(*args)
+    except ValueError:
+        return
+    except ArithmeticError as exc:
+        assert name == "exact_div"
+        num, den = args
+        assert type(exc) is (ZeroDivisionError if den == 0 else hankelforge.InexactDivisionError)
+        assert den == 0 or num % den
+        return
+    assert not _floats(result)
+    assert reference(result, *args)
 
 
 def test_exported_records_are_named_tuples():

@@ -196,9 +196,9 @@ def test_index_that_is_not_an_int_rejected():
     # unchecked, True gave the terms (1, 2) and the term 2, and a float
     # raised a bare TypeError from range or comb
     for n in (True, 2.5, 3.0):
-        with pytest.raises(ValueError, match="must be an exact integer"):
+        with pytest.raises(ValueError, match="must be an integer"):
             prefix(franel(3), n)
-        with pytest.raises(ValueError, match="must be an exact integer"):
+        with pytest.raises(ValueError, match="must be an integer"):
             term(franel(3), n)
 
 
@@ -226,7 +226,7 @@ def test_exact_division_guard():
     with pytest.raises(InexactDivisionError):
         exact_div(10, 4, "unit test")
     for num, den in ((4.0, 2), (4, 2.0), (True, 1), (4, True)):
-        with pytest.raises(ValueError, match="exact integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             exact_div(num, den)
 
 

@@ -153,7 +153,7 @@ def test_transform_of_residues_agrees_mod_m(x, m, k):
 
 
 def test_error_messages_check_count_before_length():
-    with pytest.raises(ValueError, match="iteration count must be nonnegative"):
+    with pytest.raises(ValueError, match="iteration count must be at least 0"):
         iterated_transform([], -1)
     with pytest.raises(ValueError, match="input sequence must be non-empty"):
         iterated_transform([], 0)
@@ -203,12 +203,23 @@ def test_transform_refuses_what_is_not_an_int(args, message):
         iterated_transform(*args)
 
 
+# A dict was read as its keys and bytes as their byte values; None and an
+# iterator raised TypeError from len.
+@pytest.mark.parametrize("x", [{0: 1}, b"\x01\x02\x03", None, iter([1, 2, 3])],
+                         ids=("dict", "bytes", "None", "iterator"))
+@pytest.mark.parametrize("transform", [lambda x: iterated_transform(x, 1), binomial_transform],
+                         ids=("iterated_transform", "binomial_transform"))
+def test_transform_refuses_entries_that_are_not_a_list_or_tuple(transform, x):
+    with pytest.raises(ValueError, match="^entries must be a list or tuple$"):
+        transform(x)
+
+
 @pytest.mark.parametrize("m", [0, -3])
 def test_modulus_must_be_positive(m):
-    with pytest.raises(ValueError, match="^modulus must be positive$"):
+    with pytest.raises(ValueError, match="^modulus must be at least 1$"):
         iterated_transform([1, 2, 3], 2, m)
     # the count and length checks still come first
-    with pytest.raises(ValueError, match="iteration count must be nonnegative"):
+    with pytest.raises(ValueError, match="iteration count must be at least 0"):
         iterated_transform([], -1, m)
     with pytest.raises(ValueError, match="input sequence must be non-empty"):
         iterated_transform([], 1, m)

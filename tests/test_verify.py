@@ -178,13 +178,20 @@ def test_bounds_and_primes_must_be_integers():
     # is_prime(5.5) holds by trial division, and a float reached prefix
     # before bounds refused it.
     for prime in (5.5, 7.0):
-        with pytest.raises(ValueError, match=f"prime {prime} is not an integer for franel-prime-sums"):
+        with pytest.raises(ValueError, match="the primes of franel-prime-sums must be exact integers"):
             run_claim("franel-prime-sums", primes=[prime])
-    with pytest.raises(ValueError, match="index bound 2.5 is not an integer for domb-mod3"):
+    with pytest.raises(ValueError, match="the index bound of domb-mod3 must be an integer"):
         run_claim("domb-mod3", n_max=2.5)
     # a bool is an int, but would read "n=0..True" in the report
-    with pytest.raises(ValueError, match="index bound True is not an integer for domb-mod3"):
+    with pytest.raises(ValueError, match="the index bound of domb-mod3 must be an integer"):
         run_claim("domb-mod3", n_max=True)
+
+
+def test_primes_must_be_a_list_or_tuple():
+    # 5 raised TypeError from tuple(), and an iterator or a dict of primes ran
+    for primes in (5, iter([5]), {5: 0}):
+        with pytest.raises(ValueError, match="^the primes of franel-prime-sums must be a list or tuple$"):
+            run_claim("franel-prime-sums", primes=primes)
 
 
 def test_franel_primes_given_twice_are_refused():
