@@ -25,7 +25,14 @@ the same recursion (~n^2 exact updates per run), on all the runs in lockstep
 by one driver, ``_leading_minors``, whose update is written once, in
 ``_tau_step``.  It alone picks where: when the runs are large together, the
 driver takes the positions l <= n of every step and one forked child the rest
-(``_split_leading_minors``); otherwise it takes every position here.  A run
+(``_split_leading_minors``); otherwise it takes every position here.  There a
+step has a second form, ``_packed_step``, for a run whose entries stay narrow
+(the parity claim's stay in {-1, 0, 1}): each row is one int of signed 8-bit
+lanes, and the step is a handful of whole-row operations instead of one
+update per entry.  A run is packed while its rows are at least
+``_PACK_MIN_LEN`` long and its numerators provably fit their lanes, and goes
+on in list form once either fails; both forms give the same minors,
+``steps`` and ``max_bits``.  A run
 whose recursion meets a zero leading minor keeps the minors it reached and
 finishes the higher orders block by block, each by ``det_bareiss`` on a
 prefix of the values.
@@ -259,6 +266,33 @@ def _leading_minors(runs, child=None):
     reached, short of n+1.  Those minors are exact; the caller finishes the
     higher orders itself.
 
+    A step has a second form, :func:`_packed_step`, for rows whose entries
+    stay narrow.  A row x_0, x_1, .. is then the int X = sum x_i 2^(L i) of
+    signed lanes of L = ``_LANE_BITS`` bits.  With T1, T2 the row tau_k and
+    S2 the row tau_{k-1} shifted down by one, two and two lanes, a step is
+
+        U = c T1 - Delta_{k+1} S2,  W = U / Delta_k,
+        V = Delta_{k+1} (T2 + W) - a T1, cut to its j lanes,  tau_{k+1} = V / Delta_k.
+
+    Lane 0 reads as ((X & (2^L - 1)) ^ 2^(L-1)) - 2^(L-1), and is subtracted
+    before a shift, which would borrow from it were it negative; adding
+    2^(L-1) to each of j lanes, masking and subtracting it again cuts a row to
+    j lanes.  Every tau entry, c, a and the minors are below 2^max_bits in
+    absolute value, so the scalars' bit-lengths bound U's lanes before the
+    step and V's once U's are read.  While both stay within L - 2 bits every
+    lane reads back exactly; a run whose bound passes that, or whose row is
+    shorter than ``_PACK_MIN_LEN``, is unpacked once and goes on in list
+    form.  A divisor of +-1 is a negation.  Any other is one ``divmod`` of
+    the whole row that
+    must leave no remainder and whose quotient q must have every lane below
+    2^(L - 1 - bits(Delta_k)) in absolute value (one bias, one mask): then
+    each Delta_k q_i, as each lane of the numerator, is below 2^(L-1), and
+    as an int has one representation in such lanes, Delta_k q_i is that
+    lane.  A failed check sends the step to :func:`_tau_step`, whose
+    ``divmod`` raises on a real remainder.  ``max_bits`` stays exact: a mask
+    checks each numerator's lanes against 2^max_bits, and only when one is
+    wider does it search upward.
+
     The runs, of any lengths, go in lockstep.  Given ``child``, the channel
     to the forked child of :func:`_split_leading_minors` (the runs then have
     one n), this takes only the positions l <= n: per step, each run's
@@ -273,15 +307,29 @@ def _leading_minors(runs, child=None):
     max_bits = [max(x.bit_length() for x in values) for values in runs]
     steps = [0] * len(runs)
     minors = [[t[0]] for t in cur]
+    # each run's rows while they go packed (_packed_step), never with a child; till then
+    # cur keeps the run's values, at least _PACK_MIN_LEN of them, for the test below
+    packed = [_pack(t, bits) if child is None else None for t, bits in zip(cur, max_bits)]
     head = None if child is None else 3  # with a child, positions k+1 and k+2 go first
     live = range(len(runs))
     while live := [r for r in live if divisor[r] and len(cur[r]) > 1]:
-        nxts = []
+        stepped, nxts = [], []
         for r in live:
+            if packed[r]:
+                step = _packed_step(*packed[r], divisor[r], minors[r][-1], max_bits[r])
+                if step:
+                    packed[r], minor, max_bits[r] = step
+                    steps[r] += packed[r][-1]  # the new row's width
+                    divisor[r] = minors[r][-1]
+                    minors[r].append(minor)
+                    continue
+                cur[r], prev[r] = _unpack(*packed[r], divisor[r])  # the list form from here on
+                packed[r] = None
             t, s = cur[r], prev[r]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k) are t[0], t[1], s[1]
             nxt, max_bits[r] = _tau_step(zip(t[1:head], t[2:], s[2:]),
                                          divisor[r], t[0], t[1], s[1], max_bits[r])
             steps[r] += len(nxt)
+            stepped.append(r)
             nxts.append(nxt)
         if child is not None:
             size = len(cur[live[0]])  # n+2-k, the same for every run
@@ -296,7 +344,7 @@ def _leading_minors(runs, child=None):
             if size > 3:  # the child took a step k
                 for nxt, last in zip(nxts, child.recv()):
                     nxt.append(last)  # tau_{k+1}(n+1)
-        for r, nxt in zip(live, nxts):
+        for r, nxt in zip(stepped, nxts):
             prev[r], cur[r], divisor[r] = cur[r], nxt, cur[r][0]
             minors[r].append(nxt[0])
     return list(zip(minors, steps, max_bits))
@@ -342,6 +390,99 @@ def _tau_step(entries, divisor, minor, a, c, max_bits):
             max_bits = b
         nxt.append(q)
     return nxt, max_bits
+
+
+# The width of a lane of a packed tau row (_packed_step), in bits: a byte, so
+# that a row packs and unpacks by int.from_bytes and int.to_bytes.  Wider lanes
+# only make each big-int operation longer: an earlier form of the step, which
+# packed lane by lane, took 0.91, 1.05, 1.19, 1.45 and 1.90 ms on the parity
+# run at hi = 128 with lanes of 8, 12, 16, 24 and 32 bits, against 2.9 ms in
+# list form (2-vCPU x86_64 VM, CPython 3.11).
+_LANE_BITS = 8
+# The shortest tau row taken packed.  On the same VM a packed step took
+# 4.3-5.5 us at every width from 21 to 117, a list step 0.25 us per entry plus
+# ~1.5 us, and packing a run and unpacking it ~6 us.  The parity run, best of
+# 151 three times, in list form against packed from this length: 1.06x at 19
+# values, 0.99x at 23, 0.91x at 27, 0.55x at 55 and 0.28x at 127; the length
+# 15 gained ~0.03x more from 23 values on but lost 1.11x at 15.
+_PACK_MIN_LEN = 19
+
+
+def _pack(values, max_bits):
+    """The packed state of step 0 of a run (see :func:`_packed_step`), each
+    lane a byte, or None for a run shorter than ``_PACK_MIN_LEN`` or whose
+    entries leave no room in a lane."""
+    if len(values) < _PACK_MIN_LEN or max_bits > _LANE_BITS - 2:
+        return None
+    ones = int.from_bytes(b"\1" * len(values), "little")
+    return int.from_bytes(bytes(x + 128 for x in values), "little") - (ones << 7), 0, 0, ones, len(values)
+
+
+def _unpack(row, low, c, ones, width, divisor):
+    """A packed state (:func:`_packed_step`) as the lists ``cur`` and
+    ``prev`` of :func:`_leading_minors`: each lane plus 2^7 is one byte."""
+    bias = ones << 7
+    return ([x - 128 for x in (row + bias).to_bytes(width, "little")],
+            [divisor, c] + [x - 128 for x in (low + bias).to_bytes(width, "little")])
+
+
+def _packed_step(row, low, c, ones, width, divisor, minor, max_bits):
+    """Step k -> k+1 of :func:`_leading_minors` on packed rows, as that
+    docstring describes it; None where it cannot be taken packed.
+
+    ``row`` packs tau_k(k+i) and ``low`` tau_{k-1}(k+1+i) in lane i, for
+    i < ``width``, and ``ones`` a 1 in each of those lanes; ``c`` is
+    tau_{k-1}(k), ``divisor`` Delta_k and ``minor`` Delta_{k+1}.  Returns
+    the state of step k+1, its minor tau_{k+1}(k+1) and ``max_bits``.
+    """
+    lane = _LANE_BITS
+    if width < _PACK_MIN_LEN or max_bits + max(c.bit_length(), minor.bit_length()) + 1 > lane - 2:
+        return None
+    half, mask = 1 << lane - 1, (1 << lane) - 1
+    t1 = (row - minor) >> lane  # tau_k(k+1+i)
+    a = ((t1 & mask) ^ half) - half
+    t2 = (t1 - a) >> lane  # tau_k(k+2+i)
+    width -= 2
+    ones >>= 2 * lane
+    u = c * t1 - minor * low
+    max_bits = _lane_bits(u, ones, max_bits)
+    w = _lane_quotient(u, divisor, ones)
+    if w is None or max(minor.bit_length() + 1, a.bit_length()) + max_bits + 1 > lane - 2:
+        return None
+    bias = ones << lane - 1
+    v = minor * (t2 + w) - a * t1
+    v = ((v + bias) & ones * mask) - bias  # its lanes past width dropped
+    max_bits = _lane_bits(v, ones, max_bits)
+    q = _lane_quotient(v, divisor, ones)
+    if q is None:
+        return None
+    return (q, t2, a, ones, width), ((q & mask) ^ half) - half, max_bits
+
+
+def _lane_bits(x, ones, bits):
+    """The largest of ``bits`` and the bit-lengths of the lanes of ``x`` that
+    ``ones`` covers, each below 2^(_LANE_BITS - 2) in absolute value."""
+    while True:
+        y = x + ((1 << bits) - 1) * ones  # its lanes, and those of y + ones, below 2^(bits+1) iff x's fit
+        if not (y | y + ones) & ((1 << _LANE_BITS) - (2 << bits)) * ones:
+            return bits
+        bits += 1
+
+
+def _lane_quotient(x, divisor, ones):
+    """``x`` divided by ``divisor`` lane by lane, over the lanes ``ones``
+    covers, each below 2^(_LANE_BITS - 2) in absolute value; None when the
+    lane check does not prove that exact."""
+    if divisor == 1:
+        return x
+    if divisor == -1:
+        return -x
+    bias, mask = ones << _LANE_BITS - 1, ones * ((1 << _LANE_BITS) - 1)
+    q, rem = divmod(((x + bias) & mask) - bias, divisor)
+    room = 1 << _LANE_BITS - 1 - divisor.bit_length()
+    if rem or (q + room * ones) & ~((2 * room - 1) * ones):
+        return None
+    return q
 
 
 def _split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int]]:

@@ -63,17 +63,22 @@ class Claim(NamedTuple):
         """The index bound and primes a run uses; ValueError on a bound that
         ``exact.exact_int`` refuses, primes that ``exact.exact_ints`` refuses,
         an empty range, an empty prime list, a prime the claim cannot take or a
-        prime given twice.  A claim without an index bound ignores ``n_max``,
-        as one without primes ignores ``primes``."""
+        prime given twice.  A claim without an index bound ignores an
+        ``n_max`` those rules take, as one without primes ignores such
+        ``primes``: ``run_all`` gives both to every claim."""
+        if n_max is not None:
+            exact_int(n_max, f"the index bound of {self.claim_id}")
+        if primes is not None:
+            exact_ints(primes, f"the primes of {self.claim_id}")
         if self.n_max is None:
             hi = 0
         else:
-            hi = exact_int(self.n_max if n_max is None else n_max, f"the index bound of {self.claim_id}")
+            hi = self.n_max if n_max is None else n_max
             if hi < self.n_min:
                 raise ValueError(f"range n={self.n_min}..{hi} is empty for {self.claim_id}")
         if self.primes is None:
             return hi, ()
-        ps = self.primes if primes is None else tuple(exact_ints(primes, f"the primes of {self.claim_id}"))
+        ps = self.primes if primes is None else tuple(primes)
         if not ps:
             raise ValueError(f"no primes given for {self.claim_id}")
         for i, p in enumerate(ps):
@@ -357,5 +362,8 @@ def run_claim(claim_id: str, n_max: int | None = None, primes: Sequence[int] | N
 
 
 def run_all(n_max: int | None = None, primes: Sequence[int] | None = None) -> list[VerificationReport]:
-    """Run every registered claim in registry order."""
+    """Run every registered claim in registry order, after checking every
+    claim's bounds, so that a bound one claim refuses fails before any runs."""
+    for c in REGISTRY:
+        c.bounds(n_max, primes)
     return [c.run(n_max, primes) for c in REGISTRY]

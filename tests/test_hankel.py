@@ -474,3 +474,123 @@ def test_kernel_divisions_are_checked(monkeypatch):
         with pytest.raises(InexactDivisionError, match="chebyshev"):
             det_dodgson((2, 1, 1, 1, 1))
         assert len(calls) == inexact_call
+
+
+# ---------------------------------------------------------------------------
+# the packed form of a step of the recursion (_packed_step)
+
+
+def _list_form(func, *args):
+    """``func(*args)`` with no run taken packed: the list form of every step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "_PACK_MIN_LEN", 10**9)
+        return func(*args)
+
+
+def _record_packed_steps(monkeypatch):
+    """The ``(width, taken)`` of every ``_packed_step`` call the ``hankel``
+    module makes: the row's width, and whether the step was taken packed."""
+    calls = []
+    packed_step = hankel._packed_step
+
+    def recording_packed_step(*state):
+        step = packed_step(*state)
+        calls.append((state[4], step is not None))
+        return step
+
+    monkeypatch.setattr(hankel, "_packed_step", recording_packed_step)
+    return calls
+
+
+def _parity_run(hi):
+    """The parity claim's run: the power-of-two indicator at 2..2hi."""
+    return [int(i & (i - 1) == 0) for i in range(2, 2 * hi + 1)]
+
+
+# Narrow runs, of entries in {0, 1} or -2..2 and of odd lengths 1..121, so
+# that they cross _PACK_MIN_LEN, meet zero minors and outgrow their lanes,
+# mixed in one lockstep call with wide runs, which are never packed.
+_narrow_runs = st.tuples(st.sampled_from(((0, 1), (-2, 2))), st.integers(0, 60)).flatmap(
+    lambda rn: st.lists(st.integers(*rn[0]), min_size=2 * rn[1] + 1, max_size=2 * rn[1] + 1))
+_wide_runs = st.integers(0, 20).flatmap(
+    lambda n: st.lists(st.integers(-10**6, 10**6), min_size=2 * n + 1, max_size=2 * n + 1))
+
+
+@_oracle_settings
+@given(st.lists(st.one_of(_narrow_runs, _narrow_runs, _wide_runs), min_size=1, max_size=4))
+@example([_parity_run(61)])  # 121 values that stay narrow until the rows are short
+@example([[0] * 25, [1] + [0] * 24, _parity_run(12)[:23] + [1, 1]])  # zero minors while packed
+def test_packed_steps_give_the_list_form_s_minors_and_stats(runs):
+    assert hankel._leading_minors(runs) == _list_form(hankel._leading_minors, runs)
+    # Past a zero minor every higher order is a Bareiss determinant on a
+    # prefix: cheap only for short runs, and the same code on either route.
+    order = len(runs[0]) // 2 + 1
+    if len(runs[0]) <= 41 or len(hankel._leading_minors(runs[:1])[0][0]) == order:
+        assert hankel_minors(runs[:1]) == _list_form(hankel_minors, runs[:1])
+
+
+@pytest.mark.parametrize("hi", (10, 64))  # 19 values, the shortest taken packed, and 127
+def test_the_parity_run_is_taken_packed_with_the_list_form_s_result(monkeypatch, hi):
+    # What `hankel --engine dodgson` prints for a narrow input: no golden
+    # digest covers the packed form there.
+    run = _parity_run(hi)
+    want = _list_form(det_dodgson, run)
+    calls = _record_packed_steps(monkeypatch)
+    assert det_dodgson(run) == want and want.value in (1, -1) and want.max_bits == 1
+    # Packed from the run's length down to the last row of at least _PACK_MIN_LEN.
+    assert [taken for _, taken in calls] == [True] * ((len(run) - hankel._PACK_MIN_LEN) // 2 + 1) + [False]
+
+
+def test_a_lane_that_would_overflow_is_left_to_the_list_form(monkeypatch):
+    # 6-bit entries fill their lanes when packed, and the first step's
+    # numerators would need more bits than a lane holds; these 2-bit entries
+    # outgrow the lanes at the second step.  The bound sends both to the list
+    # form before a lane overflows.
+    calls = _record_packed_steps(monkeypatch)
+    rng = random.Random(14)
+    for bits, left_at in ((6, 41), (2, 39)):
+        run = [rng.randint(1 - (1 << bits), (1 << bits) - 1) for _ in range(41)]
+        calls.clear()
+        assert hankel._leading_minors([run]) == _list_form(hankel._leading_minors, [run])
+        assert calls[-1] == (left_at, False)
+
+
+def test_a_planted_lane_overflow_is_refused():
+    # A state no Hankel matrix gives, with Delta_k = -1, Delta_{k+1} = -3,
+    # a = 7, c = -3 and 3-bit entries: u = -3*7 - (-3)*(-2) = -27 fits its
+    # lane, but tau_{k+1}(k+1) = -(-3*(4 + 27) - 7*7) = 142 would need 9 bits.
+    # The bound on V, taken once u is read, refuses the step.
+    row, _, _, ones, width = hankel._pack([-3, 7, 4] + [0] * 22, 3)
+    state = row, hankel._pack([-2] + [0] * 24, 3)[0], -3, ones, width
+    assert hankel._packed_step(*state, -1, -3, 3) is None
+    t, s = hankel._unpack(*state, -1)
+    nxt, max_bits = hankel._tau_step(zip(t[1:], t[2:], s[2:]), -1, t[0], t[1], s[1], 3)
+    assert nxt[0] == 142 and max_bits == 8
+
+
+def test_an_exact_packed_division_is_taken():
+    # The other side of the lane check: by a divisor other than +-1, lanes
+    # that divide exactly give their quotients, lane by lane.
+    quotients = [1, -2, 3, -15, 0, 15, 7] + [0] * 12
+    for divisor in (2, -3):
+        row, _, _, ones, _ = hankel._pack([divisor * q for q in quotients], 6)
+        assert hankel._lane_quotient(row, divisor, ones) == hankel._pack(quotients, 4)[0]
+
+
+@pytest.mark.parametrize("entries, c", (
+    ([0, 1, 2], 1),  # the lanes of u are 1, 2: packed, 1 + 2*256 = 3*171
+    ([0, 1], 1),     # u is 1, which leaves a remainder
+    ([0, 1, 2], 0),  # u = 0 and the lanes of v are -1, -2: packed, -513 = 3*(-171)
+    ([0, 1], 0),     # v is -1, which leaves a remainder
+))
+def test_an_inexact_packed_division_is_refused(entries, c):
+    # Every division of the recursion is exact, so an inexact one is planted:
+    # a state no Hankel matrix gives, with Delta_k = 3, Delta_{k+1} = 0 and
+    # tau_{k-1} = 0.  Packed, a remainder can vanish where a lane's does not;
+    # the lane check catches that, and the list form of the step raises.
+    row, low, _, ones, width = hankel._pack(entries + [0] * (25 - len(entries)), 2)
+    state = row, low, c, ones, width
+    assert hankel._packed_step(*state, 3, 0, 2) is None
+    t, s = hankel._unpack(*state, 3)
+    with pytest.raises(InexactDivisionError):
+        hankel._tau_step(zip(t[1:], t[2:], s[2:]), 3, t[0], t[1], s[1], 2)

@@ -187,6 +187,39 @@ def test_bounds_and_primes_must_be_integers():
         run_claim("domb-mod3", n_max=True)
 
 
+def test_primes_a_claim_ignores_are_still_checked():
+    # This ran and passed: the claim ignored the primes it does not take, unchecked.
+    with pytest.raises(ValueError, match="^the primes of domb-mod3 must be a list or tuple$"):
+        run_claim("domb-mod3", primes=1.5)
+    # run_all gives the primes to every claim, so well-formed ones are still
+    # ignored, even 4, which is no prime.
+    assert run_claim("domb-mod3", 5, [4]) == run_claim("domb-mod3", 5)
+
+
+def test_an_index_bound_a_claim_ignores_is_still_checked():
+    # As with primes: franel-prime-sums takes no index bound, and ran.
+    with pytest.raises(ValueError, match="^the index bound of franel-prime-sums must be an integer$"):
+        run_claim("franel-prime-sums", n_max=2.5)
+    assert run_claim("franel-prime-sums", -1, (5,)) == run_claim("franel-prime-sums", primes=(5,))
+
+
+def test_run_all_checks_every_bound_before_it_runs_a_claim(monkeypatch):
+    # Only franel-prime-sums, the 15th claim, refuses the prime 4: the 14
+    # before it ran first.
+    ran = []
+
+    def checks(hi, primes):
+        ran.append(hi)
+        return iter(())
+
+    monkeypatch.setattr(verify, "REGISTRY", tuple(c._replace(checks=checks) for c in verify.REGISTRY))
+    with pytest.raises(ValueError, match="invalid prime 4"):
+        run_all(primes=[4])
+    assert ran == []
+    run_all(4, [5])
+    assert len(ran) == len(verify.REGISTRY)
+
+
 def test_primes_must_be_a_list_or_tuple():
     # 5 raised TypeError from tuple(), and an iterator or a dict of primes ran
     for primes in (5, iter([5]), {5: 0}):
