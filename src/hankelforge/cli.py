@@ -24,8 +24,9 @@ import sys
 from typing import Iterable, Sequence
 
 from . import verify
+from .exact import decimal_str
 from .hankel import LAPLACE_ORDER_CAP, det_bareiss, det_dodgson, det_laplace, quotient_check
-from .reports import VerificationReport, decimal_str
+from .reports import VerificationReport
 from .sequences import Family, SequenceId, prefix
 
 _ENGINES = {"laplace": det_laplace, "bareiss": det_bareiss, "dodgson": det_dodgson}

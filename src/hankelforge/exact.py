@@ -1,7 +1,11 @@
-"""Checked exact integer division, and the package's one rule for integer
-arguments: an ``int`` that is not a bool (``isinstance`` would let one
-through), and a list or tuple of them; anything else is a ValueError."""
-from .reports import decimal_str
+"""Checked exact integer division, the exact decimal digits of an integer,
+and the package's one rule for integer arguments: an ``int`` that is not a
+bool (``isinstance`` would let one through), and a list or tuple of them;
+anything else is a ValueError."""
+
+# Integers of up to 600 digits go straight through ``str``: 600 is under the
+# smallest digit limit an interpreter can be configured with (640).
+_STR_BOUND = 10**600
 
 
 class InexactDivisionError(ArithmeticError):
@@ -32,6 +36,24 @@ def exact_ints(values, what: str):
     if not set(map(type, values)) <= {int}:
         raise ValueError(f"{what} must be exact integers")
     return values
+
+
+def decimal_str(value: int) -> str:
+    """Exact decimal digits of an integer of any size; a ValueError on what
+    :func:`exact_int` refuses.
+
+    ``str`` refuses integers above the interpreter's digit limit (4300 by
+    default); larger ones are split by a power of ten and rendered piecewise,
+    leaving process-wide settings alone.
+    """
+    if exact_int(value, "value") < 0:
+        return "-" + decimal_str(-value)
+    if value < _STR_BOUND:
+        return str(value)
+    # about half the digit count (log10 2 > 3/10), so both pieces are nonzero
+    half = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10**half)
+    return decimal_str(high) + decimal_str(low).zfill(half)
 
 
 def exact_div(num: int, den: int, context: str = "") -> int:

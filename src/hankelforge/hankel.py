@@ -30,16 +30,17 @@ step has a second form, ``_packed_step``, for a run whose entries stay narrow
 (the parity claim's stay in {-1, 0, 1}): each row is one int of signed 8-bit
 lanes, and the step is a handful of whole-row operations instead of one
 update per entry.  A run is packed while its rows are at least
-``_PACK_MIN_LEN`` long and its numerators provably fit their lanes, and goes
-on in list form once either fails; both forms give the same minors,
-``steps`` and ``max_bits``.  A run
+``_PACK_MIN_LEN`` long, its numerators provably fit their lanes and the step
+divides by +-1, and goes on in list form once any of these fails; both forms
+give the same minors and ``max_bits``.  A run
 whose recursion meets a zero leading minor keeps the minors it reached and
 finishes the higher orders block by block, each by ``det_bareiss`` on a
 prefix of the values.
 
 The kernels' ``steps`` counts interior entry updates (Bareiss) or tau entries
-(the recursion), and their ``max_bits`` is the largest absolute bit-length
-seen among the inputs and every numerator before division.
+(the recursion: K(2n-K) for a run of 2n+1 values that took K steps), and
+their ``max_bits`` is the largest absolute bit-length seen among the inputs
+and every numerator before division.
 Nothing here keeps state between calls, so everything here is safe to call
 from several threads at once or in a forked child.
 """
@@ -243,7 +244,8 @@ def _bareiss_det(rows):
 def _leading_minors(runs, child=None):
     """Leading principal minors of the Hankel matrix ``(values[i+j])`` of
     each run by the fraction-free Chebyshev recursion.  Returns each run's
-    ``(minors, steps, max_bits)``.
+    ``(minors, steps, max_bits)``; step k makes 2n-1-2k tau entries, so a
+    run of K = len(minors) - 1 steps made ``steps`` = K(2n-K) of them.
 
     A run holds the 2n+1 antidiagonal values x_0..x_2n of the order-(n+1)
     matrix.  tau_k(l) is the determinant of the rows (x_i .. x_{i+k}) for
@@ -271,8 +273,8 @@ def _leading_minors(runs, child=None):
     signed lanes of L = ``_LANE_BITS`` bits.  With T1, T2 the row tau_k and
     S2 the row tau_{k-1} shifted down by one, two and two lanes, a step is
 
-        U = c T1 - Delta_{k+1} S2,  W = U / Delta_k,
-        V = Delta_{k+1} (T2 + W) - a T1, cut to its j lanes,  tau_{k+1} = V / Delta_k.
+        U = c T1 - Delta_{k+1} S2,  W = U / Delta_k = Delta_k U  (Delta_k = +-1),
+        V = Delta_{k+1} (T2 + W) - a T1, cut to its j lanes,  tau_{k+1} = Delta_k V.
 
     Lane 0 reads as ((X & (2^L - 1)) ^ 2^(L-1)) - 2^(L-1), and is subtracted
     before a shift, which would borrow from it were it negative; adding
@@ -280,16 +282,9 @@ def _leading_minors(runs, child=None):
     j lanes.  Every tau entry, c, a and the minors are below 2^max_bits in
     absolute value, so the scalars' bit-lengths bound U's lanes before the
     step and V's once U's are read.  While both stay within L - 2 bits every
-    lane reads back exactly; a run whose bound passes that, or whose row is
-    shorter than ``_PACK_MIN_LEN``, is unpacked once and goes on in list
-    form.  A divisor of +-1 is a negation.  Any other is one ``divmod`` of
-    the whole row that
-    must leave no remainder and whose quotient q must have every lane below
-    2^(L - 1 - bits(Delta_k)) in absolute value (one bias, one mask): then
-    each Delta_k q_i, as each lane of the numerator, is below 2^(L-1), and
-    as an int has one representation in such lanes, Delta_k q_i is that
-    lane.  A failed check sends the step to :func:`_tau_step`, whose
-    ``divmod`` raises on a real remainder.  ``max_bits`` stays exact: a mask
+    lane reads back exactly; a run whose bound passes that, whose row is
+    shorter than ``_PACK_MIN_LEN`` or whose Delta_k is not +-1 is unpacked
+    once and goes on in list form.  ``max_bits`` stays exact: a mask
     checks each numerator's lanes against 2^max_bits, and only when one is
     wider does it search upward.
 
@@ -297,15 +292,14 @@ def _leading_minors(runs, child=None):
     to the forked child of :func:`_split_leading_minors` (the runs then have
     one n), this takes only the positions l <= n: per step, each run's
     tau_{k+1}(k+1) and tau_{k+1}(k+2) go out first, for the child's next
-    step, and its tau_{k+1}(n+1) comes in last.  ``steps`` and ``max_bits``
-    are then this process's.
+    step, and its tau_{k+1}(n+1) comes in last.  ``max_bits`` is then this
+    process's, and ``steps`` still the whole run's.
     """
     # tau_k(l) for l = k..2n-k, or k..n+1 with a child (the last is the child's)
     cur = [list(values if child is None else values[: len(values) // 2 + 2]) for values in runs]
     prev = [[0] * len(t) for t in cur]  # tau_{k-1}(l) from l = k-1
     divisor = [1] * len(runs)  # Delta_k
     max_bits = [max(x.bit_length() for x in values) for values in runs]
-    steps = [0] * len(runs)
     minors = [[t[0]] for t in cur]
     # each run's rows while they go packed (_packed_step), never with a child; till then
     # cur keeps the run's values, at least _PACK_MIN_LEN of them, for the test below
@@ -319,7 +313,6 @@ def _leading_minors(runs, child=None):
                 step = _packed_step(*packed[r], divisor[r], minors[r][-1], max_bits[r])
                 if step:
                     packed[r], minor, max_bits[r] = step
-                    steps[r] += packed[r][-1]  # the new row's width
                     divisor[r] = minors[r][-1]
                     minors[r].append(minor)
                     continue
@@ -328,7 +321,6 @@ def _leading_minors(runs, child=None):
             t, s = cur[r], prev[r]  # Delta_{k+1}, tau_k(k+1), tau_{k-1}(k) are t[0], t[1], s[1]
             nxt, max_bits[r] = _tau_step(zip(t[1:head], t[2:], s[2:]),
                                          divisor[r], t[0], t[1], s[1], max_bits[r])
-            steps[r] += len(nxt)
             stepped.append(r)
             nxts.append(nxt)
         if child is not None:
@@ -339,7 +331,6 @@ def _leading_minors(runs, child=None):
                 t, s = cur[r], prev[r]
                 rest, max_bits[r] = _tau_step(zip(t[3:], t[4:], s[4:]),
                                               divisor[r], t[0], t[1], s[1], max_bits[r])
-                steps[r] += len(rest)
                 nxt += rest
             if size > 3:  # the child took a step k
                 for nxt, last in zip(nxts, child.recv()):
@@ -347,7 +338,8 @@ def _leading_minors(runs, child=None):
         for r, nxt in zip(stepped, nxts):
             prev[r], cur[r], divisor[r] = cur[r], nxt, cur[r][0]
             minors[r].append(nxt[0])
-    return list(zip(minors, steps, max_bits))
+    return [(m, (len(m) - 1) * (len(values) - len(m)), bits)
+            for m, values, bits in zip(minors, runs, max_bits)]
 
 
 def _tau_step(entries, divisor, minor, a, c, max_bits):
@@ -428,7 +420,8 @@ def _unpack(row, low, c, ones, width, divisor):
 
 def _packed_step(row, low, c, ones, width, divisor, minor, max_bits):
     """Step k -> k+1 of :func:`_leading_minors` on packed rows, as that
-    docstring describes it; None where it cannot be taken packed.
+    docstring describes it; None where it cannot be taken packed, which
+    includes every ``divisor`` other than +-1.
 
     ``row`` packs tau_k(k+i) and ``low`` tau_{k-1}(k+1+i) in lane i, for
     i < ``width``, and ``ones`` a 1 in each of those lanes; ``c`` is
@@ -436,7 +429,8 @@ def _packed_step(row, low, c, ones, width, divisor, minor, max_bits):
     the state of step k+1, its minor tau_{k+1}(k+1) and ``max_bits``.
     """
     lane = _LANE_BITS
-    if width < _PACK_MIN_LEN or max_bits + max(c.bit_length(), minor.bit_length()) + 1 > lane - 2:
+    if (width < _PACK_MIN_LEN or divisor not in (1, -1)
+            or max_bits + max(c.bit_length(), minor.bit_length()) + 1 > lane - 2):
         return None
     half, mask = 1 << lane - 1, (1 << lane) - 1
     t1 = (row - minor) >> lane  # tau_k(k+1+i)
@@ -446,16 +440,13 @@ def _packed_step(row, low, c, ones, width, divisor, minor, max_bits):
     ones >>= 2 * lane
     u = c * t1 - minor * low
     max_bits = _lane_bits(u, ones, max_bits)
-    w = _lane_quotient(u, divisor, ones)
-    if w is None or max(minor.bit_length() + 1, a.bit_length()) + max_bits + 1 > lane - 2:
+    if max(minor.bit_length() + 1, a.bit_length()) + max_bits + 1 > lane - 2:
         return None
     bias = ones << lane - 1
-    v = minor * (t2 + w) - a * t1
+    v = minor * (t2 + divisor * u) - a * t1  # U / Delta_k is Delta_k U
     v = ((v + bias) & ones * mask) - bias  # its lanes past width dropped
     max_bits = _lane_bits(v, ones, max_bits)
-    q = _lane_quotient(v, divisor, ones)
-    if q is None:
-        return None
+    q = divisor * v
     return (q, t2, a, ones, width), ((q & mask) ^ half) - half, max_bits
 
 
@@ -467,22 +458,6 @@ def _lane_bits(x, ones, bits):
         if not (y | y + ones) & ((1 << _LANE_BITS) - (2 << bits)) * ones:
             return bits
         bits += 1
-
-
-def _lane_quotient(x, divisor, ones):
-    """``x`` divided by ``divisor`` lane by lane, over the lanes ``ones``
-    covers, each below 2^(_LANE_BITS - 2) in absolute value; None when the
-    lane check does not prove that exact."""
-    if divisor == 1:
-        return x
-    if divisor == -1:
-        return -x
-    bias, mask = ones << _LANE_BITS - 1, ones * ((1 << _LANE_BITS) - 1)
-    q, rem = divmod(((x + bias) & mask) - bias, divisor)
-    room = 1 << _LANE_BITS - 1 - divisor.bit_length()
-    if rem or (q + room * ones) & ~((2 * room - 1) * ones):
-        return None
-    return q
 
 
 def _split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int], int, int]]:
@@ -502,29 +477,28 @@ def _split_leading_minors(runs: Sequence[Sequence[int]]) -> list[tuple[list[int]
     side sends the other one message, with those entries of every run still
     going, before the rest of its step.  A run that meets a zero divisor leaves
     both sides' messages at the same step.  This process runs the in-process
-    driver, :func:`_leading_minors`, given the child's channel, and the
-    child :func:`_high_positions`, which sends each run's ``steps`` and
-    ``max_bits`` home at the end.
+    driver, :func:`_leading_minors`, given the child's channel, which also
+    gives each run's whole ``steps``, and the child :func:`_high_positions`,
+    which sends each run's ``max_bits`` home at the end, one int per run.
     """
     from ._fork import with_child  # as in hankel_minors, loaded only on this route
 
     mine, theirs = with_child(lambda child: _leading_minors(runs, child),
                               lambda parent: _high_positions(runs, parent))
-    return [(minors, steps + child_steps, max(max_bits, child_bits))
-            for (minors, steps, max_bits), (child_steps, child_bits) in zip(mine, theirs)]
+    return [(minors, steps, max(max_bits, child_bits))
+            for (minors, steps, max_bits), child_bits in zip(mine, theirs)]
 
 
-def _high_positions(runs: Sequence[Sequence[int]], parent) -> list[tuple[int, int]]:
+def _high_positions(runs: Sequence[Sequence[int]], parent) -> list[int]:
     """The recursion at the positions l > n of every run, in the forked child,
     where ``parent`` is its ``_fork.Channel`` to the parent process; returns
-    each run's ``(steps, max_bits)``."""
+    each run's ``max_bits`` over those positions."""
     n = len(runs[0]) // 2
     cur = [list(values[n + 1 :]) for values in runs]  # tau_k(l) for l = n+1..2n-k
     prev = [[0] * (n + 1) for _ in runs]  # tau_{k-1}(l) for l = n+1..2n-k+1
     # Delta_k, Delta_{k+1} = tau_k(k), tau_k(k+1) and tau_{k-1}(k), at k = 0
     scalars = [(1, values[0], values[1], 0) for values in runs]
     max_bits = [0] * len(runs)
-    steps = [0] * len(runs)
     live = list(range(len(runs)))
     for k in range(n - 1):
         if k:
@@ -544,5 +518,4 @@ def _high_positions(runs: Sequence[Sequence[int]], parent) -> list[tuple[int, in
             rest, max_bits[r] = _tau_step(zip(cur[r][1:-1], cur[r][2:], prev[r][1:]),
                                           *scalars[r], max_bits[r])
             prev[r], cur[r] = cur[r], [first] + rest
-            steps[r] += len(cur[r])
-    return [(steps[r], max_bits[r]) for r in range(len(runs))]
+    return max_bits

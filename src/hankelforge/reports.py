@@ -14,27 +14,6 @@ from typing import NamedTuple
 # is kept only in a failing check's Witness, so a passing check may carry "".
 Check = tuple[str, int, bool, str]
 
-# Integers of up to 600 digits go straight through ``str``: 600 is under the
-# smallest digit limit an interpreter can be configured with (640).
-_STR_BOUND = 10**600
-
-
-def decimal_str(value: int) -> str:
-    """Exact decimal digits of an integer of any size.
-
-    ``str`` refuses integers above the interpreter's digit limit (4300 by
-    default); larger ones are split by a power of ten and rendered piecewise,
-    leaving process-wide settings alone.
-    """
-    if value < 0:
-        return "-" + decimal_str(-value)
-    if value < _STR_BOUND:
-        return str(value)
-    # about half the digit count (log10 2 > 3/10), so both pieces are nonzero
-    half = value.bit_length() * 3 // 20
-    high, low = divmod(value, 10**half)
-    return decimal_str(high) + decimal_str(low).zfill(half)
-
 
 class ReportEntry(NamedTuple):
     index: str

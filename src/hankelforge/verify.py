@@ -18,9 +18,9 @@ import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import hankel, numtheory, sequences, transforms
-from .exact import exact_int, exact_ints
+from .exact import decimal_str, exact_int, exact_ints
 from .numtheory import is_power_of_two, is_prime, nu2
-from .reports import Check, ReportEntry, VerificationReport, Witness, decimal_str
+from .reports import Check, ReportEntry, VerificationReport, Witness
 from .sequences import APERY_A, APERY_B, CLF, G_SUM, domb, franel, prefix
 
 DET_N_MAX = 12

@@ -139,7 +139,7 @@ def test_hankel_dodgson_engine_condenses_antidiagonals(capsys):
 
 def test_hankel_prints_values_above_str_digit_limit(capsys):
     # entries near 20^2000 give a det of about 4,760 digits
-    from hankelforge.reports import decimal_str
+    from hankelforge.exact import decimal_str
 
     from oracle_helpers import brute_prefix, det_fractions, hankel_rows
 

@@ -568,13 +568,29 @@ def test_a_planted_lane_overflow_is_refused():
     assert nxt[0] == 142 and max_bits == 8
 
 
-def test_an_exact_packed_division_is_taken():
-    # The other side of the lane check: by a divisor other than +-1, lanes
-    # that divide exactly give their quotients, lane by lane.
-    quotients = [1, -2, 3, -15, 0, 15, 7] + [0] * 12
-    for divisor in (2, -3):
-        row, _, _, ones, _ = hankel._pack([divisor * q for q in quotients], 6)
-        assert hankel._lane_quotient(row, divisor, ones) == hankel._pack(quotients, 4)[0]
+@pytest.mark.parametrize("divisor", (2, -3))
+def test_the_packed_form_refuses_a_divisor_other_than_1_or_minus_1(divisor):
+    # A state no Hankel matrix gives, with Delta_{k+1} = 0, c = 1 and
+    # a = tau_k(k+1) = divisor: the lanes of u = T1 and of v = -a T1 are all
+    # multiples of the divisor, and both bounds pass, as the same step by 1
+    # shows.  The divisor alone sends the step to the list form.
+    entries = [0] + [divisor * x for x in (1, -1, 1, 0, 1)] + [0] * 19
+    row, low, _, ones, width = hankel._pack(entries, 2)
+    state = row, low, 1, ones, width
+    assert hankel._packed_step(*state, divisor, 0, 2) is None
+    assert hankel._packed_step(*state, 1, 0, 2) is not None
+
+
+def test_a_run_leaves_the_packed_form_at_a_divisor_of_minus_2(monkeypatch):
+    # A 0/1 run whose minors begin 1, 1, -2, -1: steps 0..2 divide by 1 and
+    # go packed, step 3 divides by -2 and takes the run to the list form,
+    # though its numerators would still fit their lanes.
+    run = [int(c) for c in "10110010101100010100001010000110000110110"]
+    calls = _record_packed_steps(monkeypatch)
+    got = hankel._leading_minors([run])
+    assert got == _list_form(hankel._leading_minors, [run])
+    assert got[0][0][:4] == [1, 1, -2, -1]
+    assert calls == [(41, True), (39, True), (37, True), (35, False)]
 
 
 @pytest.mark.parametrize("entries, c", (
@@ -587,7 +603,7 @@ def test_an_inexact_packed_division_is_refused(entries, c):
     # Every division of the recursion is exact, so an inexact one is planted:
     # a state no Hankel matrix gives, with Delta_k = 3, Delta_{k+1} = 0 and
     # tau_{k-1} = 0.  Packed, a remainder can vanish where a lane's does not;
-    # the lane check catches that, and the list form of the step raises.
+    # the packed form divides by +-1 only, and the list form of the step raises.
     row, low, _, ones, width = hankel._pack(entries + [0] * (25 - len(entries)), 2)
     state = row, low, c, ones, width
     assert hankel._packed_step(*state, 3, 0, 2) is None

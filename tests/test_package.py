@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import hankelforge
 from hankelforge import Family, SequenceId, hankel, numtheory, verify
+from hankelforge.exact import decimal_str
 from hankelforge.sequences import CLF, domb, franel
 
 from oracle_helpers import det_fractions, hankel_rows, iterated_transform_sum
@@ -33,18 +35,37 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
-def test_fork_imports_nothing_from_the_package():
-    # _fork is only the forked child's mechanism: the work is handed to it as
-    # functions, so a change to what runs in the child does not touch it.
-    path = Path(hankelforge.__file__).parent / "_fork.py"
+def _imports(module):
+    """The modules that ``hankelforge/<module>.py`` imports, a relative one
+    with its leading dots."""
+    path = Path(hankelforge.__file__).parent / f"{module}.py"
     names = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
             names.append("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
+    return names
+
+
+def test_fork_imports_nothing_from_the_package():
+    # _fork is only the forked child's mechanism: the work is handed to it as
+    # functions, so a change to what runs in the child does not touch it.
+    names = _imports("_fork")
     assert "os" in names
     assert [name for name in names if name.startswith((".", "hankelforge"))] == []
+
+
+def test_exact_imports_nothing_from_the_package():
+    # Every other module calls the rule for integer arguments, so exact sits
+    # below them all.
+    assert [name for name in _imports("exact") if name.startswith((".", "hankelforge"))] == []
+
+
+@pytest.mark.parametrize("value", (1.5, True, None))
+def test_decimal_str_refuses_what_exact_int_refuses(value):
+    with pytest.raises(ValueError, match="value must be an integer"):
+        decimal_str(value)
 
 
 def test_only_exact_compares_a_type_with_int():

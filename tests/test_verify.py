@@ -13,7 +13,8 @@ import time
 import pytest
 
 from hankelforge import InexactDivisionError, _fork, cli, hankel, numtheory, sequences, transforms, verify
-from hankelforge.reports import VerificationReport, decimal_str
+from hankelforge.exact import decimal_str
+from hankelforge.reports import VerificationReport
 from hankelforge.sequences import APERY_A, APERY_B, CLF, G_SUM, domb, franel
 from hankelforge.verify import Claim, run_all, run_claim
 
@@ -718,6 +719,40 @@ def test_split_leading_minors_match_the_kernel(forks):
     assert len(forks) == len(batches) + 1
 
 
+def test_steps_is_the_number_of_tau_entries(forks):
+    # The recursion works its steps out from each run's shape; here they are
+    # counted as the entries _tau_step makes, with every step in list form.
+    made = []
+    tau_step = hankel._tau_step
+
+    def counting(*args):
+        nxt, max_bits = tau_step(*args)
+        made.append(len(nxt))
+        return nxt, max_bits
+
+    def entries(values):
+        made.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hankel, "_PACK_MIN_LEN", 10**9)
+            mp.setattr(hankel, "_tau_step", counting)
+            hankel._leading_minors([values])
+        return sum(made)
+
+    rng = random.Random(39)
+    complete = [sequences.prefix(franel(3), 2 * n).terms for n in (0, 1, 6, 12)]
+    complete += [tuple(rng.randint(-10**6, 10**6) for _ in range(21)), sequences.prefix(APERY_A, 78).terms]
+    stopped = [ZERO_MINOR_AT_19, (1,) * 79, (0, 1, 1, 1, 2), (1, 1, 1, 1, 2, 3, 5)]
+    parity = tuple(int(i & (i - 1) == 0) for i in range(2, 129))  # the parity claim's run at hi = 64
+    for values in complete + stopped + [parity]:
+        result = hankel.det_dodgson(values)
+        assert result.fallback == (values in stopped)
+        bareiss = hankel.det_bareiss(values).steps if result.fallback else 0
+        assert result.steps - bareiss == entries(values)
+    runs = [ZERO_MINOR_AT_19, (1,) * 79, sequences.prefix(APERY_A, 78).terms]
+    assert [steps for _, steps, _ in hankel._split_leading_minors(runs)] == list(map(entries, runs))
+    assert len(forks) == 1
+
+
 @pytest.fixture
 def split_refused(monkeypatch):
     """The break-even at 0, and a call of hankel._split_leading_minors fails
@@ -782,8 +817,7 @@ def test_split_messages_wider_than_a_pipe_cross(forks, monkeypatch):
 
     def receiving(channel):
         obj = recv(channel)
-        if isinstance(obj[0], int):  # entries, not the child's closing (steps, max_bits)
-            received.append(len(pickle.dumps(obj)))
+        received.append(len(pickle.dumps(obj)))
         return obj
 
     monkeypatch.setattr(_fork.Channel, "send", sending)
@@ -792,6 +826,7 @@ def test_split_messages_wider_than_a_pipe_cross(forks, monkeypatch):
     # split runs, an entry or two, is wider than a pipe buffer (64 KiB)
     for values in (_unit_minor_moments(1 << 600_000, count) for count in (7, 9)):  # n = 3, 4
         assert hankel._split_leading_minors([values]) == [hankel._leading_minors([values])[0]]
+        received.pop()  # the child's closing message, its max_bits: entries only are counted
     assert len(forks) == 2
     assert len(sent) == 1 + 2 and len(received) == 2 + 3
     assert min(sent + received) > 65536
