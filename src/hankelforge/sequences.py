@@ -23,11 +23,13 @@ each of the form
 
 of order k = 1, 2 or 3, seeded with the summation values at n < k, with
 every division checked exact.  That covers f(1..6), d(1..3), CLF, b, a, g
-and the central binomials.  Each order has its own loop, which keeps the
-last k terms in locals and divides with an inline ``divmod``; a remainder
-raises :class:`~hankelforge.exact.InexactDivisionError` naming the
-recurrence.  Only f(r >= 7) and d(m >= 4) are summed; their prefixes walk
-the Pascal rows one from the next and keep a running column of C(2k,k).
+and the central binomials.  Each polynomial is stored as integer
+coefficients and tabulated for the whole prefix by running sums.  Each order
+has its own loop, which keeps the last k terms in locals and divides with an
+inline ``divmod``; a remainder raises
+:class:`~hankelforge.exact.InexactDivisionError` naming the recurrence.
+Only f(r >= 7) and d(m >= 4) are summed; their prefixes walk the Pascal
+rows one from the next and keep a running column of C(2k,k).
 
 All functions here are pure and keep no state between calls.
 """
@@ -35,7 +37,9 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
+from itertools import accumulate, repeat
 from math import comb
+from operator import sub
 from typing import Callable, NamedTuple
 
 from . import binomial
@@ -141,17 +145,21 @@ def term(seq: SequenceId, n: int) -> int:
 class Recurrence(NamedTuple):
     """lead(n) x(n+k) = sum_i coeffs[i](n) x(n+i) for i < k = len(coeffs), n >= 0.
 
-    ``lead`` has no zero at n >= 0, so the first k terms determine the rest.
+    Each polynomial is a tuple of integer coefficients in ascending powers of
+    n.  Every ``lead`` has nonnegative coefficients and a positive constant
+    term, so lead(n) >= lead(0) > 0 at n >= 0 and the first k terms determine
+    the rest.
     """
 
-    lead: Callable[[int], int]
-    coeffs: tuple[Callable[[int], int], ...]
+    lead: tuple[int, ...]
+    coeffs: tuple[tuple[int, ...], ...]
 
 
-_CENTRAL_RECURRENCE = Recurrence(lambda n: n + 1, (lambda n: 2 * (2 * n + 1),))
+_CENTRAL_RECURRENCE = Recurrence((1, 1), ((2, 4),))  # (n+1) x(n+1) = 2(2n+1) x(n)
 
 # The order-2 rows are the classical three-term recurrences
-# (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1), shifted by one index.
+# (n+1)^e x(n+1) = P(n) x(n) + Q(n) x(n-1), shifted by one index; lead is
+# (n+2)^2 or (n+2)^3.
 #
 # Franel conjectured (1894-95) that f(r) satisfies a recurrence of order
 # floor((r+1)/2); Perlstadt, "Some recurrences for sums of powers of binomial
@@ -161,60 +169,42 @@ _CENTRAL_RECURRENCE = Recurrence(lambda n: n + 1, (lambda n: 2 * (2 * n + 1),))
 # f(5) and d(3), 9 for f(6)) in sum_ij c_ij n^j x(n+i) = 0, one equation per n
 # over the first 4(d+1)+12 summed terms, sympy's Matrix.nullspace has nullity
 # 1.  The f(5) row matches Perlstadt, and all three agree with the summation
-# for every index up to n = 1000.
+# for every index up to n = 1000.  Their leads are (n+3)^4 (55n^2+143n+94),
+# (n+2)(n+3)^5 (91n^3+364n^2+490n+222) and (n+3)^4 (21n^2+49n+29).
 RECURRENCES: dict[SequenceId, Recurrence] = {
-    franel(1): Recurrence(lambda n: 1, (lambda n: 2,)),
+    franel(1): Recurrence((1,), ((2,),)),
     franel(2): _CENTRAL_RECURRENCE,
     CENTRAL_BINOM: _CENTRAL_RECURRENCE,
     # Franel (1894)
-    franel(3): Recurrence(lambda n: (n + 2) ** 2,
-                          (lambda n: 8 * (n + 1) ** 2, lambda n: 7 * (n + 1) * (n + 2) + 2)),
-    franel(4): Recurrence(lambda n: (n + 2) ** 3,
-                          (lambda n: 4 * (n + 1) * (4 * n + 3) * (4 * n + 5),
-                           lambda n: 2 * (2 * n + 3) * (3 * (n + 1) * (n + 2) + 1))),
+    franel(3): Recurrence((4, 4, 1), ((8, 16, 8), (16, 21, 7))),
+    franel(4): Recurrence((8, 12, 6, 1), ((60, 188, 192, 64), (42, 82, 54, 12))),
     # Perlstadt (1987)
     franel(5): Recurrence(
-        lambda n: (n + 3) ** 4 * (55 * n**2 + 143 * n + 94),
-        (lambda n: -32 * (n + 1) ** 4 * (55 * n**2 + 253 * n + 292),
-         lambda n: (19415 * n**6 + 205799 * n**5 + 900543 * n**4 + 2082073 * n**3
-                    + 2682770 * n**2 + 1827064 * n + 514048),
-         lambda n: (1155 * n**6 + 14553 * n**5 + 75498 * n**4 + 205949 * n**3
-                    + 310827 * n**2 + 245586 * n + 79320))),
+        (7614, 21735, 24975, 14790, 4780, 803, 55),
+        ((-9344, -45472, -90208, -92992, -52288, -15136, -1760),
+         (514048, 1827064, 2682770, 2082073, 900543, 205799, 19415),
+         (79320, 245586, 310827, 205949, 75498, 14553, 1155))),
     franel(6): Recurrence(
-        lambda n: (n + 2) * (n + 3) ** 5 * (91 * n**3 + 364 * n**2 + 490 * n + 222),
-        (lambda n: (-24 * (n + 1) ** 3 * (2 * n + 3) * (6 * n + 5) * (6 * n + 7)
-                    * (91 * n**3 + 637 * n**2 + 1491 * n + 1167)),
-         lambda n: (153881 * n**9 + 2462096 * n**8 + 17419983 * n**7 + 71536002 * n**6
-                    + 187916733 * n**5 + 327503034 * n**4 + 378741807 * n**3
-                    + 280311768 * n**2 + 120507876 * n + 22934340),
-         lambda n: (n + 2) * (3458 * n**8 + 57057 * n**7 + 408555 * n**6 + 1656761 * n**5
-                              + 4158211 * n**4 + 6610054 * n**3 + 6496560 * n**2
-                              + 3609252 * n + 868140))),
-    domb(1): Recurrence(lambda n: (n + 2) ** 2,
-                        (lambda n: -32 * (n + 1) ** 2,
-                         lambda n: 4 * (3 * (n + 1) * (n + 2) + 1))),
-    domb(2): Recurrence(lambda n: (n + 2) ** 3,
-                        (lambda n: -64 * (n + 1) ** 3,
-                         lambda n: 2 * (2 * n + 3) * (5 * (n + 1) * (n + 2) + 2))),
+        (107892, 471906, 902664, 990468, 686943, 312369, 93182, 17598, 1911, 91),
+        ((-2940840, -20590128, -63022824, -110571936, -122421192, -88617024, -41907336, -12478704,
+          -2122848, -157248),
+         (22934340, 120507876, 280311768, 378741807, 327503034, 187916733, 71536002, 17419983,
+          2462096, 153881),
+         (1736280, 8086644, 16602372, 19716668, 14926476, 7471733, 2473871, 522669, 63973, 3458))),
+    domb(1): Recurrence((4, 4, 1), ((-32, -64, -32), (28, 36, 12))),
+    domb(2): Recurrence((8, 12, 6, 1), ((-64, -192, -192, -64), (72, 138, 90, 20))),
     domb(3): Recurrence(
-        lambda n: (n + 3) ** 4 * (21 * n**2 + 49 * n + 29),
-        (lambda n: -512 * (n + 1) ** 4 * (21 * n**2 + 91 * n + 99),
-         lambda n: 16 * (21 * n**6 + 217 * n**5 + 946 * n**4 + 2241 * n**3
-                         + 3056 * n**2 + 2275 * n + 719),
-         lambda n: 4 * (168 * n**6 + 2072 * n**5 + 10480 * n**4 + 27714 * n**3
-                        + 40231 * n**2 + 30267 * n + 9209))),
+        (2349, 7101, 8559, 5262, 1751, 301, 21),
+        ((-50688, -249344, -501248, -525312, -301568, -89600, -10752),
+         (11504, 36400, 48896, 35856, 15136, 3472, 336),
+         (36836, 121068, 160924, 110856, 41920, 8288, 672))),
     # CLF is 2^n d(1)
-    CLF: Recurrence(lambda n: (n + 2) ** 2,
-                    (lambda n: -128 * (n + 1) ** 2, lambda n: 8 * (3 * (n + 1) * (n + 2) + 1))),
+    CLF: Recurrence((4, 4, 1), ((-128, -256, -128), (56, 72, 24))),
     # Apery (1979)
-    APERY_B: Recurrence(lambda n: (n + 2) ** 2,
-                        (lambda n: (n + 1) ** 2, lambda n: 11 * (n + 1) * (n + 2) + 3)),
-    APERY_A: Recurrence(lambda n: (n + 2) ** 3,
-                        (lambda n: -((n + 1) ** 3),
-                         lambda n: (2 * n + 3) * (17 * (n + 1) * (n + 2) + 5))),
+    APERY_B: Recurrence((4, 4, 1), ((1, 2, 1), (25, 33, 11))),
+    APERY_A: Recurrence((8, 12, 6, 1), ((-1, -3, -3, -1), (117, 231, 153, 34))),
     # Zagier's sporadic list, (a, b, c) = (10, 3, 9)
-    G_SUM: Recurrence(lambda n: (n + 2) ** 2,
-                      (lambda n: -9 * (n + 1) ** 2, lambda n: 10 * (n + 1) * (n + 2) + 3)),
+    G_SUM: Recurrence((4, 4, 1), ((-9, -18, -9), (23, 30, 10))),
 }
 
 
@@ -241,38 +231,60 @@ def _recur(seq: SequenceId, n_max: int) -> list[int]:
     out = [term(seq, n) for n in range(min(n_max + 1, order))]
     if n_max < order:
         return out
-    steps = range(n_max + 1 - order)
+    count = n_max + 1 - order
+    tables = zip(*(_values(poly, count) for poly in (lead, *coeffs)))  # (lead(n), c_0(n), ...)
     append = out.append
     if order == 1:
-        (c0,) = coeffs
         (x0,) = out
-        for n in steps:
-            num, d = c0(n) * x0, lead(n)
+        for d, a0 in tables:
+            num = a0 * x0
             x0, r = divmod(num, d)
             if r:
                 exact_div(num, d, context)
             append(x0)
     elif order == 2:
-        c0, c1 = coeffs
         x0, x1 = out
-        for n in steps:
-            num, d = c0(n) * x0 + c1(n) * x1, lead(n)
+        for d, a0, a1 in tables:
+            num = a0 * x0 + a1 * x1
             x2, r = divmod(num, d)
             if r:
                 exact_div(num, d, context)
             append(x2)
             x0, x1 = x1, x2
     else:
-        c0, c1, c2 = coeffs
         x0, x1, x2 = out
-        for n in steps:
-            num, d = c0(n) * x0 + c1(n) * x1 + c2(n) * x2, lead(n)
+        for d, a0, a1, a2 in tables:
+            num = a0 * x0 + a1 * x1 + a2 * x2
             x3, r = divmod(num, d)
             if r:
                 exact_div(num, d, context)
             append(x3)
             x0, x1, x2 = x1, x2, x3
     return out
+
+
+def _values(poly: tuple[int, ...], count: int) -> list[int]:
+    """poly(n) for n = 0..count-1; ``poly`` holds integer coefficients in
+    ascending powers of n, of degree d.  The d-th difference is constant, and
+    each lower column of differences is the running sum of the one above it
+    after its value at 0, which Horner's rule at n = 0..d gives: d nested
+    ``accumulate`` calls in C (Knuth, TAOCP Vol. 2, 4.6.4).  A table of at
+    most d values is Horner's alone."""
+    d = len(poly) - 1
+    points = range(min(count, d + 1))
+    table = [poly[-1]] * len(points)
+    for c in poly[-2::-1]:  # Horner, at every point at once
+        table = [v * n + c for v, n in zip(table, points)]
+    if count <= d:
+        return table
+    starts = []  # the differences at n = 0, of order 0..d
+    while table:
+        starts.append(table[0])
+        table = list(map(sub, table[1:], table))
+    values = repeat(starts.pop(), count - d)
+    for start in reversed(starts):
+        values = accumulate(values, initial=start)
+    return list(values)
 
 
 def _franel_sums(r: int, n_max: int) -> list[int]:

@@ -516,10 +516,16 @@ _wide_runs = st.integers(0, 20).flatmap(
     lambda n: st.lists(st.integers(-10**6, 10**6), min_size=2 * n + 1, max_size=2 * n + 1))
 
 
+# A 0/1 run whose minors begin 1, 1, -2, -1: its step 3 would divide by -2
+# while its numerators still fit their lanes.
+_MINUS_2_RUN = [int(c) for c in "10110010101100010100001010000110000110110"]
+
+
 @_oracle_settings
 @given(st.lists(st.one_of(_narrow_runs, _narrow_runs, _wide_runs), min_size=1, max_size=4))
 @example([_parity_run(61)])  # 121 values that stay narrow until the rows are short
 @example([[0] * 25, [1] + [0] * 24, _parity_run(12)[:23] + [1, 1]])  # zero minors while packed
+@example([_MINUS_2_RUN])  # a divisor of -2 while packed
 def test_packed_steps_give_the_list_form_s_minors_and_stats(runs):
     assert hankel._leading_minors(runs) == _list_form(hankel._leading_minors, runs)
     # Past a zero minor every higher order is a Bareiss determinant on a
@@ -582,13 +588,12 @@ def test_the_packed_form_refuses_a_divisor_other_than_1_or_minus_1(divisor):
 
 
 def test_a_run_leaves_the_packed_form_at_a_divisor_of_minus_2(monkeypatch):
-    # A 0/1 run whose minors begin 1, 1, -2, -1: steps 0..2 divide by 1 and
-    # go packed, step 3 divides by -2 and takes the run to the list form,
-    # though its numerators would still fit their lanes.
-    run = [int(c) for c in "10110010101100010100001010000110000110110"]
+    # Steps 0..2 divide by 1 and go packed, step 3 divides by -2 and takes
+    # the run to the list form, though its numerators would still fit their
+    # lanes.
     calls = _record_packed_steps(monkeypatch)
-    got = hankel._leading_minors([run])
-    assert got == _list_form(hankel._leading_minors, [run])
+    got = hankel._leading_minors([_MINUS_2_RUN])
+    assert got == _list_form(hankel._leading_minors, [_MINUS_2_RUN])
     assert got[0][0][:4] == [1, 1, -2, -1]
     assert calls == [(41, True), (39, True), (37, True), (35, False)]
 

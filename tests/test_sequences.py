@@ -1,6 +1,8 @@
+from functools import reduce
+
 import pytest
 
-from hankelforge import Family, SequenceId, domb, franel, prefix, term
+from hankelforge import Family, SequenceId, domb, franel, prefix, sequences, term
 from hankelforge.exact import InexactDivisionError
 from hankelforge.sequences import APERY_A, APERY_B, CENTRAL_BINOM, CLF, G_SUM, RECURRENCES, Recurrence
 
@@ -84,7 +86,7 @@ def test_recurrence_prefix_matches_summation(seq):
 def test_recurrence_loop_checks_every_division(monkeypatch, seq, order):
     lead, coeffs = RECURRENCES[seq]
     assert len(coeffs) == order
-    monkeypatch.setitem(RECURRENCES, seq, Recurrence(lambda n: lead(n) + 2, coeffs))
+    monkeypatch.setitem(RECURRENCES, seq, Recurrence((lead[0] + 2, *lead[1:]), coeffs))
     with pytest.raises(InexactDivisionError) as info:
         prefix(seq, 20)
     assert str(info.value).endswith(f" in {seq.label()} recurrence")
@@ -119,16 +121,45 @@ def test_term_above_old_cache_cap(seq):
     assert term(seq, 1030) == brute_term(seq, 1030)
 
 
+def _horner(poly, n):
+    return reduce(lambda value, c: value * n + c, reversed(poly), 0)
+
+
 def test_recurrence_agrees_with_summation():
     # Every row holds for the summed terms themselves, without prefix:
-    # lead(n) x(n+k) = sum_i c_i(n) x(n+i).  Its leading polynomial has no
-    # zero where prefix divides by it.
+    # lead(n) x(n+k) = sum_i c_i(n) x(n+i), each polynomial evaluated from
+    # its integer coefficients.
     for seq, (lead, coeffs) in RECURRENCES.items():
         k = len(coeffs)
         x = [term(seq, n) for n in range(60)]
         for n in range(60 - k):
-            assert lead(n) * x[n + k] == sum(c(n) * x[n + i] for i, c in enumerate(coeffs)), seq
-        assert all(lead(n) != 0 for n in range(10**4 + 1)), seq
+            assert _horner(lead, n) * x[n + k] == sum(_horner(c, n) * x[n + i] for i, c in enumerate(coeffs)), seq
+
+
+@pytest.mark.parametrize("seq", list(RECURRENCES), ids=lambda s: s.label())
+def test_every_lead_is_positive_at_every_index(seq):
+    # Nonnegative coefficients and a positive constant term: lead(n) >=
+    # lead(0) > 0 for every n >= 0, so prefix never divides by 0.
+    lead, coeffs = RECURRENCES[seq]
+    assert lead[0] > 0 and min(lead) >= 0
+    for poly in (lead, *coeffs):
+        assert poly and all(type(c) is int for c in poly)
+
+
+@pytest.mark.parametrize("seq", list(RECURRENCES), ids=lambda s: s.label())
+def test_value_tables_match_horner(seq):
+    # Up to d values are evaluated directly, more by d running sums.
+    lead, coeffs = RECURRENCES[seq]
+    for poly in (lead, *coeffs):
+        d = len(poly) - 1
+        for count in (*range(d + 3), 601):
+            assert sequences._values(poly, count) == [_horner(poly, n) for n in range(count)], (poly, count)
+    # The prefixes whose tables are short, and the first ones past them
+    order = len(coeffs)
+    top = order + max(map(len, (lead, *coeffs)))
+    terms = [term(seq, n) for n in range(top + 1)]
+    for n_max in range(order, top + 1):
+        assert prefix(seq, n_max).terms == tuple(terms[:n_max + 1])
 
 
 def test_closed_form_anchors():
